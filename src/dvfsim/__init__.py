@@ -44,6 +44,7 @@ from .reporting import (
     write_trace,
 )
 from .thermal import (
+    Segment,
     ThermalParams,
     ThermalState,
     WearLedger,

@@ -1,19 +1,19 @@
 """Command-line front end: validate, simulate, compare, and sweep subcommands.
 
-Exit codes: 0 success, 1 runtime failure, 2 invalid scenario (parse/schema/
-validation), 64 usage error.
+Exit codes: 0 success, 1 runtime failure (I/O, or a model value overflowing a
+float), 2 invalid scenario (parse/schema/validation, including NaN, Infinity and
+out-of-range numbers), 64 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
-import json
 import math
 import os
 import sys
 
-from .config import _SECTION_KEYS, load_scenario, parse_scenario
+from .config import _SECTION_KEYS, load_scenario, parse_scenario, read_document
 from .engine import compare_policies, simulate
 from .errors import DomainError, PolicyRunError, ScenarioError
 from .reporting import (
@@ -122,13 +122,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.scenario, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(
-                "parse", [f"{args.scenario}: line {exc.lineno} column {exc.colno}: {exc.msg}"]
-            ) from exc
+    doc = read_document(args.scenario)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
@@ -198,12 +192,18 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     except ScenarioError as exc:
-        print(f"invalid scenario ({exc.kind}):", file=sys.stderr)
-        for problem in exc.problems:
-            print(f"  - {problem}", file=sys.stderr)
+        if len(exc.problems) == 1:
+            print(f"invalid scenario ({exc.kind}): {exc.problems[0]}", file=sys.stderr)
+        else:
+            print(f"invalid scenario ({exc.kind}):", file=sys.stderr)
+            for problem in exc.problems:
+                print(f"  - {problem}", file=sys.stderr)
         return EXIT_INVALID
     except (DomainError, PolicyRunError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -8,6 +8,7 @@ full frequency span when omitted.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .engine import Scenario, validate_scenario
@@ -27,6 +28,7 @@ _SECTION_KEYS = {
     "sim": ({"duration_s", "trace_dt_s", "cost_rate_usd_per_mwh"}, {"dwell_stalls"}),
 }
 _LEVEL_KEYS = {"freq_hz", "vdd_v"}
+_FLOAT_MAX = sys.float_info.max
 _TASK_KEYS = {"id", "cycles", "arrival_s", "deadline_s"}
 
 
@@ -52,6 +54,9 @@ class _Schema:
         value = section[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.problems.append(f"{where}.{key}: expected a number")
+            return default
+        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # inf from 1e400, an integer beyond it, or NaN
+            self.problems.append(f"{where}.{key}: expected a finite number")
             return default
         return float(value)
 
@@ -177,11 +182,25 @@ def parse_scenario(doc) -> Scenario:
     return scenario
 
 
-def load_scenario(path) -> Scenario:
-    """Read, parse, and validate a scenario file. I/O errors propagate as OSError."""
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+def read_document(path):
+    """Read and decode a scenario file's JSON without building a Scenario.
+
+    NaN and Infinity are parse errors; number literals beyond the float range
+    decode, and the schema rejects them. I/O errors propagate as OSError.
+    """
     text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ScenarioError("parse", [f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"]) from exc
-    return parse_scenario(doc)
+    except ValueError as exc:  # a NaN or Infinity constant, or an integer too long to convert
+        raise ScenarioError("parse", [f"{path}: {exc}"]) from None
+
+
+def load_scenario(path) -> Scenario:
+    """Read, parse, and validate a scenario file. I/O errors propagate as OSError."""
+    return parse_scenario(read_document(path))

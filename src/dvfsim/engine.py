@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import DomainError, InfeasibleError, PolicyRunError, ScenarioError
 from .power import (
@@ -24,7 +25,7 @@ from .power import (
     idle_power,
     validate_spec,
 )
-from .thermal import ThermalParams, ThermalState, WearLedger, _wear_cumulative, project_lifetime, thermal_step
+from .thermal import Segment, ThermalParams, WearLedger, project_lifetime
 from .transitions import POLICY_KINDS, Hop, TransitionPolicy, plan_transition, shock_wear
 from .workload import GOVERNOR_KINDS, GovernorPolicy, Task, select_level
 
@@ -129,12 +130,12 @@ def validate_scenario(scenario: Scenario) -> ValidationResult:
     prev_arrival = -math.inf
     for i, t in enumerate(scenario.tasks):
         where = f"tasks[{i}]"
-        if not t.cycles > 0:
-            v.append(Violation(f"{where}.cycles", "must be > 0"))
-        if t.arrival < 0:
-            v.append(Violation(f"{where}.arrival", "must be >= 0"))
-        if not t.deadline > t.arrival:
-            v.append(Violation(f"{where}.deadline", "must be > arrival"))
+        if not (math.isfinite(t.cycles) and t.cycles > 0):
+            v.append(Violation(f"{where}.cycles", "must be finite and > 0"))
+        if not (math.isfinite(t.arrival) and t.arrival >= 0):
+            v.append(Violation(f"{where}.arrival", "must be finite and >= 0"))
+        if not (math.isfinite(t.deadline) and t.deadline > t.arrival):
+            v.append(Violation(f"{where}.deadline", "must be finite and > arrival"))
         if t.arrival < prev_arrival:
             v.append(Violation(f"{where}.arrival", "tasks must be sorted by arrival"))
         prev_arrival = t.arrival
@@ -173,15 +174,18 @@ def validate_scenario(scenario: Scenario) -> ValidationResult:
     return ValidationResult(tuple(v))
 
 
-@dataclass(frozen=True)
-class _Span:
-    """One constant-power interval, with entry temperature and entry cumulative wear."""
+class _Span(NamedTuple):
+    """One constant-power interval [t0, t1), with entry temperature and entry cumulative wear.
+
+    It keeps the inputs of its thermal Segment rather than the Segment itself:
+    trace sampling rebuilds the Segment for spans that hold samples, and a run
+    of 10^4 short spans would otherwise hold them all until the run ends.
+    """
 
     t0: float
     t1: float
     level: FrequencyLevel
     power: float
-    active: bool
     temp0: float
     wear0: float
 
@@ -205,18 +209,14 @@ class _Timeline:
         self.spans: list[_Span] = []
         self.log: list[TransitionEvent] = []
 
-    def run(self, length: float, level: FrequencyLevel, power: float, active: bool) -> None:
+    def run(self, length: float, level: FrequencyLevel, power: float, active: bool, until: float | None = None):
+        """Hold ``power`` for ``length`` seconds; ``until`` pins the end to an event time."""
         if length <= 0.0:
             return
-        wear, _ = _wear_cumulative(self.thermal, self.temp, power, length)
-        end_temp = thermal_step(self.thermal, ThermalState(self.temp, self.now), power, length).temp
-        self.spans.append(
-            _Span(self.now, self.now + length, level, power, active, self.temp, self.thermal_acc + self.shock_acc)
-        )
-        # Exact interval statistics from the closed-form trajectory.
-        t_ss = self.thermal.t_amb + power * self.thermal.r_th
-        tau = self.thermal.tau
-        self.temp_integral += t_ss * length + (self.temp - t_ss) * tau * (1.0 - math.exp(-length / tau))
+        end = self.now + length if until is None else until
+        self.spans.append(_Span(self.now, end, level, power, self.temp, self.thermal_acc + self.shock_acc))
+        end_temp, wear, temp_integral = Segment(self.thermal, self.temp, power).advance(length)
+        self.temp_integral += temp_integral
         self.peak = max(self.peak, self.temp, end_temp)
         if active:
             self.active_j += power * length
@@ -226,7 +226,7 @@ class _Timeline:
             self.idle_t += length
         self.thermal_acc += wear
         self.temp = end_temp
-        self.now += length
+        self.now = end
 
     def hop(self, hop: Hop) -> None:
         wear = shock_wear(self.wear_params, hop.delta_f)
@@ -271,7 +271,7 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
 
     for i, task in enumerate(tasks):
         if task.arrival > tl.now:
-            tl.run(task.arrival - tl.now, level, p_idle, active=False)
+            tl.run(task.arrival - tl.now, level, p_idle, active=False, until=task.arrival)
         start = tl.now
         target, infeasible = _choose(spec, task, start, scenario.governor)
         cycles_left = task.cycles
@@ -307,7 +307,7 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
                     tl.run(hop.dwell_after, level, p_idle, active=False)
 
     if tl.now < scenario.duration:
-        tl.run(scenario.duration - tl.now, level, p_idle, active=False)
+        tl.run(scenario.duration - tl.now, level, p_idle, active=False, until=scenario.duration)
     end = tl.now
 
     energy = EnergyBreakdown(tl.active_j, tl.idle_j)
@@ -339,25 +339,21 @@ def _sample_trace(
     starts there); the final span also serves samples landing exactly on its end.
     """
     count = int(math.floor(end / trace_dt + 1e-9)) + 1
-    times = [k * trace_dt for k in range(count)]
-    tau = thermal.tau
     points: list[TracePoint] = []
     k = 0
-    for j, sp in enumerate(spans):
-        limit = sp.t1 if j == len(spans) - 1 else None
-        offsets: list[float] = []
-        sampled: list[float] = []
-        while k < len(times) and (times[k] < sp.t1 or (limit is not None and times[k] <= limit)):
-            offsets.append(min(times[k] - sp.t0, sp.t1 - sp.t0))
-            sampled.append(times[k])
+    last = spans[-1]
+    for sp in spans:
+        seg = None
+        while k < count:
+            time = k * trace_dt
+            if not (time < sp.t1 or (sp is last and time <= sp.t1)):
+                break
+            if seg is None:
+                seg = Segment(thermal, sp.temp0, sp.power)  # the segment the run integrated
+            offset = min(time - sp.t0, sp.t1 - sp.t0)
+            wear = sp.wear0 + seg.wear_at(offset)
+            points.append(TracePoint(time, sp.level.freq, sp.power, seg.temp_at(offset), wear))
             k += 1
-        if not offsets:
-            continue
-        _, wears = _wear_cumulative(thermal, sp.temp0, sp.power, sp.t1 - sp.t0, offsets)
-        t_ss = thermal.t_amb + sp.power * thermal.r_th
-        for s, off, w in zip(sampled, offsets, wears):
-            temp = t_ss + (sp.temp0 - t_ss) * math.exp(-off / tau)
-            points.append(TracePoint(s, sp.level.freq, sp.power, temp, sp.wear0 + w))
     return tuple(points)
 
 

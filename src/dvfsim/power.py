@@ -42,6 +42,11 @@ class ProcessorSpec:
     thermal: ThermalParams
     wear: WearParams
 
+    def require_level(self, level: FrequencyLevel) -> None:
+        """Raise UnknownLevelError unless ``level`` is one of this ladder's levels."""
+        if not (0 <= level.index < len(self.levels)) or self.levels[level.index] != level:
+            raise UnknownLevelError(f"level {level} is not part of this processor spec")
+
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
@@ -144,14 +149,9 @@ def validate_spec(spec: ProcessorSpec) -> ValidationResult:
     return ValidationResult(tuple(v))
 
 
-def _require_level(spec: ProcessorSpec, level: FrequencyLevel) -> None:
-    if not (0 <= level.index < len(spec.levels)) or spec.levels[level.index] != level:
-        raise UnknownLevelError(f"level {level} is not part of this processor spec")
-
-
 def active_power(spec: ProcessorSpec, level: FrequencyLevel) -> float:
     """Active-mode draw in watts at a ladder level."""
-    _require_level(spec, level)
+    spec.require_level(level)
     return spec.coeff_a * level.freq * level.vdd**2 + spec.coeff_b * level.vdd + spec.p_device
 
 

@@ -1,27 +1,39 @@
-"""Lumped single-node thermal model and wear-rate accumulation.
+"""Lumped single-node thermal model and exact thermal-wear integration.
 
-Temperature follows ``c_th * dT/dt = P - (T - t_amb)/r_th``, which has the exact
-per-interval solution used throughout (no integrator error for piecewise-constant
-power). Component wear accrues at a temperature-dependent rate that doubles per
-+10 degC relative to the reference temperature, so lifetime halves per +10 degC
-and doubles per -10 degC.
+Temperature follows ``c_th * dT/dt = P - (T - t_amb)/r_th``. Under constant power
+it relaxes as ``T(t) = T_ss + d0 * exp(-t/tau)`` (``T_ss = t_amb + P * r_th``,
+``tau = r_th * c_th``), so piecewise-constant power has no integrator error.
+Wear accrues at ``2^((T - t_ref)/10) / l_base`` per second: lifetime halves per
++10 degC. On one interval that rate is ``rate_ss * exp(a * u)``, with
+``a = ln2/10 * d0`` and ``u = exp(-t/tau)``, and its integral over [0, s] is the
+exponential-integral difference (Abramowitz & Stegun 5.1.10)
+
+    rate_ss * tau * [Ei(a) - Ei(a*u)] = rate_ss * (s + tau * sum_k a^k (1 - u^k) / (k * k!)).
+
+``Segment`` evaluates it in closed form, to a few units of rounding error:
+over a short interval (``|a| * (1 - u) <= 1``, and ``1 - u <= 1/16`` unless
+``a < -2``) by an expansion in ``1 - u``; otherwise for ``a >= -2`` by the
+series above, in Horner form; otherwise, heating by more than about 29 degC,
+where the series' alternating terms would cancel, as ``E1(|a|*u) - E1(|a|)``
+(A&S 5.1.11, and the continued fraction 5.1.22).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 from .errors import DomainError
 
-# Quadrature substep as a fraction of the thermal time constant. Trapezoid error
-# scales with the square of the substep; 1/500 keeps the transient example well
-# inside a 1e-6 relative tolerance against a fine-grid oracle.
-_SUBSTEP_FRACTION = 1.0 / 500.0
-
-# Past this many time constants the trajectory is steady state to double
-# precision (e^-40 ~ 4e-18), so the remaining interval integrates analytically.
-_SETTLE_TAUS = 40.0
+_LN2_OVER_10 = math.log(2.0) / 10.0
+_EULER_GAMMA = 0.5772156649015329
+_EPS = 2.0**-56  # relative truncation of every series
+_SERIES_MIN_A = -2.0  # below this the plain series loses digits to cancellation
+_SHORT_G = 1.0 / 16.0  # up to this rise the short-swing expansion needs few terms
+_MAX_A = 709.0  # the series' terms reach e^a / sqrt(2*pi*a), which overflows beyond this
 
 
 @dataclass(frozen=True)
@@ -65,7 +77,11 @@ class WearLedger:
 
 def arrhenius_factor(params: ThermalParams, temp: float) -> float:
     """Wear-rate multiplier relative to the reference temperature: 2^((T - t_ref)/10)."""
-    return 2.0 ** ((temp - params.t_ref) / 10.0)
+    return math.exp(_arrhenius_exponent(params, temp))
+
+
+def _arrhenius_exponent(params: ThermalParams, temp: float) -> float:
+    return _LN2_OVER_10 * (temp - params.t_ref)
 
 
 def steady_state_temp(params: ThermalParams, power: float) -> float:
@@ -75,98 +91,178 @@ def steady_state_temp(params: ThermalParams, power: float) -> float:
     return params.t_amb + power * params.r_th
 
 
-def thermal_step(params: ThermalParams, state: ThermalState, power: float, dt: float) -> ThermalState:
-    """Advance temperature by dt seconds of constant power, exactly.
+class Segment(namedtuple("_SegmentFields", "temp0 t_ss tau d0 a exponent_ss wear_scale")):
+    """Exact temperature and wear trajectory of one constant-power interval.
 
-    Uses the closed form T' = T_ss + (T - T_ss) * exp(-dt/tau); composing two
-    half steps reproduces one full step to rounding error.
+    Built from (params, entry temperature, power); ``s`` is the time in seconds
+    since the interval began. Immutable. The steady-state wear rate is kept as
+    its exponent, ``exp(exponent_ss) / l_base``, so that only rates the
+    trajectory actually reaches are ever formed.
     """
+
+    __slots__ = ()
+
+    def __new__(cls, params: ThermalParams, temp0: float, power: float):
+        t_ss = steady_state_temp(params, power)
+        d0 = temp0 - t_ss
+        tau = params.tau
+        exponent_ss = _arrhenius_exponent(params, t_ss)
+        a = _LN2_OVER_10 * d0
+        if not math.isfinite(a):
+            raise DomainError(f"temperature {temp0:g} degC or steady state {t_ss:g} degC is not finite")
+        return tuple.__new__(cls, (temp0, t_ss, tau, d0, a, exponent_ss, tau / params.l_base))
+
+    def temp_at(self, s: float) -> float:
+        """Temperature after s seconds."""
+        return self._temp(self._rise(s))
+
+    def wear_at(self, s: float) -> float:
+        """Wear fraction accrued over [0, s]; raises DomainError if it overflows."""
+        return self._wear(s, self._rise(s))
+
+    def temp_integral(self, s: float) -> float:
+        """Integral of the temperature over [0, s], in degC * s."""
+        return self._temp_integral(s, self._rise(s))
+
+    def advance(self, s: float) -> tuple[float, float, float]:
+        """(temp_at(s), wear_at(s), temp_integral(s)) from a single exponential."""
+        g = self._rise(s)
+        return self._temp(g), self._wear(s, g), self._temp_integral(s, g)
+
+    def _rise(self, s: float) -> float:
+        """Fraction 1 - e^(-s/tau) of the way from temp0 to t_ss after s seconds."""
+        return -math.expm1(-s / self.tau)
+
+    def _temp(self, g: float) -> float:
+        return self.temp0 - self.d0 * g
+
+    def _temp_integral(self, s: float, g: float) -> float:
+        return self.t_ss * s + self.d0 * self.tau * g
+
+    def _wear(self, s: float, g: float) -> float:
+        """Wear over [0, s] as exp(exponent) * tau/l_base * integral, routed as in the module notes."""
+        a = self.a
+        x = s / self.tau
+        if abs(a) * g <= 1.0 and (g <= _SHORT_G or a < _SERIES_MIN_A):
+            exponent = self.exponent_ss + a  # the rate at temp0
+            integral = _short_swing(a, x, g)
+        elif a >= _SERIES_MIN_A:
+            if a > _MAX_A:
+                raise DomainError(f"cooling from {self.temp0:g} degC toward {self.t_ss:g} degC is beyond float range")
+            # x + sum_k a^k (1 - u^k)/(k*k!) = x + g * sum_j T_j u^j with T_j = sum_{k>j} a^k/(k*k!)
+            u = 1.0 - g
+            q = 0.0
+            for t in _series_tail_sums(a):
+                q = q * u + t
+            exponent = self.exponent_ss
+            integral = x + g * q
+        else:
+            # E1(z) - E1(b) = e^-z * (e^z E1(z) - e^(z-b) * e^b E1(b)), with z = b*u
+            b = -a
+            z = b * math.exp(-x)
+            log_b = math.log(b)
+            exponent = self.exponent_ss - z  # the rate at the end of the interval
+            integral = _scaled_e1(z, log_b - x) - math.exp(z - b) * _scaled_e1(b, log_b)
+        try:
+            wear = math.exp(exponent) * self.wear_scale * integral
+        except OverflowError:
+            wear = math.inf
+        if not math.isfinite(wear):
+            raise DomainError(f"thermal wear from {self.temp0:g} degC toward {self.t_ss:g} degC overflows")
+        return wear
+
+
+@lru_cache(maxsize=1)  # a trace samples one segment many times in a row
+def _series_tail_sums(a: float) -> tuple[float, ...]:
+    """Suffix sums T_j = sum_{k>j} a^k/(k*k!), highest j first, for Horner's rule.
+
+    The series stops once a^k/k! falls below 2^-56 of the partial sum of e^a,
+    which bounds the truncation relative to the wear integral.
+    """
+    terms = []
+    size = abs(a)
+    c = 1.0  # a^k / k!
+    exp_a = 1.0  # partial sum of e^a
+    k = 0
+    while True:
+        k += 1
+        c *= a / k
+        exp_a += c
+        terms.append(c / k)
+        if k > size and abs(c) <= _EPS * exp_a:
+            return tuple(accumulate(reversed(terms)))
+
+
+def _short_swing(a: float, x: float, g: float) -> float:
+    """e^-a times the integral of exp(a * e^-t) over [0, x], for |a| * g <= 1 and g = 1 - e^-x.
+
+    Expanding exp(-a * (1 - e^-t)) in powers of g gives
+    x + sum_{m>=2} g^m/m * sum_{n=1}^{m-1} (-a)^n/n!, summed here through
+    Q_m = sum_n g^(m-n) (-a*g)^n/n!, which stays below e whatever the size of a.
+    The terms fall at least as fast as g + 1/m; on heating (a < 0) they are all
+    positive, and on cooling the partial sums cancel by at most e^(2*|a|*g).
+    """
+    ag = -a * g
+    r = 1.0  # (-a*g)^(m-1) / (m-1)!
+    q = 0.0
+    total = x
+    m = 1
+    while True:
+        m += 1
+        r *= ag / (m - 1)
+        q = g * (q + r)
+        term = q / m
+        total += term
+        tol = _EPS * total
+        if -tol <= term <= tol:
+            return total
+
+
+def _scaled_e1(z: float, log_z: float) -> float:
+    """e^z * E1(z) for z > 0; ``log_z`` stays exact if z underflows."""
+    if z <= 1.0:  # A&S 5.1.11
+        t = 1.0
+        total = 0.0
+        k = 0
+        while True:
+            k += 1
+            t *= -z / k
+            total += t / k
+            if abs(t) <= _EPS * abs(total):
+                return math.exp(z) * (-_EULER_GAMMA - log_z - total)
+    # A&S 5.1.22 by the modified Lentz method: 1 / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...))),
+    # which for z > 1 settles to within an ulp in well under a hundred steps.
+    den = z + 1.0
+    c = 1.0 / 1e-300
+    d = 1.0 / den
+    h = d
+    for i in range(1, 1000):
+        num = -float(i * i)
+        den += 2.0
+        d = 1.0 / (num * d + den)
+        c = den + num / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= 2.0**-52:
+            break
+    return h
+
+
+def thermal_step(params: ThermalParams, state: ThermalState, power: float, dt: float) -> ThermalState:
+    """Advance temperature by dt seconds of constant power, exactly."""
     if dt < 0:
         raise DomainError(f"dt must be >= 0 (got {dt})")
-    t_ss = steady_state_temp(params, power)
-    temp = t_ss + (state.temp - t_ss) * math.exp(-dt / params.tau)
-    return ThermalState(temp, state.time + dt)
-
-
-def _wear_cumulative(
-    params: ThermalParams,
-    temp0: float,
-    power: float,
-    dt: float,
-    offsets: tuple[float, ...] | list[float] = (),
-    max_substep: float | None = None,
-) -> tuple[float, list[float]]:
-    """Composite-trapezoid integral of the wear rate along the exact trajectory.
-
-    Returns the total wear over [0, dt] plus the cumulative wear at each of the
-    sorted ``offsets`` (observation points; they never change the grid, so
-    sampling cannot perturb the total).
-    """
-    out = [0.0] * len(offsets)
-    if dt <= 0.0:
-        return 0.0, out
-
-    tau = params.tau
-    t_ss = params.t_amb + power * params.r_th
-    inv_l = 1.0 / params.l_base
-    delta0 = temp0 - t_ss
-
-    def rate(t: float) -> float:
-        temp = t_ss + delta0 * math.exp(-t / tau)
-        return 2.0 ** ((temp - params.t_ref) / 10.0) * inv_l
-
-    transient = min(dt, _SETTLE_TAUS * tau)
-    cap = tau * _SUBSTEP_FRACTION if max_substep is None else max_substep
-    cap = min(cap, transient)
-    n = max(1, math.ceil(transient / cap))
-    h = transient / n
-
-    cum = 0.0
-    prev_t = 0.0
-    prev_r = rate(0.0)
-    oi = 0
-    while oi < len(offsets) and offsets[oi] <= 0.0:
-        oi += 1
-    for k in range(1, n + 1):
-        t = transient if k == n else k * h
-        r = rate(t)
-        while oi < len(offsets) and offsets[oi] <= t:
-            s = offsets[oi]
-            out[oi] = cum + 0.5 * (s - prev_t) * (prev_r + rate(s))
-            oi += 1
-        cum += 0.5 * (t - prev_t) * (prev_r + r)
-        prev_t, prev_r = t, r
-
-    if dt > transient:
-        rate_ss = 2.0 ** ((t_ss - params.t_ref) / 10.0) * inv_l
-        while oi < len(offsets):
-            s = min(offsets[oi], dt)
-            out[oi] = cum + (s - transient) * rate_ss if s > transient else cum
-            oi += 1
-        cum += (dt - transient) * rate_ss
-    return cum, out
+    return ThermalState(Segment(params, state.temp, power).temp_at(dt), state.time + dt)
 
 
 def integrate_thermal_wear(
-    params: ThermalParams,
-    state: ThermalState,
-    power: float,
-    dt: float,
-    max_substep: float | None = None,
+    params: ThermalParams, state: ThermalState, power: float, dt: float
 ) -> tuple[float, ThermalState]:
-    """Wear fraction accumulated over dt seconds of constant power.
-
-    Integrates the temperature-dependent wear rate along the exact exponential
-    trajectory with composite trapezoid quadrature (substep at most a small
-    fraction of tau, or ``max_substep`` if given). Returns the wear plus the end
-    state, identical to what thermal_step would produce.
-    """
+    """Wear fraction accumulated over dt seconds of constant power, plus the end state."""
     if dt < 0:
         raise DomainError(f"dt must be >= 0 (got {dt})")
-    if power < 0:
-        raise DomainError(f"power must be >= 0 (got {power})")
-    total, _ = _wear_cumulative(params, state.temp, power, dt, (), max_substep)
-    return total, thermal_step(params, state, power, dt)
+    seg = Segment(params, state.temp, power)
+    return seg.wear_at(dt), ThermalState(seg.temp_at(dt), state.time + dt)
 
 
 def project_lifetime(ledger: WearLedger) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, UnknownLevelError
+from .errors import DomainError
 
 if TYPE_CHECKING:
     from .power import FrequencyLevel, ProcessorSpec
@@ -66,11 +66,6 @@ def full_span(levels: tuple[FrequencyLevel, ...]) -> float:
     return levels[-1].freq - levels[0].freq
 
 
-def _level_in_spec(spec: ProcessorSpec, level: FrequencyLevel) -> None:
-    if not (0 <= level.index < len(spec.levels)) or spec.levels[level.index] != level:
-        raise UnknownLevelError(f"level {level} is not part of this processor spec")
-
-
 def plan_transition(
     spec: ProcessorSpec,
     from_level: FrequencyLevel,
@@ -83,8 +78,8 @@ def plan_transition(
     adjacent ladder level, dwelling ``policy.dwell`` seconds after every hop
     except the last. Same source and target yield an empty plan.
     """
-    _level_in_spec(spec, from_level)
-    _level_in_spec(spec, to_level)
+    spec.require_level(from_level)
+    spec.require_level(to_level)
     if from_level == to_level:
         return TransitionPlan(())
     if policy.kind == "direct":

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import hypothesis.strategies as st
 
 from dvfsim import FrequencyLevel, ProcessorSpec, Task, validate_spec
@@ -55,3 +57,31 @@ def tasks_for(draw, spec, slack_min=0.3, slack_max=5.0):
     fastest = cycles / spec.levels[-1].freq
     window = fastest * draw(st.floats(slack_min, slack_max))
     return Task("t", cycles, arrival, arrival + window)
+
+
+@st.composite
+def workloads(draw, spec, min_tasks=100, max_tasks=1000):
+    """Many FIFO tasks: simultaneous, queued, short gaps, and idle gaps of 1-4 tau.
+
+    The tasks come from one drawn seed, so a thousand of them cost hypothesis
+    one draw, not thousands.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(min_tasks, max_tasks))
+    tau = spec.thermal.tau
+    top = spec.levels[-1].freq
+    arrival = 0.0
+    tasks = []
+    for i in range(n):
+        kind = rng.random()
+        if kind < 0.15:
+            gap = 0.0
+        elif kind < 0.6:
+            gap = rng.uniform(0.0, 0.5)
+        else:
+            gap = rng.uniform(tau, 4.0 * tau)
+        arrival += gap
+        cycles = rng.uniform(1e8, 3e9)
+        window = cycles / top * rng.uniform(0.3, 5.0)
+        tasks.append(Task(f"t{i}", cycles, arrival, arrival + window))
+    return tuple(tasks)

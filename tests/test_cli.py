@@ -75,6 +75,50 @@ class TestSimulate:
         assert "sim.duration" in result.stderr
 
 
+class TestNonFiniteInput:
+    """NaN, Infinity and out-of-range numbers exit 2, an overflowing wear rate exits 1: one line each."""
+
+    def write_with_cycles(self, tmp_path, literal):
+        doc = json.loads(open(TURION).read())
+        doc["tasks"][0]["cycles"] = "CYCLES"
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc).replace('"CYCLES"', literal))
+        return str(path)
+
+    def assert_one_line(self, result, code, text):
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert text in result.stderr
+
+    def test_nan_and_infinity_are_parse_errors(self, tmp_path):
+        for literal in ("NaN", "Infinity", "-Infinity"):
+            result = run_cli("validate", "--scenario", self.write_with_cycles(tmp_path, literal))
+            self.assert_one_line(result, 2, f"invalid scenario (parse): {tmp_path}")
+            assert f"non-finite number {literal} is not allowed" in result.stderr
+
+    def test_literals_beyond_the_float_range_are_schema_errors(self, tmp_path):
+        for literal in ("1e400", "-1e400", "1" + "0" * 400):
+            result = run_cli("validate", "--scenario", self.write_with_cycles(tmp_path, literal))
+            self.assert_one_line(result, 2, "invalid scenario (schema): tasks[0].cycles: expected a finite number")
+
+    def test_sweep_reads_documents_the_same_way(self, tmp_path):
+        path = self.write_with_cycles(tmp_path, "NaN")
+        result = run_cli("sweep", "--scenario", path, "--param", "wear.alpha", "--values", "1,2")
+        self.assert_one_line(result, 2, "non-finite number NaN is not allowed")
+
+    def test_overflowing_model_values_exit_1(self, tmp_path):
+        hot = json.loads(open(TURION).read())
+        hot["thermal"]["r_th_k_per_w"] = 5000.0  # the first task heats toward 65,000 degC ...
+        hot["thermal"]["c_th_j_per_k"] = 1e-4  # ... within a millisecond, and 2^6500 overflows
+        jolt = json.loads(open(TURION).read())
+        jolt["wear"].update(f_span_hz=1.0, alpha=100.0)  # (2e8 Hz / 1 Hz)^100 overflows
+        for name, doc in (("hot", hot), ("jolt", jolt)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            self.assert_one_line(run_cli("simulate", "--scenario", str(path)), 1, "error: ")
+
+
 class TestCompare:
     def test_full_span_stepping_cuts_shock_wear_to_a_fifth(self):
         result = run_cli("compare", "--scenario", STEP_DEMO, "--policies", "direct,stepped")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -16,7 +18,7 @@ from dvfsim import (
 )
 
 from helpers import TURION_FREQS, make_scenario, make_spec, make_task, make_wear
-from strategies import specs
+from strategies import specs, workloads
 
 DIRECT = TransitionPolicy("direct")
 STEPPED = TransitionPolicy("stepped")
@@ -48,6 +50,11 @@ class TestValidation:
     def test_fixed_governor_needs_index_in_bounds(self):
         sc = make_scenario(governor=GovernorPolicy("fixed", 17))
         assert any(v.field == "governor.fixed_index" for v in validate_scenario(sc).violations)
+
+    def test_non_finite_task_fields_rejected(self):
+        tasks = (Task("a", math.inf, 0.0, 5.0), Task("b", 1e9, math.nan, 5.0), Task("c", 1e9, 1.0, math.inf))
+        fields = {v.field for v in validate_scenario(make_scenario(tasks=tasks)).violations}
+        assert {"tasks[0].cycles", "tasks[1].arrival", "tasks[2].deadline"} <= fields
 
     def test_negative_dwell_rejected(self):
         sc = make_scenario(policy=TransitionPolicy("stepped", -0.5))
@@ -127,6 +134,32 @@ class TestTimelineMechanics:
         # b arrives mid-descent and must wait for the processor to reach bottom
         assert b.start == pytest.approx(a.finish + 4.0, rel=1e-12)
         assert b.start > tasks[1].arrival
+
+    def test_idle_span_ends_exactly_at_the_arrival(self):
+        # A running sum of span lengths ended this idle gap one ulp before the
+        # second arrival, and lowest_feasible then refused the early start.
+        tasks = (
+            make_task(id="s0", cycles=724364673.5542415, arrival=0.7519755185973926, deadline=1.3837209668968635),
+            make_task(id="s1", cycles=1835230059.0615435, arrival=9.597112511859242, deadline=12.075763349351714),
+        )
+        sc = make_scenario(tasks=tasks, policy=TransitionPolicy("stepped", 0.05), duration=30.0, trace_dt=0.1)
+        report, _ = simulate(sc)
+        assert report.per_task[1].start == 9.597112511859242
+
+    @given(st.floats(1e8, 3e9), st.floats(2.0, 50.0), st.sampled_from([DIRECT, TransitionPolicy("stepped", 0.05)]))
+    @settings(max_examples=200, deadline=None)
+    def test_an_arrival_after_idle_starts_exactly_on_time(self, cycles, lateness, policy):
+        # the idle gap is longer than the clock so far, the case a running sum rounds
+        first = make_task(id="a", cycles=cycles, arrival=0.0, deadline=10.0)
+        report, _ = simulate(make_scenario(tasks=(first,), governor=GovernorPolicy("fixed", 3), policy=policy))
+        idle_from = report.per_task[0].finish + 3 * policy.dwell  # any descent from level 3 is over
+        arrival = idle_from * lateness
+        second = make_task(id="b", cycles=1e8, arrival=arrival, deadline=arrival + 10.0)
+        sc = make_scenario(
+            tasks=(first, second), governor=GovernorPolicy("fixed", 3), policy=policy, duration=arrival + 20.0
+        )
+        report, _ = simulate(sc)
+        assert report.per_task[1].start == arrival
 
     def test_task_finishing_mid_dwell_abandons_the_climb(self):
         sc = make_scenario(
@@ -274,3 +307,41 @@ class TestFeasibleWorkloadsNeverMiss:
         sc = make_scenario(spec=spec, tasks=tuple(tasks), duration=clock + 10.0, trace_dt=5.0)
         report, _ = simulate(sc)
         assert report.deadline_misses == 0
+
+
+class TestManyTaskInvariants:
+    @given(specs(), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_invariants_hold_over_hundreds_of_tasks(self, spec, data):
+        tasks = data.draw(workloads(spec))
+        governor = data.draw(
+            st.sampled_from([GovernorPolicy("lowest_feasible"), GovernorPolicy("min_energy")])
+            | st.integers(0, len(spec.levels) - 1).map(lambda i: GovernorPolicy("fixed", i))
+        )
+        policy = data.draw(st.sampled_from([DIRECT, STEPPED, TransitionPolicy("stepped", 0.05)]))
+        trace_dt = 0.5
+        # room for every task at the bottom clock plus every dwell, so the run ends at the horizon
+        work = sum(t.cycles for t in tasks) / spec.levels[0].freq + 2 * len(tasks) * len(spec.levels) * policy.dwell
+        horizon = max(max(t.deadline for t in tasks), tasks[-1].arrival + work) + 1.0
+        duration = math.ceil(horizon / trace_dt) * trace_dt
+        sc = make_scenario(
+            spec=spec, tasks=tasks, governor=governor, policy=policy, duration=duration, trace_dt=trace_dt,
+            dwell_stalls=data.draw(st.booleans()),
+        )
+        report, trace = simulate(sc)
+
+        finish = 0.0
+        for task, outcome in zip(tasks, report.per_task):
+            assert outcome.start >= task.arrival
+            assert outcome.start >= finish
+            finish = outcome.finish
+        assert report.ledger.elapsed == duration
+        assert report.active_s + report.idle_s == pytest.approx(duration, rel=1e-12)
+        assert report.ledger.shock_wear == sum(e.wear for e in report.transition_log)
+
+        assert len(trace) == int(duration / trace_dt) + 1
+        assert trace[-1].time == duration
+        wears = [p.cum_wear for p in trace]
+        assert all(a <= b for a, b in zip(wears, wears[1:]))
+        assert wears[-1] == pytest.approx(report.ledger.total, rel=1e-12, abs=0.0)
+        assert max(p.temp for p in trace) <= report.peak_temp

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ import hypothesis.strategies as st
 from dvfsim import (
     DomainError,
     ThermalParams,
+    Segment,
     ThermalState,
     WearLedger,
     arrhenius_factor,
@@ -31,6 +33,47 @@ def oracle_trapezoid_wear(params, temp0, power, dt, n):
         rate = 2.0 ** ((temp - params.t_ref) / 10.0) / params.l_base
         total += rate if 0 < k < n else rate / 2.0
     return total * h
+
+
+def decimal_wear(params, temp0, power, dt):
+    """Wear by the Ei power series (A&S 5.1.10) in decimal arithmetic.
+
+    On constant power the wear is rate_ss * (dt + tau * sum_k a^k (1 - u^k) / (k*k!))
+    with a = ln2/10 * (T0 - T_ss) and u = exp(-dt/tau). Forty digits are kept
+    beyond the ones the alternating series loses to cancellation (about
+    0.87 * |a|).
+    """
+    digits = 40 + int(abs(temp0 - params.t_amb - power * params.r_th) * math.log(2.0) / 10.0) + 5
+    with localcontext() as ctx:
+        ctx.prec = digits
+        t_ss = Decimal(params.t_amb) + Decimal(power) * Decimal(params.r_th)
+        tau = Decimal(params.r_th) * Decimal(params.c_th)
+        a = Decimal(2).ln() / 10 * (Decimal(temp0) - t_ss)
+        u = (-Decimal(dt) / tau).exp()
+        rate_ss = Decimal(2) ** ((t_ss - Decimal(params.t_ref)) / 10) / Decimal(params.l_base)
+        tiny = Decimal(10) ** -digits
+        total, c, uk, k = Decimal(0), Decimal(1), Decimal(1), 0
+        while True:
+            k += 1
+            c = c * a / k
+            uk *= u
+            term = c * (1 - uk) / k
+            total += term
+            if k > abs(a) and abs(term) <= tiny:
+                return float(rate_ss * (Decimal(dt) + tau * total))
+
+
+def simpson(f, end, n):
+    """Composite Simpson rule of f over [0, end] with n (even) intervals, summed with fsum."""
+    h = end / n
+    weights = (1 if k in (0, n) else 4 if k % 2 else 2 for k in range(n + 1))
+    return math.fsum(w * f(k * h) for k, w in enumerate(weights)) * h / 3.0
+
+
+def wear_rate_on_trajectory(params, temp0, power):
+    tau = params.r_th * params.c_th
+    t_ss = params.t_amb + power * params.r_th
+    return lambda t: 2.0 ** ((t_ss + (temp0 - t_ss) * math.exp(-t / tau) - params.t_ref) / 10.0) / params.l_base
 
 
 class TestArrheniusFactor:
@@ -122,12 +165,22 @@ class TestIntegrateThermalWear:
         _, state = integrate_thermal_wear(TRANSIENT, ThermalState(28.0, 3.0), 12.0, 7.5)
         assert state == thermal_step(TRANSIENT, ThermalState(28.0, 3.0), 12.0, 7.5)
 
-    def test_convergence_order_at_least_two(self):
-        reference = oracle_trapezoid_wear(TRANSIENT, 25.0, 20.0, 5.0, 10**6)
-        coarse, _ = integrate_thermal_wear(TRANSIENT, ThermalState(25.0, 0.0), 20.0, 5.0, max_substep=TRANSIENT.tau / 8)
-        fine, _ = integrate_thermal_wear(TRANSIENT, ThermalState(25.0, 0.0), 20.0, 5.0, max_substep=TRANSIENT.tau / 32)
-        order = math.log(abs(coarse - reference) / abs(fine - reference), 4.0)
-        assert order >= 1.9
+    def test_closed_form_matches_decimal_oracle(self):
+        # heating and cooling, |a| = ln2/10 * |T0 - T_ss| from 0 to 45, dt/tau from 1e-6 to 50
+        params = ThermalParams(r_th=1.0, c_th=5.0, t_amb=25.0, t_ref=45.0, l_base=1000.0)
+        for a in (0.0, 1e-3, 0.5, 1.0, 1.9, 2.1, 3.0, 5.545, 10.0, 20.0, 30.0, 40.0, 45.0):
+            for sign in (1.0, -1.0):
+                temp0 = 45.0 + sign * a * 10.0 / math.log(2.0)  # steady state is 45 degC at 20 W
+                for x in (1e-6, 1e-4, 0.01, 0.05, 0.2, 0.4, 1.0, 3.0, 10.0, 50.0):
+                    dt = x * params.tau
+                    wear, _ = integrate_thermal_wear(params, ThermalState(temp0, 0.0), 20.0, dt)
+                    reference = decimal_wear(params, temp0, 20.0, dt)
+                    assert wear == pytest.approx(reference, rel=1e-12, abs=0.0), (sign * a, x)
+
+    def test_large_swing_at_40_w_matches_oracle(self):
+        params = ThermalParams(2.0, 2.5, 25.0, 45.0, 3.6e7)
+        wear, _ = integrate_thermal_wear(params, ThermalState(25.0, 0.0), 40.0, 2.0)
+        assert wear == pytest.approx(decimal_wear(params, 25.0, 40.0, 2.0), rel=1e-12, abs=0.0)
 
     def test_steady_tail_is_integrated_analytically(self):
         # far beyond the transient the rate is constant; a huge dt must stay cheap and exact
@@ -151,6 +204,53 @@ class TestIntegrateThermalWear:
     def test_negative_duration_rejected(self):
         with pytest.raises(DomainError):
             integrate_thermal_wear(TRANSIENT, ThermalState(25.0, 0.0), 5.0, -1.0)
+
+
+class TestSegment:
+    @given(st.floats(-50.0, 300.0), st.floats(0.0, 150.0), st.floats(0.0, 100.0))
+    def test_advance_matches_the_single_queries(self, temp0, power, s):
+        seg = Segment(TRANSIENT, temp0, power)
+        assert seg.advance(s) == (seg.temp_at(s), seg.wear_at(s), seg.temp_integral(s))
+
+    @given(st.floats(-50.0, 300.0), st.floats(0.0, 150.0), st.floats(0.0, 60.0), st.floats(0.0, 60.0))
+    @settings(max_examples=200)
+    def test_wear_is_additive_across_a_split(self, temp0, power, s1, s2):
+        # the split point lands in a different evaluation route than the whole more often than not
+        seg = Segment(TRANSIENT, temp0, power)
+        rest = Segment(TRANSIENT, seg.temp_at(s1), power)
+        whole = seg.wear_at(s1 + s2)
+        assert seg.wear_at(s1) + rest.wear_at(s2) == pytest.approx(whole, rel=1e-11, abs=1e-300)
+        assert rest.temp_at(s2) == pytest.approx(seg.temp_at(s1 + s2), rel=1e-12, abs=1e-12)
+
+    def test_temperature_integral_matches_simpson(self):
+        seg = Segment(TRANSIENT, 80.0, 3.0)
+        assert seg.temp_integral(12.0) == pytest.approx(simpson(seg.temp_at, 12.0, 2000), rel=1e-12)
+
+    def test_starts_at_its_entry_temperature_and_settles_at_steady_state(self):
+        seg = Segment(TRANSIENT, 28.0, 20.0)
+        assert seg.temp_at(0.0) == 28.0
+        assert seg.wear_at(0.0) == 0.0
+        assert seg.temp_at(100.0 * TRANSIENT.tau) == pytest.approx(35.0, rel=1e-12)
+
+    def test_overflowing_wear_is_a_domain_error(self):
+        hot = ThermalParams(r_th=2000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1.0)
+        with pytest.raises(DomainError, match="overflows"):
+            Segment(hot, 20025.0, 10.0).wear_at(1.0)  # held at 20,025 degC: 2^1998 overflows
+        edge = ThermalParams(r_th=1.0, c_th=1.0, t_amb=10045.0, t_ref=45.0, l_base=1.0)
+        with pytest.raises(DomainError, match="overflows"):
+            Segment(edge, 10045.0, 0.0).wear_at(1e10)  # rate 2^1000 per s is finite; its integral is not
+        with pytest.raises(DomainError, match="beyond float range"):
+            Segment(TRANSIENT, 1.1e4, 0.0).wear_at(10.0)  # cooling from 11,000 degC: e^760 terms
+        with pytest.raises(DomainError, match="not finite"):
+            Segment(TRANSIENT, 25.0, math.inf)
+
+    def test_unreached_hot_steady_state_does_not_overflow(self):
+        # heading for 100,025 degC but only 1 ms into a 5,000 s time constant
+        slow = ThermalParams(r_th=5000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1000.0)
+        seg = Segment(slow, 25.0, 20.0)
+        reference = simpson(wear_rate_on_trajectory(slow, 25.0, 20.0), 1e-3, 1000)
+        assert seg.wear_at(1e-3) == pytest.approx(reference, rel=1e-12, abs=0.0)
+        assert seg.temp_at(1e-3) == pytest.approx(25.0 + 20.0 * 1e-3, rel=1e-9)
 
 
 class TestProjectLifetime:
