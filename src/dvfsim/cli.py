@@ -1,25 +1,28 @@
 """Command-line front end: validate, simulate, compare, and sweep subcommands.
 
-Exit codes: 0 success, 1 runtime failure (I/O, or a model value overflowing a
-float), 2 invalid scenario (parse/schema/validation, including NaN, Infinity and
-out-of-range numbers), 64 usage error.
+Exit codes: 0 success, 1 runtime failure (I/O, a model value overflowing a
+float, or a run carried past the trace cap of engine.MAX_TRACE_POINTS samples),
+2 invalid scenario (parse/schema/validation, including NaN, Infinity,
+out-of-range numbers and a sim.trace_dt finer than the cap allows), 64 usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
-import math
 import os
 import sys
 
-from .config import _SECTION_KEYS, load_scenario, parse_scenario, read_document
+from .config import load_scenario, parse_scenario, read_document, set_sweep_param
 from .engine import compare_policies, simulate
 from .errors import DomainError, PolicyRunError, ScenarioError
 from .reporting import (
     format_comparison_table,
+    format_lifetime,
+    format_sweep,
     write_comparison,
     write_report,
+    write_sweep,
     write_trace,
 )
 from .transitions import TransitionPolicy
@@ -28,8 +31,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_INVALID = 2
 EXIT_USAGE = 64
-
-SWEEP_HEADER = "value,energy_j,shock_wear,thermal_wear,projected_lifetime_s"
 
 
 class _UsageError(Exception):
@@ -73,20 +74,6 @@ def _parse_policies(text: str) -> list[TransitionPolicy]:
     return policies
 
 
-def _set_sweep_param(doc: dict, param: str, value: float) -> None:
-    section_name, _, key = param.partition(".")
-    known = _SECTION_KEYS.get(section_name)
-    if not key or known is None or key not in (known[0] | known[1]):
-        raise ScenarioError("schema", [f"sweep parameter '{param}' is not a scenario key"])
-    section = doc.setdefault(section_name, {})
-    if key == "fixed_index":
-        if not float(value).is_integer():
-            raise ScenarioError("schema", [f"sweep parameter '{param}' needs integer values"])
-        section[key] = int(value)
-    else:
-        section[key] = value
-
-
 def cmd_validate(args) -> int:
     scenario = load_scenario(args.scenario)
     print(f"{args.scenario}: OK ({len(scenario.spec.levels)} levels, {len(scenario.tasks)} tasks)")
@@ -100,7 +87,6 @@ def cmd_simulate(args) -> int:
         write_report(report, args.report)
     if args.trace:
         write_trace(trace, args.trace)
-    life = report.projected_lifetime
     print(f"energy_total_j       = {report.energy.total_j:.9g}")
     print(f"cost_usd             = {report.cost_usd:.9g}")
     print(f"deadline_misses      = {report.deadline_misses}/{len(report.per_task)}")
@@ -108,7 +94,7 @@ def cmd_simulate(args) -> int:
     print(f"peak_temp_c          = {report.peak_temp:.9g}")
     print(f"avg_temp_c           = {report.avg_temp:.9g}")
     print(f"wear_total           = {report.ledger.total:.9g}")
-    print(f"projected_lifetime_s = {'unbounded' if math.isinf(life) else format(life, '.9g')}")
+    print(f"projected_lifetime_s = {format_lifetime(report.projected_lifetime)}")
     return EXIT_OK
 
 
@@ -130,23 +116,15 @@ def cmd_sweep(args) -> int:
     if not values:
         raise _UsageError("--values is empty")
 
-    lines = [SWEEP_HEADER]
-    for value in values:
-        variant = copy.deepcopy(doc)
-        _set_sweep_param(variant, args.param, value)
-        report, _ = simulate(parse_scenario(variant))
-        life = report.projected_lifetime
-        lines.append(
-            f"{value!r},{report.energy.total_j!r},{report.ledger.shock_wear!r},"
-            f"{report.ledger.thermal_wear!r},"
-            f"{'unbounded' if math.isinf(life) else repr(life)}"
-        )
-    text = "\n".join(lines) + "\n"
+    def runs():
+        for value in values:
+            set_sweep_param(doc, args.param, value)  # each value overwrites the same key
+            yield value, simulate(parse_scenario(doc))[0]
+
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        write_sweep(runs(), args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_sweep(runs()))
     return EXIT_OK
 
 

@@ -32,6 +32,21 @@ _FLOAT_MAX = sys.float_info.max
 _TASK_KEYS = {"id", "cycles", "arrival_s", "deadline_s"}
 
 
+def set_sweep_param(doc, param: str, value: float) -> None:
+    """Set a dotted key such as ``wear.alpha``; a non-object section is left for the schema to report."""
+    section_name, _, key = param.partition(".")
+    known = _SECTION_KEYS.get(section_name)
+    if not key or known is None or key not in (known[0] | known[1]):
+        raise ScenarioError("schema", [f"sweep parameter '{param}' is not a scenario key"])
+    if key == "fixed_index":
+        if not float(value).is_integer():
+            raise ScenarioError("schema", [f"sweep parameter '{param}' needs integer values"])
+        value = int(value)
+    section = doc.get(section_name) if isinstance(doc, dict) else None
+    if isinstance(section, dict):
+        section[key] = value
+
+
 class _Schema:
     """Collects every schema problem in the document before giving up."""
 

@@ -3,14 +3,15 @@
 One processor serves tasks FIFO in arrival order. The timeline is a chain of
 piecewise-constant-power intervals delimited by arrivals, hops, dwell ends, and
 completions; temperature advances by the exact closed form on each interval, so
-there is no global timestep and trace sampling is purely observational.
+there is no global timestep. The run is one pass: each interval's thermal
+Segment advances the ledger and also serves the trace samples that fall in it,
+so sampling is purely observational.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from .errors import DomainError, InfeasibleError, PolicyRunError, ScenarioError
 from .power import (
@@ -28,6 +29,8 @@ from .power import (
 from .thermal import Segment, ThermalParams, WearLedger, project_lifetime
 from .transitions import POLICY_KINDS, Hop, TransitionPolicy, plan_transition, shock_wear
 from .workload import GOVERNOR_KINDS, GovernorPolicy, Task, select_level
+
+MAX_TRACE_POINTS = 10**6  # about 200 MB of trace; a run past it is refused, not truncated
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,6 @@ class PolicyOutcome:
     report: SimReport
     delta_energy_j: float
     delta_lifetime_s: float
-    delta_shock_wear: float
-    delta_thermal_wear: float
     delta_misses: int
     newly_missed: tuple[str, ...]
     newly_met: tuple[str, ...]
@@ -168,34 +169,24 @@ def validate_scenario(scenario: Scenario) -> ValidationResult:
             v.append(Violation("sim.duration", f"must cover the latest deadline ({horizon:g} s)"))
     if not (math.isfinite(scenario.trace_dt) and scenario.trace_dt > 0):
         v.append(Violation("sim.trace_dt", "must be finite and > 0"))
+    elif scenario.duration / scenario.trace_dt > MAX_TRACE_POINTS:
+        v.append(Violation("sim.trace_dt", f"gives more than {MAX_TRACE_POINTS} trace points over sim.duration"))
     if not (math.isfinite(scenario.cost_rate) and scenario.cost_rate >= 0):
         v.append(Violation("sim.cost_rate", "must be finite and >= 0"))
 
     return ValidationResult(tuple(v))
 
 
-class _Span(NamedTuple):
-    """One constant-power interval [t0, t1), with entry temperature and entry cumulative wear.
+class _Timeline:
+    """Mutable run state: clock, temperature, wear, energy, transition log, and trace.
 
-    It keeps the inputs of its thermal Segment rather than the Segment itself:
-    trace sampling rebuilds the Segment for spans that hold samples, and a run
-    of 10^4 short spans would otherwise hold them all until the run ends.
+    Each span's Segment serves both the ledger and the trace points that fall in it.
     """
 
-    t0: float
-    t1: float
-    level: FrequencyLevel
-    power: float
-    temp0: float
-    wear0: float
-
-
-class _Timeline:
-    """Mutable run state: clock, temperature, wear, energy, span/transition logs."""
-
-    def __init__(self, thermal: ThermalParams, wear_params):
+    def __init__(self, thermal: ThermalParams, wear_params, trace_dt: float):
         self.thermal = thermal
         self.wear_params = wear_params
+        self.trace_dt = trace_dt
         self.now = 0.0
         self.temp = thermal.t_amb
         self.thermal_acc = 0.0
@@ -206,16 +197,21 @@ class _Timeline:
         self.idle_t = 0.0
         self.peak = thermal.t_amb
         self.temp_integral = 0.0
-        self.spans: list[_Span] = []
         self.log: list[TransitionEvent] = []
+        self.trace: list[TracePoint] = []
+        self.span = None  # (t0, freq, power, Segment, wear at t0) of the latest span
 
     def run(self, length: float, level: FrequencyLevel, power: float, active: bool, until: float | None = None):
         """Hold ``power`` for ``length`` seconds; ``until`` pins the end to an event time."""
         if length <= 0.0:
             return
         end = self.now + length if until is None else until
-        self.spans.append(_Span(self.now, end, level, power, self.temp, self.thermal_acc + self.shock_acc))
-        end_temp, wear, temp_integral = Segment(self.thermal, self.temp, power).advance(length)
+        if end > MAX_TRACE_POINTS * self.trace_dt:
+            raise DomainError(f"the run reaches {end:g} s, beyond {MAX_TRACE_POINTS} trace points of sim.trace_dt")
+        seg = Segment(self.thermal, self.temp, power)
+        self.span = (self.now, level.freq, power, seg, self.thermal_acc + self.shock_acc)
+        end_temp, wear, temp_integral = seg.advance(length)
+        self.sample(end)
         self.temp_integral += temp_integral
         self.peak = max(self.peak, self.temp, end_temp)
         if active:
@@ -227,6 +223,18 @@ class _Timeline:
         self.thermal_acc += wear
         self.temp = end_temp
         self.now = end
+
+    def sample(self, until: float) -> None:
+        """Trace the latest span at each k * trace_dt before ``until``, so a sample on an
+        event time reports the span that starts there."""
+        t0, freq, power, seg, wear0 = self.span
+        k = len(self.trace)
+        time = k * self.trace_dt
+        while time < until:
+            offset = time - t0
+            self.trace.append(TracePoint(time, freq, power, seg.temp_at(offset), wear0 + seg.wear_at(offset)))
+            k += 1
+            time = k * self.trace_dt
 
     def hop(self, hop: Hop) -> None:
         wear = shock_wear(self.wear_params, hop.delta_f)
@@ -253,8 +261,9 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
       * execution draws active power at the current level, everything else
         draws idle power;
       * when an idle gap follows a completion, the processor transitions back
-        down to the lowest level under the same policy (those hops shock too);
-        back-to-back tasks transition directly between their levels;
+        down to the lowest level under the same policy (those hops shock too),
+        and a task arriving during that walk waits for it to end; back-to-back
+        tasks transition directly between their levels;
       * a task whose deadline no level can meet runs at the top level and is
         flagged; misses are recorded, never fatal.
     """
@@ -264,7 +273,7 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
 
     spec = scenario.spec
     p_idle = idle_power(spec)
-    tl = _Timeline(spec.thermal, spec.wear)
+    tl = _Timeline(spec.thermal, spec.wear, scenario.trace_dt)
     level = spec.levels[0]
     outcomes: list[TaskOutcome] = []
     tasks = scenario.tasks
@@ -309,6 +318,7 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
     if tl.now < scenario.duration:
         tl.run(scenario.duration - tl.now, level, p_idle, active=False, until=scenario.duration)
     end = tl.now
+    tl.sample(math.nextafter(end, math.inf))  # only the last span also serves a sample on its end
 
     energy = EnergyBreakdown(tl.active_j, tl.idle_j)
     ledger = WearLedger(tl.thermal_acc, tl.shock_acc, end)
@@ -327,34 +337,7 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
         projected_lifetime=project_lifetime(ledger),
         transition_log=tuple(tl.log),
     )
-    return report, _sample_trace(tl.spans, spec.thermal, scenario.trace_dt, end)
-
-
-def _sample_trace(
-    spans: list[_Span], thermal: ThermalParams, trace_dt: float, end: float
-) -> tuple[TracePoint, ...]:
-    """Observe the timeline at multiples of trace_dt without touching run state.
-
-    A sample on an event boundary reports the post-event state (the span that
-    starts there); the final span also serves samples landing exactly on its end.
-    """
-    count = int(math.floor(end / trace_dt + 1e-9)) + 1
-    points: list[TracePoint] = []
-    k = 0
-    last = spans[-1]
-    for sp in spans:
-        seg = None
-        while k < count:
-            time = k * trace_dt
-            if not (time < sp.t1 or (sp is last and time <= sp.t1)):
-                break
-            if seg is None:
-                seg = Segment(thermal, sp.temp0, sp.power)  # the segment the run integrated
-            offset = min(time - sp.t0, sp.t1 - sp.t0)
-            wear = sp.wear0 + seg.wear_at(offset)
-            points.append(TracePoint(time, sp.level.freq, sp.power, seg.temp_at(offset), wear))
-            k += 1
-    return tuple(points)
+    return report, tuple(tl.trace)
 
 
 def policy_label(policy: TransitionPolicy) -> str:
@@ -398,8 +381,6 @@ def compare_policies(scenario: Scenario, policies) -> ComparisonReport:
                 report=rep,
                 delta_energy_j=rep.energy.total_j - base.energy.total_j,
                 delta_lifetime_s=_lifetime_delta(rep.projected_lifetime, base.projected_lifetime),
-                delta_shock_wear=rep.ledger.shock_wear - base.ledger.shock_wear,
-                delta_thermal_wear=rep.ledger.thermal_wear - base.ledger.thermal_wear,
                 delta_misses=len(missed) - len(base_missed),
                 newly_missed=tuple(sorted(missed - base_missed)),
                 newly_met=tuple(sorted(base_missed - missed)),

@@ -16,10 +16,14 @@ from .engine import ComparisonReport, SimReport
 SCHEMA_VERSION = 1
 
 TRACE_HEADER = "time_s,freq_hz,power_w,temp_c,cum_wear"
+SWEEP_HEADER = "value,energy_j,shock_wear,thermal_wear,projected_lifetime_s"
 
 
-def _lifetime_json(value: float):
-    return "unbounded" if math.isinf(value) else value
+def format_lifetime(value: float, spec: str | None = ".9g"):
+    """Lifetime text: "unbounded" if infinite, else ``format(value, spec)``; ``spec=None`` keeps the float."""
+    if math.isinf(value):
+        return "unbounded"
+    return value if spec is None else format(value, spec)
 
 
 def report_to_dict(report: SimReport) -> dict:
@@ -60,7 +64,7 @@ def report_to_dict(report: SimReport) -> dict:
             "total": report.ledger.total,
             "elapsed_s": report.ledger.elapsed,
         },
-        "projected_lifetime_s": _lifetime_json(report.projected_lifetime),
+        "projected_lifetime_s": format_lifetime(report.projected_lifetime, None),
     }
 
 
@@ -76,9 +80,9 @@ def comparison_to_dict(comparison: ComparisonReport) -> dict:
                 "deadline_misses": r.report.deadline_misses,
                 "thermal_wear": r.report.ledger.thermal_wear,
                 "shock_wear": r.report.ledger.shock_wear,
-                "projected_lifetime_s": _lifetime_json(r.report.projected_lifetime),
+                "projected_lifetime_s": format_lifetime(r.report.projected_lifetime, None),
                 "delta_energy_j": r.delta_energy_j,
-                "delta_lifetime_s": _lifetime_json(r.delta_lifetime_s),
+                "delta_lifetime_s": format_lifetime(r.delta_lifetime_s, None),
                 "newly_missed": list(r.newly_missed),
                 "newly_met": list(r.newly_met),
             }
@@ -87,11 +91,15 @@ def comparison_to_dict(comparison: ComparisonReport) -> dict:
     }
 
 
-def _write_json(doc: dict, path) -> None:
+def _write(path, text: str) -> None:
     try:
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_json(doc: dict, path) -> None:
+    _write(path, json.dumps(doc, indent=2) + "\n")
 
 
 def write_report(report: SimReport, path) -> None:
@@ -112,10 +120,22 @@ def write_trace(trace, path) -> None:
     lines = [TRACE_HEADER]
     for p in trace:
         lines.append(f"{p.time!r},{p.freq!r},{p.power!r},{p.temp!r},{p.cum_wear!r}")
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    _write(path, "\n".join(lines) + "\n")
+
+
+def format_sweep(runs) -> str:
+    """CSV of (swept value, SimReport) pairs, every float as its shortest repr."""
+    lines = [SWEEP_HEADER]
+    for value, report in runs:
+        lines.append(
+            f"{value!r},{report.energy.total_j!r},{report.ledger.shock_wear!r},"
+            f"{report.ledger.thermal_wear!r},{format_lifetime(report.projected_lifetime, '')}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def write_sweep(runs, path) -> None:
+    _write(path, format_sweep(runs))
 
 
 def format_comparison_table(comparison: ComparisonReport, bold=None) -> str:
@@ -132,7 +152,6 @@ def format_comparison_table(comparison: ComparisonReport, bold=None) -> str:
     )
     rows = [headers]
     for r in comparison.runs:
-        life = r.report.projected_lifetime
         rows.append(
             (
                 r.label,
@@ -140,9 +159,9 @@ def format_comparison_table(comparison: ComparisonReport, bold=None) -> str:
                 str(r.report.deadline_misses),
                 format(r.report.ledger.thermal_wear, ".9g"),
                 format(r.report.ledger.shock_wear, ".9g"),
-                "unbounded" if math.isinf(life) else format(life, ".9g"),
+                format_lifetime(r.report.projected_lifetime),
                 format(r.delta_energy_j, ".9g"),
-                "unbounded" if math.isinf(r.delta_lifetime_s) else format(r.delta_lifetime_s, ".9g"),
+                format_lifetime(r.delta_lifetime_s),
             )
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from dvfsim import (
@@ -16,6 +19,7 @@ from dvfsim import (
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 TURION_FREQS = (800e6, 1000e6, 1200e6, 1400e6, 1600e6, 1800e6)
 TURION_VDDS = (0.90, 0.96, 1.02, 1.08, 1.14, 1.20)
@@ -23,6 +27,13 @@ TURION_VDDS = (0.90, 0.96, 1.02, 1.08, 1.14, 1.20)
 
 def turion_levels() -> tuple[FrequencyLevel, ...]:
     return tuple(FrequencyLevel(i, f, v) for i, (f, v) in enumerate(zip(TURION_FREQS, TURION_VDDS)))
+
+
+def run_cli(*args):
+    """Run ``python -m dvfsim`` from this checkout's sources, whether or not the package is installed."""
+    path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "dvfsim", *args], capture_output=True, text=True, timeout=120, env=env)
 
 
 def make_thermal(r_th=2.0, c_th=2.5, t_amb=25.0, t_ref=45.0, l_base=3.6e7) -> ThermalParams:

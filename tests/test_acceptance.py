@@ -8,8 +8,6 @@ suite is deterministic.
 import json
 import math
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -43,6 +41,7 @@ from helpers import (
     make_spec,
     make_thermal,
     make_wear,
+    run_cli,
     trace_probe_scenario,
 )
 
@@ -249,8 +248,7 @@ def test_ac09_repeated_runs_are_byte_identical(tmp_path):
 
 
 def test_ac10_cli_contract(tmp_path):
-    def cli(*args):
-        return subprocess.run([sys.executable, "-m", "dvfsim", *args], capture_output=True, text=True, timeout=120)
+    cli = run_cli
 
     turion = str(SCENARIO_DIR / "turion6.json")
     demo = str(SCENARIO_DIR / "step_demo.json")

@@ -1,18 +1,12 @@
 import json
 import math
-import subprocess
-import sys
 
-from helpers import SCENARIO_DIR
+import pytest
+
+from helpers import SCENARIO_DIR, run_cli
 
 TURION = str(SCENARIO_DIR / "turion6.json")
 STEP_DEMO = str(SCENARIO_DIR / "step_demo.json")
-
-
-def run_cli(*args, **kw):
-    return subprocess.run(
-        [sys.executable, "-m", "dvfsim", *args], capture_output=True, text=True, timeout=120, **kw
-    )
 
 
 def table_rows(stdout):
@@ -119,6 +113,42 @@ class TestNonFiniteInput:
             self.assert_one_line(run_cli("simulate", "--scenario", str(path)), 1, "error: ")
 
 
+class TestTraceCap:
+    """A trace of more than 10**6 points is refused: exit 2 in validation, exit 1 for a run that overruns."""
+
+    VERB_ARGS = {
+        "validate": (),
+        "simulate": (),
+        "compare": ("--policies", "direct,stepped"),
+        "sweep": ("--param", "wear.alpha", "--values", "1,2"),
+    }
+
+    @pytest.mark.parametrize("trace_dt", [1e-7, 1e-320])
+    @pytest.mark.parametrize("verb", sorted(VERB_ARGS))
+    def test_too_fine_a_trace_is_invalid(self, tmp_path, verb, trace_dt):
+        doc = json.loads(open(TURION).read())
+        doc["sim"]["trace_dt_s"] = trace_dt
+        path = tmp_path / "fine.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli(verb, "--scenario", str(path), *self.VERB_ARGS[verb])
+        assert result.returncode == 2
+        assert result.stderr.strip().splitlines() == [
+            "invalid scenario (validation): sim.trace_dt: gives more than 1000000 trace points over sim.duration"
+        ]
+
+    def test_a_run_past_the_cap_exits_1(self, tmp_path):
+        doc = json.loads(open(TURION).read())
+        doc["tasks"] = [{"id": "big", "cycles": 1.8e16, "arrival_s": 0.0, "deadline_s": 5.0}]
+        doc["sim"].update(duration_s=10.0, trace_dt_s=1.0)
+        path = tmp_path / "overrun.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", "--scenario", str(path)).returncode == 0
+        result = run_cli("simulate", "--scenario", str(path))
+        assert result.returncode == 1
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "trace points" in result.stderr
+
+
 class TestCompare:
     def test_full_span_stepping_cuts_shock_wear_to_a_fifth(self):
         result = run_cli("compare", "--scenario", STEP_DEMO, "--policies", "direct,stepped")
@@ -178,6 +208,22 @@ class TestSweep:
     def test_unknown_parameter_exits_2(self):
         result = run_cli("sweep", "--scenario", STEP_DEMO, "--param", "wear.bogus", "--values", "1")
         assert result.returncode == 2
+
+    def test_a_section_that_is_not_an_object_exits_2(self, tmp_path):
+        doc = json.loads(open(STEP_DEMO).read())
+        doc["sim"] = 5
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli("sweep", "--scenario", str(path), "--param", "sim.duration_s", "--values", "60")
+        assert result.returncode == 2
+        assert result.stderr.strip() == "invalid scenario (schema): sim: expected an object"
+
+    def test_unwritable_out_is_a_one_line_runtime_error(self, tmp_path):
+        out = tmp_path / "missing-dir" / "sweep.csv"
+        result = run_cli("sweep", "--scenario", STEP_DEMO, "--param", "wear.alpha", "--values", "1", "--out", str(out))
+        assert result.returncode == 1
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")
 
 
 class TestUsage:

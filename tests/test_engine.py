@@ -11,11 +11,14 @@ from dvfsim import (
     ScenarioError,
     Task,
     TransitionPolicy,
+    active_power,
     compare_policies,
+    idle_power,
     shock_wear,
     simulate,
     validate_scenario,
 )
+from dvfsim.engine import MAX_TRACE_POINTS
 
 from helpers import TURION_FREQS, make_scenario, make_spec, make_task, make_wear
 from strategies import specs, workloads
@@ -55,6 +58,19 @@ class TestValidation:
         tasks = (Task("a", math.inf, 0.0, 5.0), Task("b", 1e9, math.nan, 5.0), Task("c", 1e9, 1.0, math.inf))
         fields = {v.field for v in validate_scenario(make_scenario(tasks=tasks)).violations}
         assert {"tasks[0].cycles", "tasks[1].arrival", "tasks[2].deadline"} <= fields
+
+    def test_trace_sample_count_is_capped(self):
+        assert validate_scenario(make_scenario(duration=float(MAX_TRACE_POINTS), trace_dt=1.0)).ok
+        for duration, trace_dt in ((MAX_TRACE_POINTS + 1.0, 1.0), (120.0, 1e-7), (120.0, 1e-320)):
+            result = validate_scenario(make_scenario(duration=duration, trace_dt=trace_dt))
+            assert [v.field for v in result.violations] == ["sim.trace_dt"]
+
+    def test_a_run_overrunning_the_trace_cap_raises(self):
+        # validation passes: the task misses its deadline and runs for 1e7 s, past 1e6 samples of 1 s
+        sc = make_scenario(tasks=(Task("big", 1.8e16, 0.0, 5.0),), duration=10.0, trace_dt=1.0)
+        assert validate_scenario(sc).ok
+        with pytest.raises(DomainError, match="trace points"):
+            simulate(sc)
 
     def test_negative_dwell_rejected(self):
         sc = make_scenario(policy=TransitionPolicy("stepped", -0.5))
@@ -244,6 +260,25 @@ class TestTrace:
         wears = [p.cum_wear for p in trace]
         assert all(a <= b for a, b in zip(wears, wears[1:]))
         assert wears[-1] == pytest.approx(report.ledger.total, rel=1e-12)
+
+    def test_a_sample_on_an_arrival_reports_the_level_hopped_to(self):
+        task = make_task(cycles=1.8e9, arrival=2.0, deadline=10.0)
+        sc = make_scenario(tasks=(task,), governor=GovernorPolicy("fixed", 5), duration=30.0, trace_dt=0.5)
+        _, trace = simulate(sc)
+        before, at = trace[3], trace[4]
+        assert (before.time, at.time) == (1.5, 2.0)
+        assert (before.freq, before.power) == (800e6, idle_power(sc.spec))
+        assert (at.freq, at.power) == (1800e6, active_power(sc.spec, sc.spec.levels[5]))
+
+    def test_a_run_past_the_horizon_is_sampled_through_its_end(self):
+        # the infeasible task ends the run at 10 s, after sim.duration and on a sample time
+        task = make_task(cycles=1.8e10, deadline=1.0)
+        report, trace = simulate(make_scenario(tasks=(task,), duration=5.0, trace_dt=0.25))
+        end = report.ledger.elapsed
+        assert end == 10.0 and report.per_task[0].infeasible
+        assert len(trace) == math.floor(end / 0.25) + 1
+        assert trace[-1].time == end
+        assert trace[-1].freq == 1800e6  # served by the task's own span, not the descent after it
 
     def test_temperature_stays_between_ambient_and_peak(self):
         report, trace = simulate(make_scenario(tasks=(make_task(cycles=3.6e9, deadline=2.0),), duration=30.0))
