@@ -38,7 +38,6 @@ from .power import (
     validate_spec,
 )
 from .reporting import (
-    read_report,
     write_comparison,
     write_report,
     write_trace,
@@ -46,17 +45,13 @@ from .reporting import (
 from .thermal import (
     Segment,
     ThermalParams,
-    ThermalState,
     WearLedger,
     arrhenius_factor,
-    integrate_thermal_wear,
     project_lifetime,
     steady_state_temp,
-    thermal_step,
 )
 from .transitions import (
     Hop,
-    TransitionPlan,
     TransitionPolicy,
     WearParams,
     full_span,

@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -64,8 +65,8 @@ def _parse_policies(text: str) -> list[TransitionPolicy]:
                 dwell = float(dwell_s) if dwell_s else 0.0
             except ValueError:
                 raise _UsageError(f"bad dwell {dwell_s!r} in --policies") from None
-            if dwell < 0:
-                raise _UsageError("dwell must be >= 0")
+            if not (math.isfinite(dwell) and dwell >= 0):
+                raise _UsageError(f"dwell {dwell_s!r} in --policies must be finite and >= 0")
             policies.append(TransitionPolicy("stepped", dwell))
         else:
             raise _UsageError(f"unknown policy {name!r} (expected direct or stepped[:dwell_s])")

@@ -199,7 +199,7 @@ class _Timeline:
         self.temp_integral = 0.0
         self.log: list[TransitionEvent] = []
         self.trace: list[TracePoint] = []
-        self.span = None  # (t0, freq, power, Segment, wear at t0) of the latest span
+        self.span = None  # (t0, freq, power, Segment, thermal wear at t0) of the latest span
 
     def run(self, length: float, level: FrequencyLevel, power: float, active: bool, until: float | None = None):
         """Hold ``power`` for ``length`` seconds; ``until`` pins the end to an event time."""
@@ -209,7 +209,7 @@ class _Timeline:
         if end > MAX_TRACE_POINTS * self.trace_dt:
             raise DomainError(f"the run reaches {end:g} s, beyond {MAX_TRACE_POINTS} trace points of sim.trace_dt")
         seg = Segment(self.thermal, self.temp, power)
-        self.span = (self.now, level.freq, power, seg, self.thermal_acc + self.shock_acc)
+        self.span = (self.now, level.freq, power, seg, self.thermal_acc)
         end_temp, wear, temp_integral = seg.advance(length)
         self.sample(end)
         self.temp_integral += temp_integral
@@ -227,7 +227,9 @@ class _Timeline:
     def sample(self, until: float) -> None:
         """Trace the latest span at each k * trace_dt before ``until``, so a sample on an
         event time reports the span that starts there."""
-        t0, freq, power, seg, wear0 = self.span
+        t0, freq, power, seg, thermal0 = self.span
+        # hops fall only between spans, so the closing sample on the run's end also counts those logged there
+        wear0 = thermal0 + self.shock_acc
         k = len(self.trace)
         time = k * self.trace_dt
         while time < until:
@@ -265,7 +267,10 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
         and a task arriving during that walk waits for it to end; back-to-back
         tasks transition directly between their levels;
       * a task whose deadline no level can meet runs at the top level and is
-        flagged; misses are recorded, never fatal.
+        flagged; misses are recorded, never fatal;
+      * the trace's closing sample, at the run's end, shows the last span's
+        freq, power and temperature; its cum_wear also counts every hop logged
+        at that end, so it equals the ledger total.
     """
     result = validate_scenario(scenario)
     if not result.ok:
@@ -285,7 +290,7 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
         target, infeasible = _choose(spec, task, start, scenario.governor)
         cycles_left = task.cycles
         finished = False
-        for hop in plan_transition(spec, level, target, scenario.policy).hops:
+        for hop in plan_transition(spec, level, target, scenario.policy):
             tl.hop(hop)
             level = hop.to_level
             dwell = hop.dwell_after
@@ -309,7 +314,7 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
         next_arrival = tasks[i + 1].arrival if i + 1 < len(tasks) else None
         if next_arrival is None or next_arrival > tl.now:
             # Idle gap ahead: pace back down to the bottom of the ladder.
-            for hop in plan_transition(spec, level, spec.levels[0], scenario.policy).hops:
+            for hop in plan_transition(spec, level, spec.levels[0], scenario.policy):
                 tl.hop(hop)
                 level = hop.to_level
                 if hop.dwell_after > 0.0:

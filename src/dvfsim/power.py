@@ -77,9 +77,6 @@ class ValidationResult:
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)

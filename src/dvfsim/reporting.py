@@ -110,11 +110,6 @@ def write_comparison(comparison: ComparisonReport, path) -> None:
     _write_json(comparison_to_dict(comparison), path)
 
 
-def read_report(path) -> dict:
-    """Parse a written report back into a plain dict (floats round-trip exactly)."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def write_trace(trace, path) -> None:
     """CSV with one row per trace point and a newline-terminated final row."""
     lines = [TRACE_HEADER]

@@ -57,12 +57,6 @@ class ThermalParams:
 
 
 @dataclass(frozen=True)
-class ThermalState:
-    temp: float
-    time: float
-
-
-@dataclass(frozen=True)
 class WearLedger:
     """Accumulated wear fractions; a component fails when the total reaches 1."""
 
@@ -125,7 +119,9 @@ class Segment(namedtuple("_SegmentFields", "temp0 t_ss tau d0 a exponent_ss wear
         return self._temp_integral(s, self._rise(s))
 
     def advance(self, s: float) -> tuple[float, float, float]:
-        """(temp_at(s), wear_at(s), temp_integral(s)) from a single exponential."""
+        """(temp_at(s), wear_at(s), temp_integral(s)) from a single exponential; s must be >= 0."""
+        if s < 0:
+            raise DomainError(f"duration must be >= 0 (got {s})")
         g = self._rise(s)
         return self._temp(g), self._wear(s, g), self._temp_integral(s, g)
 
@@ -246,23 +242,6 @@ def _scaled_e1(z: float, log_z: float) -> float:
         if abs(delta - 1.0) <= 2.0**-52:
             break
     return h
-
-
-def thermal_step(params: ThermalParams, state: ThermalState, power: float, dt: float) -> ThermalState:
-    """Advance temperature by dt seconds of constant power, exactly."""
-    if dt < 0:
-        raise DomainError(f"dt must be >= 0 (got {dt})")
-    return ThermalState(Segment(params, state.temp, power).temp_at(dt), state.time + dt)
-
-
-def integrate_thermal_wear(
-    params: ThermalParams, state: ThermalState, power: float, dt: float
-) -> tuple[float, ThermalState]:
-    """Wear fraction accumulated over dt seconds of constant power, plus the end state."""
-    if dt < 0:
-        raise DomainError(f"dt must be >= 0 (got {dt})")
-    seg = Segment(params, state.temp, power)
-    return seg.wear_at(dt), ThermalState(seg.temp_at(dt), state.time + dt)
 
 
 def project_lifetime(ledger: WearLedger) -> float:

@@ -41,13 +41,6 @@ class Hop:
 
 
 @dataclass(frozen=True)
-class TransitionPlan:
-    """Chained hops; empty when source and target coincide."""
-
-    hops: tuple[Hop, ...]
-
-
-@dataclass(frozen=True)
 class WearParams:
     """Shock-wear model: wear per hop = k_shock * (delta_f / f_span)^alpha.
 
@@ -71,20 +64,19 @@ def plan_transition(
     from_level: FrequencyLevel,
     to_level: FrequencyLevel,
     policy: TransitionPolicy,
-) -> TransitionPlan:
-    """Build the hop sequence for moving between two ladder levels.
+) -> tuple[Hop, ...]:
+    """Build the chained hops for moving between two ladder levels.
 
     direct: one hop covering the whole jump, no dwell. stepped: one hop per
     adjacent ladder level, dwelling ``policy.dwell`` seconds after every hop
-    except the last. Same source and target yield an empty plan.
+    except the last. Same source and target yield no hops.
     """
     spec.require_level(from_level)
     spec.require_level(to_level)
     if from_level == to_level:
-        return TransitionPlan(())
+        return ()
     if policy.kind == "direct":
-        hop = Hop(from_level, to_level, abs(to_level.freq - from_level.freq), 0.0)
-        return TransitionPlan((hop,))
+        return (Hop(from_level, to_level, abs(to_level.freq - from_level.freq), 0.0),)
     if policy.kind == "stepped":
         step = 1 if to_level.index > from_level.index else -1
         hops = []
@@ -93,7 +85,7 @@ def plan_transition(
             b = spec.levels[i + step]
             last = b == to_level
             hops.append(Hop(a, b, abs(b.freq - a.freq), 0.0 if last else policy.dwell))
-        return TransitionPlan(tuple(hops))
+        return tuple(hops)
     raise DomainError(f"unknown transition policy kind {policy.kind!r}")
 
 
@@ -104,9 +96,9 @@ def shock_wear(params: WearParams, delta_f: float) -> float:
     return params.k_shock * (delta_f / params.f_span) ** params.alpha
 
 
-def plan_wear(params: WearParams, plan: TransitionPlan) -> float:
-    """Total shock wear of a plan: sum of per-hop shock wear in hop order."""
+def plan_wear(params: WearParams, hops: tuple[Hop, ...]) -> float:
+    """Total shock wear of chained hops: sum of per-hop shock wear in hop order."""
     total = 0.0
-    for hop in plan.hops:
+    for hop in hops:
         total += shock_wear(params, hop.delta_f)
     return total

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from dvfsim import (
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+SCRIPT_DIR = Path(__file__).resolve().parent.parent / "scripts"
 
 TURION_FREQS = (800e6, 1000e6, 1200e6, 1400e6, 1600e6, 1800e6)
 TURION_VDDS = (0.90, 0.96, 1.02, 1.08, 1.14, 1.20)
@@ -29,11 +31,19 @@ def turion_levels() -> tuple[FrequencyLevel, ...]:
     return tuple(FrequencyLevel(i, f, v) for i, (f, v) in enumerate(zip(TURION_FREQS, TURION_VDDS)))
 
 
-def run_cli(*args):
-    """Run ``python -m dvfsim`` from this checkout's sources, whether or not the package is installed."""
+def run_python(*args):
+    """Run ``python *args`` on this checkout's sources, whether or not the package is installed."""
     path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-m", "dvfsim", *args], capture_output=True, text=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=env)
+
+
+def run_cli(*args):
+    return run_python("-m", "dvfsim", *args)
+
+
+def load_json(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def make_thermal(r_th=2.0, c_th=2.5, t_amb=25.0, t_ref=45.0, l_base=3.6e7) -> ThermalParams:
@@ -94,7 +104,8 @@ def trace_probe_scenario() -> Scenario:
     """Long single-task run whose trace_dt is exactly tau/50 (binary-exact grid).
 
     Start and finish deliberately fall at different fractions of the sampling
-    interval so the trapezoid error at the two power jumps cannot cancel.
+    interval, so when a test integrates the sampled power by the trapezoid
+    rule, the errors it makes at the two power jumps cannot cancel.
     """
     thermal = make_thermal(r_th=2.0, c_th=0.78125)  # tau = 1.5625 s
     spec = make_spec(thermal=thermal)

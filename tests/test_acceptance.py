@@ -15,22 +15,20 @@ from dvfsim import (
     FrequencyLevel,
     GovernorPolicy,
     InfeasibleError,
+    Segment,
     Task,
     ThermalParams,
-    ThermalState,
     TransitionPolicy,
     WearParams,
     arrhenius_factor,
     compare_policies,
     energy_cost,
     full_span,
-    integrate_thermal_wear,
     min_energy_level,
     plan_transition,
     plan_wear,
     simulate,
     steady_state_temp,
-    thermal_step,
     write_report,
     write_trace,
 )
@@ -175,11 +173,11 @@ def test_ac06_thermal_correctness():
     params = ThermalParams(r_th=0.5, c_th=10.0, t_amb=25.0, t_ref=25.0, l_base=1000.0)
 
     for dt in (0.1, 1.0, 5.0, 17.3):
-        full = thermal_step(params, ThermalState(25.0, 0.0), 20.0, dt)
-        half = thermal_step(params, thermal_step(params, ThermalState(25.0, 0.0), 20.0, dt / 2), 20.0, dt / 2)
-        assert math.isclose(half.temp, full.temp, rel_tol=1e-12)
+        full = Segment(params, 25.0, 20.0).temp_at(dt)
+        half = Segment(params, Segment(params, 25.0, 20.0).temp_at(dt / 2), 20.0).temp_at(dt / 2)
+        assert math.isclose(half, full, rel_tol=1e-12)
 
-    after = thermal_step(params, ThermalState(25.0, 0.0), 20.0, 10.0 * params.tau).temp
+    after = Segment(params, 25.0, 20.0).temp_at(10.0 * params.tau)
     target = steady_state_temp(params, 20.0)
     assert abs(after - target) / target < 1e-3
 
@@ -191,7 +189,7 @@ def test_ac06_thermal_correctness():
             total += rate if 0 < k < n else rate / 2.0
         return total * h
 
-    wear, _ = integrate_thermal_wear(params, ThermalState(25.0, 0.0), 20.0, 5.0)
+    wear = Segment(params, 25.0, 20.0).wear_at(5.0)
     assert math.isclose(wear, oracle(10**4), rel_tol=1e-6)
     print("AC6 PASS: half-step composition 1e-12, 10-tau settle within 0.1%, transient wear within 1e-6 of oracle")
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from helpers import SCENARIO_DIR, run_cli
+from helpers import SCENARIO_DIR, SCRIPT_DIR, run_cli, run_python
 
 TURION = str(SCENARIO_DIR / "turion6.json")
 STEP_DEMO = str(SCENARIO_DIR / "step_demo.json")
@@ -177,6 +177,13 @@ class TestCompare:
         result = run_cli("compare", "--scenario", STEP_DEMO, "--policies", "direct:0.5,stepped")
         assert result.returncode == 64
 
+    @pytest.mark.parametrize("dwell", ["nan", "inf", "1e400"])
+    def test_a_non_finite_dwell_is_a_usage_error(self, dwell):
+        result = run_cli("compare", "--scenario", STEP_DEMO, "--policies", f"direct,stepped:{dwell}")
+        assert result.returncode == 64
+        errors = [line for line in result.stderr.splitlines() if line.startswith("usage error:")]
+        assert errors == [f"usage error: dwell '{dwell}' in --policies must be finite and >= 0"]
+
 
 class TestSweep:
     def test_alpha_sweep_rows(self, tmp_path):
@@ -238,3 +245,13 @@ class TestUsage:
 
     def test_no_subcommand_exits_64(self):
         assert run_cli().returncode == 64
+
+
+class TestScripts:
+    def test_shock_exponent_sweep_runs_on_the_shipped_scenario(self):
+        result = run_python(str(SCRIPT_DIR / "sweep_shock_exponent.py"), "--scenario", TURION)
+        assert result.returncode == 0, result.stderr
+        header, *rows = result.stdout.splitlines()
+        assert header.split() == ["alpha", "direct_shock", "stepped_shock", "lifetime_ratio"]
+        assert [row.split()[0] for row in rows] == ["1", "1.5", "2", "3"]
+        assert rows[0].split()[3] == "1.0000"

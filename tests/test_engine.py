@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +280,17 @@ class TestTrace:
         assert len(trace) == math.floor(end / 0.25) + 1
         assert trace[-1].time == end
         assert trace[-1].freq == 1800e6  # served by the task's own span, not the descent after it
+        assert report.transition_log[-1].time == end  # the descent's shock counts in the closing sample
+        assert trace[-1].cum_wear == pytest.approx(report.ledger.total, rel=1e-12, abs=0.0)
+
+    def test_the_closing_sample_counts_the_descent_of_a_task_that_ends_on_the_horizon(self):
+        task = make_task(cycles=1.8e9, deadline=1.0)
+        sc = make_scenario(tasks=(task,), governor=GovernorPolicy("fixed", 5), duration=1.0, trace_dt=0.25)
+        report, trace = simulate(sc)
+        assert [e.time for e in report.transition_log] == [0.0, 1.0]
+        assert trace[-1].time == 1.0
+        assert (trace[-1].freq, trace[-1].power) == (1800e6, active_power(sc.spec, sc.spec.levels[5]))
+        assert trace[-1].cum_wear == pytest.approx(report.ledger.total, rel=1e-12, abs=0.0)
 
     def test_temperature_stays_between_ambient_and_peak(self):
         report, trace = simulate(make_scenario(tasks=(make_task(cycles=3.6e9, deadline=2.0),), duration=30.0))
@@ -354,28 +366,37 @@ class TestManyTaskInvariants:
             | st.integers(0, len(spec.levels) - 1).map(lambda i: GovernorPolicy("fixed", i))
         )
         policy = data.draw(st.sampled_from([DIRECT, STEPPED, TransitionPolicy("stepped", 0.05)]))
-        trace_dt = 0.5
-        # room for every task at the bottom clock plus every dwell, so the run ends at the horizon
-        work = sum(t.cycles for t in tasks) / spec.levels[0].freq + 2 * len(tasks) * len(spec.levels) * policy.dwell
-        horizon = max(max(t.deadline for t in tasks), tasks[-1].arrival + work) + 1.0
-        duration = math.ceil(horizon / trace_dt) * trace_dt
+        roomy = data.draw(st.booleans())
+        if roomy:
+            # room for every task at the bottom clock plus every dwell, so the run ends idle at the horizon
+            work = sum(t.cycles for t in tasks) / spec.levels[0].freq + 2 * len(tasks) * len(spec.levels) * policy.dwell
+            horizon = max(max(t.deadline for t in tasks), tasks[-1].arrival + work) + 1.0
+            duration = math.ceil(horizon / 0.5) * 0.5
+        else:
+            # the horizon is the last deadline, so a late task or the descent after it can end the run
+            duration = max(t.deadline for t in tasks)
         sc = make_scenario(
-            spec=spec, tasks=tasks, governor=governor, policy=policy, duration=duration, trace_dt=trace_dt,
+            spec=spec, tasks=tasks, governor=governor, policy=policy, duration=duration, trace_dt=duration,
             dwell_stalls=data.draw(st.booleans()),
         )
-        report, trace = simulate(sc)
+        report, _ = simulate(sc)
+        end = report.ledger.elapsed
+        # a power-of-two fraction of the run puts the last sample exactly on its end
+        trace_dt = end / 2 ** max(0, math.ceil(math.log2(end / 0.5)))
+        resampled, trace = simulate(replace(sc, trace_dt=trace_dt))
+        assert resampled == report  # sampling never perturbs the run
 
         finish = 0.0
         for task, outcome in zip(tasks, report.per_task):
             assert outcome.start >= task.arrival
             assert outcome.start >= finish
             finish = outcome.finish
-        assert report.ledger.elapsed == duration
-        assert report.active_s + report.idle_s == pytest.approx(duration, rel=1e-12)
+        assert end == duration if roomy else end >= max(duration, finish)
+        assert report.active_s + report.idle_s == pytest.approx(end, rel=1e-12)
         assert report.ledger.shock_wear == sum(e.wear for e in report.transition_log)
 
-        assert len(trace) == int(duration / trace_dt) + 1
-        assert trace[-1].time == duration
+        assert len(trace) == int(end / trace_dt) + 1
+        assert trace[-1].time == end
         wears = [p.cum_wear for p in trace]
         assert all(a <= b for a, b in zip(wears, wears[1:]))
         assert wears[-1] == pytest.approx(report.ledger.total, rel=1e-12, abs=0.0)

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from dvfsim import (
-    read_report,
     simulate,
     write_report,
     write_trace,
@@ -11,7 +10,7 @@ from dvfsim import (
 from dvfsim.reporting import TRACE_HEADER, format_comparison_table
 from dvfsim import compare_policies, TransitionPolicy
 
-from helpers import make_scenario, make_task, trace_probe_scenario
+from helpers import load_json, make_scenario, make_task, trace_probe_scenario
 
 
 def run_demo():
@@ -42,13 +41,13 @@ class TestWriteReport:
         )
         path = tmp_path / "r.json"
         write_report(pristine, path)
-        assert read_report(path)["projected_lifetime_s"] == "unbounded"
+        assert load_json(path)["projected_lifetime_s"] == "unbounded"
 
     def test_energy_round_trips_exactly(self, tmp_path):
         report, _ = run_demo()
         path = tmp_path / "r.json"
         write_report(report, path)
-        doc = read_report(path)
+        doc = load_json(path)
         assert doc["energy"]["total_j"] == report.energy.total_j
         assert doc["energy"]["active_j"] == report.energy.active_j
         assert doc["wear"]["shock"] == report.ledger.shock_wear
@@ -62,7 +61,7 @@ class TestWriteReport:
         report = dataclasses.replace(report, energy=patched)
         path = tmp_path / "r.json"
         write_report(report, path)
-        assert read_report(path)["energy"]["total_j"] == 45.92
+        assert load_json(path)["energy"]["total_j"] == 45.92
 
 
 class TestWriteTrace:

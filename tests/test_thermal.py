@@ -9,13 +9,10 @@ from dvfsim import (
     DomainError,
     ThermalParams,
     Segment,
-    ThermalState,
     WearLedger,
     arrhenius_factor,
-    integrate_thermal_wear,
     project_lifetime,
     steady_state_temp,
-    thermal_step,
 )
 
 # the documented transient: tau = 5 s, 20 W from ambient, one time constant
@@ -114,30 +111,27 @@ class TestSteadyState:
 
 class TestThermalStep:
     def test_equilibrium_is_fixed_point(self):
-        state = thermal_step(TRANSIENT, ThermalState(25.0, 0.0), 0.0, 7.0)
-        assert state.temp == 25.0
-        assert state.time == 7.0
+        assert Segment(TRANSIENT, 25.0, 0.0).temp_at(7.0) == 25.0
 
     def test_one_time_constant_desk_value(self):
-        state = thermal_step(TRANSIENT, ThermalState(25.0, 0.0), 20.0, 5.0)
-        assert state.temp == pytest.approx(35.0 - 10.0 * math.exp(-1.0), rel=1e-12)
+        temp = Segment(TRANSIENT, 25.0, 20.0).temp_at(5.0)
+        assert temp == pytest.approx(35.0 - 10.0 * math.exp(-1.0), rel=1e-12)
 
     def test_long_step_reaches_steady_state(self):
-        state = thermal_step(TRANSIENT, ThermalState(25.0, 0.0), 20.0, 100.0 * TRANSIENT.tau)
-        assert abs(state.temp - 35.0) < 1e-9
+        temp = Segment(TRANSIENT, 25.0, 20.0).temp_at(100.0 * TRANSIENT.tau)
+        assert abs(temp - 35.0) < 1e-9
 
     @given(st.floats(0.0, 60.0), st.floats(0.0, 40.0), st.floats(-20.0, 120.0))
     def test_half_steps_compose(self, dt, power, temp0):
-        full = thermal_step(TRANSIENT, ThermalState(temp0, 0.0), power, dt)
-        half = thermal_step(TRANSIENT, ThermalState(temp0, 0.0), power, dt / 2.0)
-        composed = thermal_step(TRANSIENT, half, power, dt / 2.0)
-        assert math.isclose(composed.temp, full.temp, rel_tol=1e-12, abs_tol=1e-12)
-        assert composed.time == pytest.approx(full.time, rel=1e-12)
+        full = Segment(TRANSIENT, temp0, power).temp_at(dt)
+        half = Segment(TRANSIENT, temp0, power).temp_at(dt / 2.0)
+        composed = Segment(TRANSIENT, half, power).temp_at(dt / 2.0)
+        assert math.isclose(composed, full, rel_tol=1e-12, abs_tol=1e-12)
 
     @given(st.floats(0.0, 100.0), st.floats(0.0, 40.0), st.floats(-20.0, 120.0))
     def test_never_overshoots(self, dt, power, temp0):
         t_ss = steady_state_temp(TRANSIENT, power)
-        after = thermal_step(TRANSIENT, ThermalState(temp0, 0.0), power, dt).temp
+        after = Segment(TRANSIENT, temp0, power).temp_at(dt)
         lo, hi = sorted((temp0, t_ss))
         assert lo - 1e-9 <= after <= hi + 1e-9
 
@@ -146,24 +140,24 @@ class TestIntegrateThermalWear:
     def test_constant_reference_temperature(self):
         # unit wear rate for 100 s against a 1000 s baseline
         params = ThermalParams(r_th=0.5, c_th=10.0, t_amb=50.0, t_ref=50.0, l_base=1000.0)
-        wear, state = integrate_thermal_wear(params, ThermalState(50.0, 0.0), 0.0, 100.0)
+        temp, wear, _ = Segment(params, 50.0, 0.0).advance(100.0)
         assert wear == pytest.approx(0.1, rel=1e-12)
-        assert state.temp == pytest.approx(50.0, abs=1e-12)
+        assert temp == pytest.approx(50.0, abs=1e-12)
 
     def test_constant_ten_above_reference(self):
         params = ThermalParams(r_th=0.5, c_th=10.0, t_amb=60.0, t_ref=50.0, l_base=1000.0)
-        wear, _ = integrate_thermal_wear(params, ThermalState(60.0, 0.0), 0.0, 100.0)
+        wear = Segment(params, 60.0, 0.0).wear_at(100.0)
         assert wear == pytest.approx(0.2, rel=1e-12)
 
     def test_transient_matches_fine_grid_oracle(self):
-        wear, state = integrate_thermal_wear(TRANSIENT, ThermalState(25.0, 0.0), 20.0, 5.0)
+        temp, wear, _ = Segment(TRANSIENT, 25.0, 20.0).advance(5.0)
         reference = oracle_trapezoid_wear(TRANSIENT, 25.0, 20.0, 5.0, 10**4)
         assert wear == pytest.approx(reference, rel=1e-6)
-        assert state.temp == pytest.approx(35.0 - 10.0 * math.exp(-1.0), rel=1e-12)
+        assert temp == pytest.approx(35.0 - 10.0 * math.exp(-1.0), rel=1e-12)
 
-    def test_end_state_equals_thermal_step(self):
-        _, state = integrate_thermal_wear(TRANSIENT, ThermalState(28.0, 3.0), 12.0, 7.5)
-        assert state == thermal_step(TRANSIENT, ThermalState(28.0, 3.0), 12.0, 7.5)
+    def test_end_state_equals_temp_at(self):
+        temp, _, _ = Segment(TRANSIENT, 28.0, 12.0).advance(7.5)
+        assert temp == Segment(TRANSIENT, 28.0, 12.0).temp_at(7.5)
 
     def test_closed_form_matches_decimal_oracle(self):
         # heating and cooling, |a| = ln2/10 * |T0 - T_ss| from 0 to 45, dt/tau from 1e-6 to 50
@@ -173,18 +167,18 @@ class TestIntegrateThermalWear:
                 temp0 = 45.0 + sign * a * 10.0 / math.log(2.0)  # steady state is 45 degC at 20 W
                 for x in (1e-6, 1e-4, 0.01, 0.05, 0.2, 0.4, 1.0, 3.0, 10.0, 50.0):
                     dt = x * params.tau
-                    wear, _ = integrate_thermal_wear(params, ThermalState(temp0, 0.0), 20.0, dt)
+                    wear = Segment(params, temp0, 20.0).wear_at(dt)
                     reference = decimal_wear(params, temp0, 20.0, dt)
                     assert wear == pytest.approx(reference, rel=1e-12, abs=0.0), (sign * a, x)
 
     def test_large_swing_at_40_w_matches_oracle(self):
         params = ThermalParams(2.0, 2.5, 25.0, 45.0, 3.6e7)
-        wear, _ = integrate_thermal_wear(params, ThermalState(25.0, 0.0), 40.0, 2.0)
+        wear = Segment(params, 25.0, 40.0).wear_at(2.0)
         assert wear == pytest.approx(decimal_wear(params, 25.0, 40.0, 2.0), rel=1e-12, abs=0.0)
 
     def test_steady_tail_is_integrated_analytically(self):
         # far beyond the transient the rate is constant; a huge dt must stay cheap and exact
-        wear, _ = integrate_thermal_wear(TRANSIENT, ThermalState(25.0, 0.0), 20.0, 1e6)
+        wear = Segment(TRANSIENT, 25.0, 20.0).wear_at(1e6)
         tail = (1e6 - 40 * TRANSIENT.tau) * 2.0 ** ((35.0 - 25.0) / 10.0) / 1000.0
         assert wear == pytest.approx(tail, rel=1e-3)
 
@@ -192,18 +186,17 @@ class TestIntegrateThermalWear:
     @settings(max_examples=60)
     def test_monotone_in_duration(self, d1, d2, power):
         lo, hi = sorted((d1, d2))
-        w_lo, _ = integrate_thermal_wear(TRANSIENT, ThermalState(25.0, 0.0), power, lo)
-        w_hi, _ = integrate_thermal_wear(TRANSIENT, ThermalState(25.0, 0.0), power, hi)
-        assert w_lo <= w_hi * (1 + 1e-12)
+        seg = Segment(TRANSIENT, 25.0, power)
+        assert seg.wear_at(lo) <= seg.wear_at(hi) * (1 + 1e-12)
 
     def test_zero_duration(self):
-        wear, state = integrate_thermal_wear(TRANSIENT, ThermalState(30.0, 1.0), 5.0, 0.0)
+        temp, wear, _ = Segment(TRANSIENT, 30.0, 5.0).advance(0.0)
         assert wear == 0.0
-        assert state.temp == 30.0
+        assert temp == 30.0
 
     def test_negative_duration_rejected(self):
         with pytest.raises(DomainError):
-            integrate_thermal_wear(TRANSIENT, ThermalState(25.0, 0.0), 5.0, -1.0)
+            Segment(TRANSIENT, 25.0, 5.0).advance(-1.0)
 
 
 class TestSegment:
@@ -271,8 +264,8 @@ class TestProjectLifetime:
     def test_ten_degrees_cooler_doubles_projection(self):
         hot = ThermalParams(r_th=0.5, c_th=10.0, t_amb=50.0, t_ref=50.0, l_base=1000.0)
         cool = ThermalParams(r_th=0.5, c_th=10.0, t_amb=40.0, t_ref=50.0, l_base=1000.0)
-        wear_hot, _ = integrate_thermal_wear(hot, ThermalState(50.0, 0.0), 0.0, 200.0)
-        wear_cool, _ = integrate_thermal_wear(cool, ThermalState(40.0, 0.0), 0.0, 200.0)
+        wear_hot = Segment(hot, 50.0, 0.0).wear_at(200.0)
+        wear_cool = Segment(cool, 40.0, 0.0).wear_at(200.0)
         ratio = project_lifetime(WearLedger(wear_cool, 0.0, 200.0)) / project_lifetime(
             WearLedger(wear_hot, 0.0, 200.0)
         )

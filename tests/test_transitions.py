@@ -26,33 +26,33 @@ STEPPED = TransitionPolicy("stepped")
 class TestPlanTransition:
     def test_direct_full_span_is_one_hop(self):
         spec = make_spec()
-        plan = plan_transition(spec, spec.levels[0], spec.levels[5], DIRECT)
-        assert len(plan.hops) == 1
-        assert plan.hops[0].delta_f == 1.0e9
-        assert plan.hops[0].dwell_after == 0.0
+        hops = plan_transition(spec, spec.levels[0], spec.levels[5], DIRECT)
+        assert len(hops) == 1
+        assert hops[0].delta_f == 1.0e9
+        assert hops[0].dwell_after == 0.0
 
     def test_stepped_full_span_walks_adjacent_levels(self):
         spec = make_spec()
-        plan = plan_transition(spec, spec.levels[0], spec.levels[5], STEPPED)
-        assert len(plan.hops) == 5
-        assert all(h.delta_f == 2.0e8 for h in plan.hops)
+        hops = plan_transition(spec, spec.levels[0], spec.levels[5], STEPPED)
+        assert len(hops) == 5
+        assert all(h.delta_f == 2.0e8 for h in hops)
 
     def test_dwell_applies_to_all_but_last_hop(self):
         spec = make_spec()
-        plan = plan_transition(spec, spec.levels[0], spec.levels[3], TransitionPolicy("stepped", 0.25))
-        assert [h.dwell_after for h in plan.hops] == [0.25, 0.25, 0.0]
+        hops = plan_transition(spec, spec.levels[0], spec.levels[3], TransitionPolicy("stepped", 0.25))
+        assert [h.dwell_after for h in hops] == [0.25, 0.25, 0.0]
 
     def test_same_level_is_empty_plan(self):
         spec = make_spec()
         for policy in (DIRECT, STEPPED):
-            assert plan_transition(spec, spec.levels[2], spec.levels[2], policy).hops == ()
+            assert plan_transition(spec, spec.levels[2], spec.levels[2], policy) == ()
 
     def test_downward_stepped_plan(self):
         spec = make_spec()
-        plan = plan_transition(spec, spec.levels[5], spec.levels[0], STEPPED)
-        assert len(plan.hops) == 5
-        assert plan.hops[0].from_level == spec.levels[5]
-        assert plan.hops[-1].to_level == spec.levels[0]
+        hops = plan_transition(spec, spec.levels[5], spec.levels[0], STEPPED)
+        assert len(hops) == 5
+        assert hops[0].from_level == spec.levels[5]
+        assert hops[-1].to_level == spec.levels[0]
 
     def test_unknown_level_rejected(self):
         spec = make_spec()
@@ -71,14 +71,14 @@ class TestPlanTransition:
         a = data.draw(st.integers(0, len(spec.levels) - 1))
         b = data.draw(st.integers(0, len(spec.levels) - 1))
         policy = data.draw(st.sampled_from([DIRECT, STEPPED]))
-        plan = plan_transition(spec, spec.levels[a], spec.levels[b], policy)
-        for prev, nxt in zip(plan.hops, plan.hops[1:]):
+        hops = plan_transition(spec, spec.levels[a], spec.levels[b], policy)
+        for prev, nxt in zip(hops, hops[1:]):
             assert prev.to_level == nxt.from_level
-        assert all(h.delta_f > 0 for h in plan.hops)
+        assert all(h.delta_f > 0 for h in hops)
         total = abs(spec.levels[b].freq - spec.levels[a].freq)
-        assert math.isclose(sum(h.delta_f for h in plan.hops), total, rel_tol=1e-12, abs_tol=1e-9)
+        assert math.isclose(sum(h.delta_f for h in hops), total, rel_tol=1e-12, abs_tol=1e-9)
         if policy.kind == "stepped":
-            assert len(plan.hops) == abs(b - a)
+            assert len(hops) == abs(b - a)
 
 
 class TestShockWear:
@@ -127,8 +127,8 @@ class TestPlanWear:
 
     def test_empty_plan_has_no_wear(self):
         spec = make_spec()
-        plan = plan_transition(spec, spec.levels[1], spec.levels[1], DIRECT)
-        assert plan_wear(make_wear(), plan) == 0.0
+        hops = plan_transition(spec, spec.levels[1], spec.levels[1], DIRECT)
+        assert plan_wear(make_wear(), hops) == 0.0
 
     @given(specs(min_levels=3), st.data(), st.floats(1.01, 4.0))
     @settings(max_examples=100)
