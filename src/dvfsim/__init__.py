@@ -15,7 +15,6 @@ from .engine import (
     compare_policies,
     policy_label,
     simulate,
-    validate_scenario,
 )
 from .config import load_scenario, parse_scenario
 from .errors import (
@@ -29,7 +28,6 @@ from .power import (
     EnergyBreakdown,
     FrequencyLevel,
     ProcessorSpec,
-    ValidationResult,
     Violation,
     active_power,
     energy_cost,

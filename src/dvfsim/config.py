@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import Scenario, validate_scenario
+from .engine import Scenario
 from .errors import ScenarioError
 from .power import FrequencyLevel, ProcessorSpec
 from .thermal import ThermalParams
@@ -111,7 +111,7 @@ class _Schema:
 
 
 def parse_scenario(doc) -> Scenario:
-    """Build and fully validate a Scenario from a parsed JSON document."""
+    """Build a Scenario from a parsed JSON document: schema problems first, then validation."""
     s = _Schema()
     top = s.mapping(doc, "scenario", set(_TOP))
 
@@ -170,31 +170,25 @@ def parse_scenario(doc) -> Scenario:
     )
 
     sim_sec = s.mapping(top.get("sim", {}), "sim", *_SECTION_KEYS["sim"])
-    scenario = Scenario(
-        spec=ProcessorSpec(
-            levels=tuple(levels),
-            coeff_a=s.number(proc, "processor", "coeff_a", 0.0),
-            coeff_b=s.number(proc, "processor", "coeff_b", 0.0),
-            p_device=s.number(proc, "processor", "p_device_w", 0.0),
-            p_idle=s.number(proc, "processor", "p_idle_w", 0.0),
-            thermal=thermal,
-            wear=wear,
-        ),
-        tasks=tuple(tasks),
-        governor=governor,
-        policy=policy,
-        duration=s.number(sim_sec, "sim", "duration_s", 0.0),
-        trace_dt=s.number(sim_sec, "sim", "trace_dt_s", 0.0),
-        cost_rate=s.number(sim_sec, "sim", "cost_rate_usd_per_mwh", 0.0),
-        dwell_stalls=s.boolean(sim_sec, "sim", "dwell_stalls", False),
+    spec = ProcessorSpec(
+        levels=tuple(levels),
+        coeff_a=s.number(proc, "processor", "coeff_a", 0.0),
+        coeff_b=s.number(proc, "processor", "coeff_b", 0.0),
+        p_device=s.number(proc, "processor", "p_device_w", 0.0),
+        p_idle=s.number(proc, "processor", "p_idle_w", 0.0),
+        thermal=thermal,
+        wear=wear,
     )
+    sim = {
+        "duration": s.number(sim_sec, "sim", "duration_s", 0.0),
+        "trace_dt": s.number(sim_sec, "sim", "trace_dt_s", 0.0),
+        "cost_rate": s.number(sim_sec, "sim", "cost_rate_usd_per_mwh", 0.0),
+        "dwell_stalls": s.boolean(sim_sec, "sim", "dwell_stalls", False),
+    }
 
-    if s.problems:
+    if s.problems:  # before the Scenario exists, since building one validates it
         raise ScenarioError("schema", s.problems)
-    result = validate_scenario(scenario)
-    if not result.ok:
-        raise ScenarioError("validation", [str(v) for v in result.violations])
-    return scenario
+    return Scenario(spec=spec, tasks=tuple(tasks), governor=governor, policy=policy, **sim)
 
 
 def _reject_constant(name: str):

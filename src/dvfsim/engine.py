@@ -19,7 +19,6 @@ from .power import (
     EnergyBreakdown,
     FrequencyLevel,
     ProcessorSpec,
-    ValidationResult,
     Violation,
     active_power,
     energy_cost,
@@ -40,7 +39,8 @@ class Scenario:
     ``duration`` is the horizon in seconds (must cover every deadline);
     ``trace_dt`` the observation sampling interval; ``cost_rate`` is $/MWh.
     ``dwell_stalls`` switches stepped-transition dwells from doing useful work
-    to stalling at the intermediate level.
+    to stalling at the intermediate level. Building one that breaks an
+    invariant raises ScenarioError("validation") listing every violation.
     """
 
     spec: ProcessorSpec
@@ -51,6 +51,11 @@ class Scenario:
     trace_dt: float
     cost_rate: float = DEFAULT_COST_RATE
     dwell_stalls: bool = False
+
+    def __post_init__(self):
+        violations = _validate_scenario(self)
+        if violations:
+            raise ScenarioError("validation", [str(v) for v in violations])
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,6 @@ class SimReport:
     energy: EnergyBreakdown
     cost_usd: float
     per_task: tuple[TaskOutcome, ...]
-    transition_count: int
-    total_delta_f_hz: float
     peak_temp: float
     avg_temp: float
     active_s: float
@@ -101,6 +104,14 @@ class SimReport:
     @property
     def deadline_misses(self) -> int:
         return sum(1 for t in self.per_task if not t.deadline_met)
+
+    @property
+    def transition_count(self) -> int:
+        return len(self.transition_log)
+
+    @property
+    def total_delta_f_hz(self) -> float:
+        return sum(e.delta_f for e in self.transition_log)
 
 
 @dataclass(frozen=True)
@@ -122,9 +133,9 @@ class ComparisonReport:
     runs: tuple[PolicyOutcome, ...]
 
 
-def validate_scenario(scenario: Scenario) -> ValidationResult:
+def _validate_scenario(scenario: Scenario) -> list[Violation]:
     """Every scenario invariant in one list: spec, tasks, governor, policy, sim."""
-    v = list(validate_spec(scenario.spec).violations)
+    v = list(validate_spec(scenario.spec))
     n_levels = len(scenario.spec.levels)
 
     seen_ids: set[str] = set()
@@ -173,8 +184,7 @@ def validate_scenario(scenario: Scenario) -> ValidationResult:
         v.append(Violation("sim.trace_dt", f"gives more than {MAX_TRACE_POINTS} trace points over sim.duration"))
     if not (math.isfinite(scenario.cost_rate) and scenario.cost_rate >= 0):
         v.append(Violation("sim.cost_rate", "must be finite and >= 0"))
-
-    return ValidationResult(tuple(v))
+    return v
 
 
 class _Timeline:
@@ -272,10 +282,6 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
         freq, power and temperature; its cum_wear also counts every hop logged
         at that end, so it equals the ledger total.
     """
-    result = validate_scenario(scenario)
-    if not result.ok:
-        raise ScenarioError("validation", [str(x) for x in result.violations])
-
     spec = scenario.spec
     p_idle = idle_power(spec)
     tl = _Timeline(spec.thermal, spec.wear, scenario.trace_dt)
@@ -332,8 +338,6 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
         energy=energy,
         cost_usd=cost,
         per_task=tuple(outcomes),
-        transition_count=len(tl.log),
-        total_delta_f_hz=sum(e.delta_f for e in tl.log),
         peak_temp=tl.peak,
         avg_temp=tl.temp_integral / end,
         active_s=tl.active_t,

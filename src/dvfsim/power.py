@@ -69,24 +69,15 @@ class Violation:
         return f"{self.field}: {self.rule}"
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    violations: tuple[Violation, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
 
 
-def validate_spec(spec: ProcessorSpec) -> ValidationResult:
+def validate_spec(spec: ProcessorSpec) -> tuple[Violation, ...]:
     """Check every ProcessorSpec invariant, returning all violations found.
 
     Violations are collected rather than raised so a scenario author sees the
-    full list in one pass.
+    full list in one pass; an empty tuple means the spec is valid.
     """
     v: list[Violation] = []
 
@@ -143,7 +134,7 @@ def validate_spec(spec: ProcessorSpec) -> ValidationResult:
     if not _finite(w.f_span) or w.f_span <= 0:
         v.append(Violation("wear.f_span", "must be finite and > 0"))
 
-    return ValidationResult(tuple(v))
+    return tuple(v)
 
 
 def active_power(spec: ProcessorSpec, level: FrequencyLevel) -> float:

@@ -45,7 +45,7 @@ def specs(draw, min_levels=2, max_levels=7, zero_static=False):
         thermal=make_thermal(),
         wear=make_wear(f_span=levels[-1].freq - levels[0].freq),
     )
-    assert validate_spec(spec).ok
+    assert validate_spec(spec) == ()
     return spec
 
 

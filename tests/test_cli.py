@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from dvfsim import cli, engine
 from helpers import SCENARIO_DIR, SCRIPT_DIR, run_cli, run_python
 
 TURION = str(SCENARIO_DIR / "turion6.json")
@@ -233,6 +234,36 @@ class TestSweep:
         assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")
 
 
+class TestOneValidationPerScenario:
+    """A Scenario validates itself when it is built, and nothing validates it again."""
+
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        seen = []
+        validate = engine._validate_scenario
+
+        def counted(scenario):
+            seen.append(scenario)
+            return validate(scenario)
+
+        monkeypatch.setattr(engine, "_validate_scenario", counted)
+        return seen
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["validate", "--scenario", TURION], 1),
+            (["simulate", "--scenario", TURION], 1),
+            (["sweep", "--scenario", TURION, "--param", "wear.alpha", "--values", "1,2,3"], 3),
+            (["compare", "--scenario", TURION, "--policies", "direct,stepped,stepped:0.05"], 1 + 3),
+        ],
+        ids=["validate", "simulate", "sweep", "compare"],
+    )
+    def test_each_verb_validates_once_per_scenario(self, validated, capsys, argv, calls):
+        assert cli.main(argv) == 0
+        assert len(validated) == calls
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_64(self):
         result = run_cli("launch", "--scenario", TURION)
@@ -255,3 +286,17 @@ class TestScripts:
         assert header.split() == ["alpha", "direct_shock", "stepped_shock", "lifetime_ratio"]
         assert [row.split()[0] for row in rows] == ["1", "1.5", "2", "3"]
         assert rows[0].split()[3] == "1.0000"
+
+    @pytest.mark.parametrize(
+        "alphas, code, message",
+        [
+            ("1,x", 64, "usage error: bad --alphas '1,x'"),
+            ("1,nan", 2, "invalid scenario (validation): wear.alpha: must be finite and >= 1"),
+            ("0.5", 2, "invalid scenario (validation): wear.alpha: must be finite and >= 1"),
+        ],
+    )
+    def test_shock_exponent_sweep_rejects_bad_alphas_in_one_line(self, alphas, code, message):
+        result = run_python(str(SCRIPT_DIR / "sweep_shock_exponent.py"), "--scenario", TURION, "--alphas", alphas)
+        assert result.returncode == code
+        assert result.stderr.splitlines() == [message]
+        assert result.stdout == ""

@@ -102,6 +102,9 @@ class TestSchemaStrictness:
         with pytest.raises(ScenarioError) as err:
             parse_scenario(d)
         assert len(err.value.problems) >= 2
+        # the missing r_th would also fail validation as 0.0, but schema problems are raised first
+        assert err.value.kind == "schema"
+        assert all(": missing key '" in p or ": unknown key '" in p for p in err.value.problems)
 
 
 class TestValidation:

@@ -17,7 +17,6 @@ from dvfsim import (
     idle_power,
     shock_wear,
     simulate,
-    validate_scenario,
 )
 from dvfsim.engine import MAX_TRACE_POINTS
 
@@ -32,50 +31,68 @@ def active_power_inline(spec, level):
     return spec.coeff_a * level.freq * level.vdd**2 + spec.coeff_b * level.vdd + spec.p_device
 
 
+def fields(err) -> list[str]:
+    """The field of each problem a ScenarioError lists, in order."""
+    return [p.partition(": ")[0] for p in err.value.problems]
+
+
+def rules(err) -> list[str]:
+    return [p.partition(": ")[2] for p in err.value.problems]
+
+
 class TestValidation:
     def test_duration_must_cover_deadlines(self):
-        sc = make_scenario(tasks=(make_task(deadline=500.0),), duration=100.0)
-        result = validate_scenario(sc)
-        assert any(v.field == "sim.duration" for v in result.violations)
         with pytest.raises(ScenarioError) as err:
-            simulate(sc)
+            make_scenario(tasks=(make_task(deadline=500.0),), duration=100.0)
+        assert "sim.duration" in fields(err)
         assert err.value.kind == "validation"
 
     def test_unsorted_tasks_rejected(self):
         tasks = (make_task(id="a", arrival=5.0, deadline=10.0), make_task(id="b", arrival=1.0, deadline=8.0))
-        result = validate_scenario(make_scenario(tasks=tasks))
-        assert any("sorted by arrival" in v.rule for v in result.violations)
+        with pytest.raises(ScenarioError) as err:
+            make_scenario(tasks=tasks)
+        assert any("sorted by arrival" in r for r in rules(err))
 
     def test_duplicate_task_ids_rejected(self):
         tasks = (make_task(id="x", arrival=0.0), make_task(id="x", arrival=1.0, deadline=11.0))
-        result = validate_scenario(make_scenario(tasks=tasks))
-        assert any("duplicate task id" in v.rule for v in result.violations)
+        with pytest.raises(ScenarioError) as err:
+            make_scenario(tasks=tasks)
+        assert any("duplicate task id" in r for r in rules(err))
 
     def test_fixed_governor_needs_index_in_bounds(self):
-        sc = make_scenario(governor=GovernorPolicy("fixed", 17))
-        assert any(v.field == "governor.fixed_index" for v in validate_scenario(sc).violations)
+        with pytest.raises(ScenarioError) as err:
+            make_scenario(governor=GovernorPolicy("fixed", 17))
+        assert "governor.fixed_index" in fields(err)
 
     def test_non_finite_task_fields_rejected(self):
         tasks = (Task("a", math.inf, 0.0, 5.0), Task("b", 1e9, math.nan, 5.0), Task("c", 1e9, 1.0, math.inf))
-        fields = {v.field for v in validate_scenario(make_scenario(tasks=tasks)).violations}
-        assert {"tasks[0].cycles", "tasks[1].arrival", "tasks[2].deadline"} <= fields
+        with pytest.raises(ScenarioError) as err:
+            make_scenario(tasks=tasks)
+        assert {"tasks[0].cycles", "tasks[1].arrival", "tasks[2].deadline"} <= set(fields(err))
 
     def test_trace_sample_count_is_capped(self):
-        assert validate_scenario(make_scenario(duration=float(MAX_TRACE_POINTS), trace_dt=1.0)).ok
+        make_scenario(duration=float(MAX_TRACE_POINTS), trace_dt=1.0)
         for duration, trace_dt in ((MAX_TRACE_POINTS + 1.0, 1.0), (120.0, 1e-7), (120.0, 1e-320)):
-            result = validate_scenario(make_scenario(duration=duration, trace_dt=trace_dt))
-            assert [v.field for v in result.violations] == ["sim.trace_dt"]
+            with pytest.raises(ScenarioError) as err:
+                make_scenario(duration=duration, trace_dt=trace_dt)
+            assert fields(err) == ["sim.trace_dt"]
 
     def test_a_run_overrunning_the_trace_cap_raises(self):
         # validation passes: the task misses its deadline and runs for 1e7 s, past 1e6 samples of 1 s
         sc = make_scenario(tasks=(Task("big", 1.8e16, 0.0, 5.0),), duration=10.0, trace_dt=1.0)
-        assert validate_scenario(sc).ok
         with pytest.raises(DomainError, match="trace points"):
             simulate(sc)
 
     def test_negative_dwell_rejected(self):
-        sc = make_scenario(policy=TransitionPolicy("stepped", -0.5))
-        assert any(v.field == "policy.dwell" for v in validate_scenario(sc).violations)
+        with pytest.raises(ScenarioError) as err:
+            make_scenario(policy=TransitionPolicy("stepped", -0.5))
+        assert "policy.dwell" in fields(err)
+
+    def test_a_replaced_field_is_validated_too(self):
+        sc = make_scenario(tasks=(make_task(),))
+        with pytest.raises(ScenarioError) as err:
+            replace(sc, duration=5.0)
+        assert err.value.problems == ("sim.duration: must cover the latest deadline (10 s)",)
 
 
 class TestSingleTaskEnergy:

@@ -21,18 +21,18 @@ from strategies import specs
 
 class TestValidateSpec:
     def test_six_level_turion_ladder_ok(self):
-        assert validate_spec(make_spec()).ok
+        assert validate_spec(make_spec()) == ()
 
     def test_duplicate_frequency(self):
         levels = list(turion_levels())
         levels[1] = FrequencyLevel(1, levels[0].freq, levels[1].vdd)
         result = validate_spec(make_spec(levels=levels))
-        assert not result.ok
-        assert any("duplicate frequency" in v.rule for v in result.violations)
+        assert result
+        assert any("duplicate frequency" in v.rule for v in result)
 
     def test_negative_coefficient(self):
         result = validate_spec(make_spec(coeff_a=-1.0))
-        assert any(v.field == "coeff_a" and "negative coefficient" in v.rule for v in result.violations)
+        assert any(v.field == "coeff_a" and "negative coefficient" in v.rule for v in result)
 
     def test_out_of_order_frequencies(self):
         levels = list(turion_levels())
@@ -41,20 +41,20 @@ class TestValidateSpec:
             FrequencyLevel(2, levels[1].freq, levels[2].vdd),
         )
         result = validate_spec(make_spec(levels=levels))
-        assert any("not strictly increasing" in v.rule for v in result.violations)
+        assert any("not strictly increasing" in v.rule for v in result)
 
     def test_single_level_rejected(self):
         result = validate_spec(make_spec(levels=turion_levels()[:1]))
-        assert any("at least 2 levels" in v.rule for v in result.violations)
+        assert any("at least 2 levels" in v.rule for v in result)
 
     def test_flat_active_power_rejected(self):
         # equal power on every level defeats frequency selection
         result = validate_spec(make_spec(coeff_a=0.0, coeff_b=0.0, p_device=3.0))
-        assert any("active power" in v.rule for v in result.violations)
+        assert any("active power" in v.rule for v in result)
 
     def test_violations_are_collected_not_raised(self):
         result = validate_spec(make_spec(coeff_a=-1.0, coeff_b=-2.0))
-        assert len(result.violations) >= 2
+        assert len(result) >= 2
 
 
 class TestActivePower:
