@@ -11,6 +11,7 @@ so sampling is purely observational.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, InfeasibleError, PolicyRunError, ScenarioError
@@ -29,7 +30,7 @@ from .thermal import Segment, ThermalParams, WearLedger, project_lifetime
 from .transitions import POLICY_KINDS, Hop, TransitionPolicy, plan_transition, shock_wear
 from .workload import GOVERNOR_KINDS, GovernorPolicy, Task, select_level
 
-MAX_TRACE_POINTS = 10**6  # about 200 MB of trace; a run past it is refused, not truncated
+MAX_TRACE_POINTS = 10**6  # about 170 MB of trace; a run past it is refused, not truncated
 
 
 @dataclass(frozen=True)
@@ -79,13 +80,7 @@ class TransitionEvent:
     wear: float
 
 
-@dataclass(frozen=True)
-class TracePoint:
-    time: float
-    freq: float
-    power: float
-    temp: float
-    cum_wear: float
+TracePoint = namedtuple("TracePoint", "time freq power temp cum_wear")
 
 
 @dataclass(frozen=True)
@@ -243,8 +238,8 @@ class _Timeline:
         k = len(self.trace)
         time = k * self.trace_dt
         while time < until:
-            offset = time - t0
-            self.trace.append(TracePoint(time, freq, power, seg.temp_at(offset), wear0 + seg.wear_at(offset)))
+            temp, wear, _ = seg.advance(time - t0)
+            self.trace.append(TracePoint(time, freq, power, temp, wear0 + wear))
             k += 1
             time = k * self.trace_dt
 

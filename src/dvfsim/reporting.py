@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
+from itertools import chain
 
 from .engine import ComparisonReport, SimReport
 
@@ -91,15 +91,17 @@ def comparison_to_dict(comparison: ComparisonReport) -> dict:
     }
 
 
-def _write(path, text: str) -> None:
+def _write(path, chunks) -> None:
+    """Write an iterable of text chunks to ``path``, newlines untranslated."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.writelines(chunks)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(doc: dict, path) -> None:
-    _write(path, json.dumps(doc, indent=2) + "\n")
+    _write(path, (json.dumps(doc, indent=2), "\n"))
 
 
 def write_report(report: SimReport, path) -> None:
@@ -111,11 +113,8 @@ def write_comparison(comparison: ComparisonReport, path) -> None:
 
 
 def write_trace(trace, path) -> None:
-    """CSV with one row per trace point and a newline-terminated final row."""
-    lines = [TRACE_HEADER]
-    for p in trace:
-        lines.append(f"{p.time!r},{p.freq!r},{p.power!r},{p.temp!r},{p.cum_wear!r}")
-    _write(path, "\n".join(lines) + "\n")
+    """CSV with one row per trace point, written as it is formatted; rows end in a newline."""
+    _write(path, chain((TRACE_HEADER + "\n",), ("%r,%r,%r,%r,%r\n" % p for p in trace)))
 
 
 def format_sweep(runs) -> str:
@@ -130,7 +129,7 @@ def format_sweep(runs) -> str:
 
 
 def write_sweep(runs, path) -> None:
-    _write(path, format_sweep(runs))
+    _write(path, (format_sweep(runs),))
 
 
 def format_comparison_table(comparison: ComparisonReport, bold=None) -> str:

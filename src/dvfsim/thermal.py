@@ -10,12 +10,14 @@ exponential-integral difference (Abramowitz & Stegun 5.1.10)
 
     rate_ss * tau * [Ei(a) - Ei(a*u)] = rate_ss * (s + tau * sum_k a^k (1 - u^k) / (k * k!)).
 
-``Segment`` evaluates it in closed form, to a few units of rounding error:
-over a short interval (``|a| * (1 - u) <= 1``, and ``1 - u <= 1/16`` unless
-``a < -2``) by an expansion in ``1 - u``; otherwise for ``a >= -2`` by the
-series above, in Horner form; otherwise, heating by more than about 29 degC,
-where the series' alternating terms would cancel, as ``E1(|a|*u) - E1(|a|)``
-(A&S 5.1.11, and the continued fraction 5.1.22).
+``Segment.advance(s)``, the one query, gives the temperature, this wear and the
+temperature integral s seconds into an interval. It evaluates the wear in closed
+form, to a few units of rounding error: over a short interval
+(``|a| * (1 - u) <= 1``, and ``1 - u <= 1/16`` unless ``a < -2``) by an
+expansion in ``1 - u``; otherwise for ``a >= -2`` by the series above, in
+Horner form; otherwise, heating by more than about 29 degC, where the series'
+alternating terms would cancel, as ``E1(|a|*u) - E1(|a|)`` (A&S 5.1.11, and
+the continued fraction 5.1.22).
 """
 
 from __future__ import annotations
@@ -106,34 +108,16 @@ class Segment(namedtuple("_SegmentFields", "temp0 t_ss tau d0 a exponent_ss wear
             raise DomainError(f"temperature {temp0:g} degC or steady state {t_ss:g} degC is not finite")
         return tuple.__new__(cls, (temp0, t_ss, tau, d0, a, exponent_ss, tau / params.l_base))
 
-    def temp_at(self, s: float) -> float:
-        """Temperature after s seconds."""
-        return self._temp(self._rise(s))
-
-    def wear_at(self, s: float) -> float:
-        """Wear fraction accrued over [0, s]; raises DomainError if it overflows."""
-        return self._wear(s, self._rise(s))
-
-    def temp_integral(self, s: float) -> float:
-        """Integral of the temperature over [0, s], in degC * s."""
-        return self._temp_integral(s, self._rise(s))
-
     def advance(self, s: float) -> tuple[float, float, float]:
-        """(temp_at(s), wear_at(s), temp_integral(s)) from a single exponential; s must be >= 0."""
+        """(temperature, wear fraction, temperature integral in degC * s) s >= 0 seconds in.
+
+        The Segment's one query, from a single exponential; chain intervals with
+        ``Segment(params, seg.advance(s)[0], power)``. Raises DomainError if the wear overflows.
+        """
         if s < 0:
             raise DomainError(f"duration must be >= 0 (got {s})")
-        g = self._rise(s)
-        return self._temp(g), self._wear(s, g), self._temp_integral(s, g)
-
-    def _rise(self, s: float) -> float:
-        """Fraction 1 - e^(-s/tau) of the way from temp0 to t_ss after s seconds."""
-        return -math.expm1(-s / self.tau)
-
-    def _temp(self, g: float) -> float:
-        return self.temp0 - self.d0 * g
-
-    def _temp_integral(self, s: float, g: float) -> float:
-        return self.t_ss * s + self.d0 * self.tau * g
+        g = -math.expm1(-s / self.tau)  # the fraction of the way from temp0 to t_ss
+        return self.temp0 - self.d0 * g, self._wear(s, g), self.t_ss * s + self.d0 * self.tau * g
 
     def _wear(self, s: float, g: float) -> float:
         """Wear over [0, s] as exp(exponent) * tau/l_base * integral, routed as in the module notes."""

@@ -173,11 +173,11 @@ def test_ac06_thermal_correctness():
     params = ThermalParams(r_th=0.5, c_th=10.0, t_amb=25.0, t_ref=25.0, l_base=1000.0)
 
     for dt in (0.1, 1.0, 5.0, 17.3):
-        full = Segment(params, 25.0, 20.0).temp_at(dt)
-        half = Segment(params, Segment(params, 25.0, 20.0).temp_at(dt / 2), 20.0).temp_at(dt / 2)
+        full = Segment(params, 25.0, 20.0).advance(dt)[0]
+        half = Segment(params, Segment(params, 25.0, 20.0).advance(dt / 2)[0], 20.0).advance(dt / 2)[0]
         assert math.isclose(half, full, rel_tol=1e-12)
 
-    after = Segment(params, 25.0, 20.0).temp_at(10.0 * params.tau)
+    after, _, _ = Segment(params, 25.0, 20.0).advance(10.0 * params.tau)
     target = steady_state_temp(params, 20.0)
     assert abs(after - target) / target < 1e-3
 
@@ -189,7 +189,7 @@ def test_ac06_thermal_correctness():
             total += rate if 0 < k < n else rate / 2.0
         return total * h
 
-    wear = Segment(params, 25.0, 20.0).wear_at(5.0)
+    _, wear, _ = Segment(params, 25.0, 20.0).advance(5.0)
     assert math.isclose(wear, oracle(10**4), rel_tol=1e-6)
     print("AC6 PASS: half-step composition 1e-12, 10-tau settle within 0.1%, transient wear within 1e-6 of oracle")
 

@@ -226,9 +226,20 @@ class TestSweep:
         assert result.returncode == 2
         assert result.stderr.strip() == "invalid scenario (schema): sim: expected an object"
 
-    def test_unwritable_out_is_a_one_line_runtime_error(self, tmp_path):
-        out = tmp_path / "missing-dir" / "sweep.csv"
-        result = run_cli("sweep", "--scenario", STEP_DEMO, "--param", "wear.alpha", "--values", "1", "--out", str(out))
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("simulate", "--trace"),
+            ("simulate", "--report"),
+            ("sweep", "--param", "wear.alpha", "--values", "1", "--out"),
+        ],
+        ids=["simulate-trace", "simulate-report", "sweep-out"],
+    )
+    def test_unwritable_out_is_a_one_line_runtime_error(self, tmp_path, args):
+        out = tmp_path / "missing-dir" / "out"
+        result = run_cli(args[0], "--scenario", STEP_DEMO, *args[1:], str(out))
         assert result.returncode == 1
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")

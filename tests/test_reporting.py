@@ -1,6 +1,8 @@
 import math
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from dvfsim import (
     simulate,
@@ -11,11 +13,22 @@ from dvfsim.reporting import TRACE_HEADER, format_comparison_table
 from dvfsim import compare_policies, TransitionPolicy
 
 from helpers import load_json, make_scenario, make_task, trace_probe_scenario
+from strategies import specs, workloads
 
 
 def run_demo():
     sc = make_scenario(tasks=(make_task(cycles=3.6e9, deadline=2.0),), duration=30.0)
     return simulate(sc)
+
+
+def assert_rows_are_the_points(trace, path):
+    """Write the trace and check that every row parses back to its point's fields, in order."""
+    write_trace(trace, path)
+    text = path.read_bytes().decode("utf-8")
+    assert text.endswith("\n") and "\r" not in text
+    header, *rows = text[:-1].split("\n")
+    assert header == TRACE_HEADER
+    assert [tuple(map(float, row.split(","))) for row in rows] == [tuple(p) for p in trace]
 
 
 def trapezoid(xs, ys):
@@ -87,6 +100,22 @@ class TestWriteTrace:
         write_trace(trace, a)
         write_trace(trace, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_rows_parse_back_to_the_points(self, tmp_path):
+        _, trace = run_demo()
+        assert tuple(trace[1]) == (trace[1].time, trace[1].freq, trace[1].power, trace[1].temp, trace[1].cum_wear)
+        assert_rows_are_the_points(trace, tmp_path / "t.csv")
+        from_generator = tmp_path / "g.csv"
+        write_trace((p for p in trace), from_generator)
+        assert from_generator.read_bytes() == (tmp_path / "t.csv").read_bytes()
+
+    @given(specs(), st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_rows_parse_back_to_the_points_of_a_workload(self, tmp_path_factory, spec, data):
+        tasks = data.draw(workloads(spec, max_tasks=300))
+        duration = max(t.deadline for t in tasks)
+        _, trace = simulate(make_scenario(spec=spec, tasks=tasks, duration=duration, trace_dt=duration / 1000.0))
+        assert_rows_are_the_points(trace, tmp_path_factory.mktemp("trace") / "t.csv")
 
     def test_trace_power_integral_approximates_report_energy(self):
         sc = trace_probe_scenario()

@@ -111,27 +111,27 @@ class TestSteadyState:
 
 class TestThermalStep:
     def test_equilibrium_is_fixed_point(self):
-        assert Segment(TRANSIENT, 25.0, 0.0).temp_at(7.0) == 25.0
+        assert Segment(TRANSIENT, 25.0, 0.0).advance(7.0)[0] == 25.0
 
     def test_one_time_constant_desk_value(self):
-        temp = Segment(TRANSIENT, 25.0, 20.0).temp_at(5.0)
+        temp, _, _ = Segment(TRANSIENT, 25.0, 20.0).advance(5.0)
         assert temp == pytest.approx(35.0 - 10.0 * math.exp(-1.0), rel=1e-12)
 
     def test_long_step_reaches_steady_state(self):
-        temp = Segment(TRANSIENT, 25.0, 20.0).temp_at(100.0 * TRANSIENT.tau)
+        temp, _, _ = Segment(TRANSIENT, 25.0, 20.0).advance(100.0 * TRANSIENT.tau)
         assert abs(temp - 35.0) < 1e-9
 
     @given(st.floats(0.0, 60.0), st.floats(0.0, 40.0), st.floats(-20.0, 120.0))
     def test_half_steps_compose(self, dt, power, temp0):
-        full = Segment(TRANSIENT, temp0, power).temp_at(dt)
-        half = Segment(TRANSIENT, temp0, power).temp_at(dt / 2.0)
-        composed = Segment(TRANSIENT, half, power).temp_at(dt / 2.0)
+        full = Segment(TRANSIENT, temp0, power).advance(dt)[0]
+        half = Segment(TRANSIENT, temp0, power).advance(dt / 2.0)[0]
+        composed = Segment(TRANSIENT, half, power).advance(dt / 2.0)[0]
         assert math.isclose(composed, full, rel_tol=1e-12, abs_tol=1e-12)
 
     @given(st.floats(0.0, 100.0), st.floats(0.0, 40.0), st.floats(-20.0, 120.0))
     def test_never_overshoots(self, dt, power, temp0):
         t_ss = steady_state_temp(TRANSIENT, power)
-        after = Segment(TRANSIENT, temp0, power).temp_at(dt)
+        after, _, _ = Segment(TRANSIENT, temp0, power).advance(dt)
         lo, hi = sorted((temp0, t_ss))
         assert lo - 1e-9 <= after <= hi + 1e-9
 
@@ -146,7 +146,7 @@ class TestIntegrateThermalWear:
 
     def test_constant_ten_above_reference(self):
         params = ThermalParams(r_th=0.5, c_th=10.0, t_amb=60.0, t_ref=50.0, l_base=1000.0)
-        wear = Segment(params, 60.0, 0.0).wear_at(100.0)
+        _, wear, _ = Segment(params, 60.0, 0.0).advance(100.0)
         assert wear == pytest.approx(0.2, rel=1e-12)
 
     def test_transient_matches_fine_grid_oracle(self):
@@ -155,9 +155,9 @@ class TestIntegrateThermalWear:
         assert wear == pytest.approx(reference, rel=1e-6)
         assert temp == pytest.approx(35.0 - 10.0 * math.exp(-1.0), rel=1e-12)
 
-    def test_end_state_equals_temp_at(self):
+    def test_end_state_is_the_exact_exponential(self):
         temp, _, _ = Segment(TRANSIENT, 28.0, 12.0).advance(7.5)
-        assert temp == Segment(TRANSIENT, 28.0, 12.0).temp_at(7.5)
+        assert temp == pytest.approx(31.0 - 3.0 * math.exp(-1.5), rel=1e-15)
 
     def test_closed_form_matches_decimal_oracle(self):
         # heating and cooling, |a| = ln2/10 * |T0 - T_ss| from 0 to 45, dt/tau from 1e-6 to 50
@@ -167,18 +167,18 @@ class TestIntegrateThermalWear:
                 temp0 = 45.0 + sign * a * 10.0 / math.log(2.0)  # steady state is 45 degC at 20 W
                 for x in (1e-6, 1e-4, 0.01, 0.05, 0.2, 0.4, 1.0, 3.0, 10.0, 50.0):
                     dt = x * params.tau
-                    wear = Segment(params, temp0, 20.0).wear_at(dt)
+                    _, wear, _ = Segment(params, temp0, 20.0).advance(dt)
                     reference = decimal_wear(params, temp0, 20.0, dt)
                     assert wear == pytest.approx(reference, rel=1e-12, abs=0.0), (sign * a, x)
 
     def test_large_swing_at_40_w_matches_oracle(self):
         params = ThermalParams(2.0, 2.5, 25.0, 45.0, 3.6e7)
-        wear = Segment(params, 25.0, 40.0).wear_at(2.0)
+        _, wear, _ = Segment(params, 25.0, 40.0).advance(2.0)
         assert wear == pytest.approx(decimal_wear(params, 25.0, 40.0, 2.0), rel=1e-12, abs=0.0)
 
     def test_steady_tail_is_integrated_analytically(self):
         # far beyond the transient the rate is constant; a huge dt must stay cheap and exact
-        wear = Segment(TRANSIENT, 25.0, 20.0).wear_at(1e6)
+        _, wear, _ = Segment(TRANSIENT, 25.0, 20.0).advance(1e6)
         tail = (1e6 - 40 * TRANSIENT.tau) * 2.0 ** ((35.0 - 25.0) / 10.0) / 1000.0
         assert wear == pytest.approx(tail, rel=1e-3)
 
@@ -187,7 +187,7 @@ class TestIntegrateThermalWear:
     def test_monotone_in_duration(self, d1, d2, power):
         lo, hi = sorted((d1, d2))
         seg = Segment(TRANSIENT, 25.0, power)
-        assert seg.wear_at(lo) <= seg.wear_at(hi) * (1 + 1e-12)
+        assert seg.advance(lo)[1] <= seg.advance(hi)[1] * (1 + 1e-12)
 
     def test_zero_duration(self):
         temp, wear, _ = Segment(TRANSIENT, 30.0, 5.0).advance(0.0)
@@ -200,40 +200,37 @@ class TestIntegrateThermalWear:
 
 
 class TestSegment:
-    @given(st.floats(-50.0, 300.0), st.floats(0.0, 150.0), st.floats(0.0, 100.0))
-    def test_advance_matches_the_single_queries(self, temp0, power, s):
-        seg = Segment(TRANSIENT, temp0, power)
-        assert seg.advance(s) == (seg.temp_at(s), seg.wear_at(s), seg.temp_integral(s))
-
     @given(st.floats(-50.0, 300.0), st.floats(0.0, 150.0), st.floats(0.0, 60.0), st.floats(0.0, 60.0))
     @settings(max_examples=200)
     def test_wear_is_additive_across_a_split(self, temp0, power, s1, s2):
         # the split point lands in a different evaluation route than the whole more often than not
         seg = Segment(TRANSIENT, temp0, power)
-        rest = Segment(TRANSIENT, seg.temp_at(s1), power)
-        whole = seg.wear_at(s1 + s2)
-        assert seg.wear_at(s1) + rest.wear_at(s2) == pytest.approx(whole, rel=1e-11, abs=1e-300)
-        assert rest.temp_at(s2) == pytest.approx(seg.temp_at(s1 + s2), rel=1e-12, abs=1e-12)
+        temp1, wear1, _ = seg.advance(s1)
+        rest = Segment(TRANSIENT, temp1, power)
+        temp, whole, _ = seg.advance(s1 + s2)
+        temp2, wear2, _ = rest.advance(s2)
+        assert wear1 + wear2 == pytest.approx(whole, rel=1e-11, abs=1e-300)
+        assert temp2 == pytest.approx(temp, rel=1e-12, abs=1e-12)
 
     def test_temperature_integral_matches_simpson(self):
         seg = Segment(TRANSIENT, 80.0, 3.0)
-        assert seg.temp_integral(12.0) == pytest.approx(simpson(seg.temp_at, 12.0, 2000), rel=1e-12)
+        reference = simpson(lambda s: seg.advance(s)[0], 12.0, 2000)
+        assert seg.advance(12.0)[2] == pytest.approx(reference, rel=1e-12)
 
     def test_starts_at_its_entry_temperature_and_settles_at_steady_state(self):
         seg = Segment(TRANSIENT, 28.0, 20.0)
-        assert seg.temp_at(0.0) == 28.0
-        assert seg.wear_at(0.0) == 0.0
-        assert seg.temp_at(100.0 * TRANSIENT.tau) == pytest.approx(35.0, rel=1e-12)
+        assert seg.advance(0.0)[:2] == (28.0, 0.0)
+        assert seg.advance(100.0 * TRANSIENT.tau)[0] == pytest.approx(35.0, rel=1e-12)
 
     def test_overflowing_wear_is_a_domain_error(self):
         hot = ThermalParams(r_th=2000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1.0)
         with pytest.raises(DomainError, match="overflows"):
-            Segment(hot, 20025.0, 10.0).wear_at(1.0)  # held at 20,025 degC: 2^1998 overflows
+            Segment(hot, 20025.0, 10.0).advance(1.0)  # held at 20,025 degC: 2^1998 overflows
         edge = ThermalParams(r_th=1.0, c_th=1.0, t_amb=10045.0, t_ref=45.0, l_base=1.0)
         with pytest.raises(DomainError, match="overflows"):
-            Segment(edge, 10045.0, 0.0).wear_at(1e10)  # rate 2^1000 per s is finite; its integral is not
+            Segment(edge, 10045.0, 0.0).advance(1e10)  # rate 2^1000 per s is finite; its integral is not
         with pytest.raises(DomainError, match="beyond float range"):
-            Segment(TRANSIENT, 1.1e4, 0.0).wear_at(10.0)  # cooling from 11,000 degC: e^760 terms
+            Segment(TRANSIENT, 1.1e4, 0.0).advance(10.0)  # cooling from 11,000 degC: e^760 terms
         with pytest.raises(DomainError, match="not finite"):
             Segment(TRANSIENT, 25.0, math.inf)
 
@@ -242,8 +239,9 @@ class TestSegment:
         slow = ThermalParams(r_th=5000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1000.0)
         seg = Segment(slow, 25.0, 20.0)
         reference = simpson(wear_rate_on_trajectory(slow, 25.0, 20.0), 1e-3, 1000)
-        assert seg.wear_at(1e-3) == pytest.approx(reference, rel=1e-12, abs=0.0)
-        assert seg.temp_at(1e-3) == pytest.approx(25.0 + 20.0 * 1e-3, rel=1e-9)
+        temp, wear, _ = seg.advance(1e-3)
+        assert wear == pytest.approx(reference, rel=1e-12, abs=0.0)
+        assert temp == pytest.approx(25.0 + 20.0 * 1e-3, rel=1e-9)
 
 
 class TestProjectLifetime:
@@ -264,8 +262,8 @@ class TestProjectLifetime:
     def test_ten_degrees_cooler_doubles_projection(self):
         hot = ThermalParams(r_th=0.5, c_th=10.0, t_amb=50.0, t_ref=50.0, l_base=1000.0)
         cool = ThermalParams(r_th=0.5, c_th=10.0, t_amb=40.0, t_ref=50.0, l_base=1000.0)
-        wear_hot = Segment(hot, 50.0, 0.0).wear_at(200.0)
-        wear_cool = Segment(cool, 40.0, 0.0).wear_at(200.0)
+        _, wear_hot, _ = Segment(hot, 50.0, 0.0).advance(200.0)
+        _, wear_cool, _ = Segment(cool, 40.0, 0.0).advance(200.0)
         ratio = project_lifetime(WearLedger(wear_cool, 0.0, 200.0)) / project_lifetime(
             WearLedger(wear_hot, 0.0, 200.0)
         )
