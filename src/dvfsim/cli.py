@@ -1,17 +1,17 @@
 """Command-line front end: validate, simulate, compare, and sweep subcommands.
 
-Exit codes: 0 success, 1 runtime failure (I/O, a model value overflowing a
-float, or a run carried past the trace cap of engine.MAX_TRACE_POINTS samples),
-2 invalid scenario (parse/schema/validation, including NaN, Infinity,
-out-of-range numbers and a sim.trace_dt finer than the cap allows), 64 usage
-error.
+Exit codes: 0 success, 1 runtime failure (I/O, a model or report value
+overflowing a float, or a run carried past the trace cap of
+engine.MAX_TRACE_POINTS samples), 2 invalid scenario (parse/schema/validation,
+including NaN, Infinity, out-of-range numbers, a file that is not UTF-8 or is
+nested too deeply to decode, and a sim.trace_dt finer than the cap allows), 64
+usage error. Output is plain text.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from .config import load_scenario, parse_scenario, read_document, set_sweep_param
@@ -41,12 +41,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); the contract wants 64
         raise _UsageError(message)
-
-
-def _bold(text: str) -> str:
-    if sys.stdout.isatty() and not os.environ.get("NO_COLOR"):
-        return f"\033[1m{text}\033[0m"
-    return text
 
 
 def _parse_policies(text: str) -> list[TransitionPolicy]:
@@ -102,7 +96,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     scenario = load_scenario(args.scenario)
     comparison = compare_policies(scenario, _parse_policies(args.policies))
-    print(format_comparison_table(comparison, bold=_bold))
+    print(format_comparison_table(comparison))
     if args.report:
         write_comparison(comparison, args.report)
     return EXIT_OK

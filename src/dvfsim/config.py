@@ -198,15 +198,15 @@ def _reject_constant(name: str):
 def read_document(path):
     """Read and decode a scenario file's JSON without building a Scenario.
 
-    NaN and Infinity are parse errors; number literals beyond the float range
-    decode, and the schema rejects them. I/O errors propagate as OSError.
+    NaN and Infinity, text that is not UTF-8 and nesting too deep to decode are
+    parse errors; number literals beyond the float range decode, and the schema
+    rejects them. I/O errors propagate as OSError.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ScenarioError("parse", [f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"]) from exc
-    except ValueError as exc:  # a NaN or Infinity constant, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # NaN or Infinity, an over-long integer, bad UTF-8, deep nesting
         raise ScenarioError("parse", [f"{path}: {exc}"]) from None
 
 

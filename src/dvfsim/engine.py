@@ -26,7 +26,7 @@ from .power import (
     idle_power,
     validate_spec,
 )
-from .thermal import Segment, ThermalParams, WearLedger, project_lifetime
+from .thermal import Segment, WearLedger, project_lifetime
 from .transitions import POLICY_KINDS, Hop, TransitionPolicy, plan_transition, shock_wear
 from .workload import GOVERNOR_KINDS, GovernorPolicy, Task, select_level
 
@@ -175,7 +175,7 @@ def _validate_scenario(scenario: Scenario) -> list[Violation]:
             v.append(Violation("sim.duration", f"must cover the latest deadline ({horizon:g} s)"))
     if not (math.isfinite(scenario.trace_dt) and scenario.trace_dt > 0):
         v.append(Violation("sim.trace_dt", "must be finite and > 0"))
-    elif scenario.duration / scenario.trace_dt > MAX_TRACE_POINTS:
+    elif scenario.duration > MAX_TRACE_POINTS * scenario.trace_dt:  # the bound _Timeline.run enforces
         v.append(Violation("sim.trace_dt", f"gives more than {MAX_TRACE_POINTS} trace points over sim.duration"))
     if not (math.isfinite(scenario.cost_rate) and scenario.cost_rate >= 0):
         v.append(Violation("sim.cost_rate", "must be finite and >= 0"))
@@ -185,31 +185,35 @@ def _validate_scenario(scenario: Scenario) -> list[Violation]:
 class _Timeline:
     """Mutable run state: clock, temperature, wear, energy, transition log, and trace.
 
+    A span's power follows from its level and whether the processor is busy.
     Each span's Segment serves both the ledger and the trace points that fall in it.
     """
 
-    def __init__(self, thermal: ThermalParams, wear_params, trace_dt: float):
-        self.thermal = thermal
-        self.wear_params = wear_params
+    def __init__(self, spec: ProcessorSpec, trace_dt: float):
+        self.thermal = spec.thermal
+        self.wear_params = spec.wear
+        self.active_w = [active_power(spec, lv) for lv in spec.levels]
+        self.idle_w = idle_power(spec)
         self.trace_dt = trace_dt
         self.now = 0.0
-        self.temp = thermal.t_amb
+        self.temp = spec.thermal.t_amb
         self.thermal_acc = 0.0
         self.shock_acc = 0.0
         self.active_j = 0.0
         self.idle_j = 0.0
         self.active_t = 0.0
         self.idle_t = 0.0
-        self.peak = thermal.t_amb
+        self.peak = spec.thermal.t_amb
         self.temp_integral = 0.0
         self.log: list[TransitionEvent] = []
         self.trace: list[TracePoint] = []
         self.span = None  # (t0, freq, power, Segment, thermal wear at t0) of the latest span
 
-    def run(self, length: float, level: FrequencyLevel, power: float, active: bool, until: float | None = None):
-        """Hold ``power`` for ``length`` seconds; ``until`` pins the end to an event time."""
+    def run(self, length: float, level: FrequencyLevel, active: bool, until: float | None = None):
+        """Hold ``level`` for ``length`` seconds, busy or idle; ``until`` pins the end to an event time."""
         if length <= 0.0:
             return
+        power = self.active_w[level.index] if active else self.idle_w
         end = self.now + length if until is None else until
         if end > MAX_TRACE_POINTS * self.trace_dt:
             raise DomainError(f"the run reaches {end:g} s, beyond {MAX_TRACE_POINTS} trace points of sim.trace_dt")
@@ -249,16 +253,12 @@ class _Timeline:
         self.log.append(TransitionEvent(self.now, hop.from_level.freq, hop.to_level.freq, hop.delta_f, wear))
 
 
-def _choose(spec: ProcessorSpec, task: Task, start: float, governor: GovernorPolicy):
-    """Governor decision at task start; infeasible tasks fall back to the top level."""
-    try:
-        return select_level(spec, task, start, governor), False
-    except InfeasibleError:
-        return spec.levels[-1], True
-
-
 def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
     """Run one scenario to completion and report energy, heat, wear, and deadlines.
+
+    Raises DomainError if a missed deadline carries the run past the trace cap,
+    or if a report total (energy, cost, average temperature, wear, frequency
+    span) overflows a float.
 
     Timeline semantics:
       * the processor starts at the lowest level, ambient temperature, no wear;
@@ -278,51 +278,43 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
         at that end, so it equals the ledger total.
     """
     spec = scenario.spec
-    p_idle = idle_power(spec)
-    tl = _Timeline(spec.thermal, spec.wear, scenario.trace_dt)
+    tl = _Timeline(spec, scenario.trace_dt)
     level = spec.levels[0]
     outcomes: list[TaskOutcome] = []
     tasks = scenario.tasks
 
     for i, task in enumerate(tasks):
-        if task.arrival > tl.now:
-            tl.run(task.arrival - tl.now, level, p_idle, active=False, until=task.arrival)
+        tl.run(task.arrival - tl.now, level, active=False, until=task.arrival)
         start = tl.now
-        target, infeasible = _choose(spec, task, start, scenario.governor)
+        try:
+            target, infeasible = select_level(spec, task, start, scenario.governor), False
+        except InfeasibleError:  # no level meets the deadline: run at the top and flag it
+            target, infeasible = spec.levels[-1], True
         cycles_left = task.cycles
-        finished = False
         for hop in plan_transition(spec, level, target, scenario.policy):
             tl.hop(hop)
             level = hop.to_level
             dwell = hop.dwell_after
-            if dwell <= 0.0:
-                continue
             if scenario.dwell_stalls:
-                tl.run(dwell, level, active_power(spec, level), active=True)
+                tl.run(dwell, level, active=True)
                 continue
             capacity = dwell * level.freq
             if cycles_left <= capacity:
-                tl.run(cycles_left / level.freq, level, active_power(spec, level), active=True)
-                finished = True  # task ended mid-dwell; abandon the rest of the climb
-                break
-            tl.run(dwell, level, active_power(spec, level), active=True)
+                break  # the task ends mid-dwell, at this level; abandon the rest of the climb
+            tl.run(dwell, level, active=True)
             cycles_left -= capacity
-        if not finished:
-            tl.run(cycles_left / level.freq, level, active_power(spec, level), active=True)
+        tl.run(cycles_left / level.freq, level, active=True)
         finish = tl.now
         outcomes.append(TaskOutcome(task.id, target.index, start, finish, finish <= task.deadline, infeasible))
 
-        next_arrival = tasks[i + 1].arrival if i + 1 < len(tasks) else None
-        if next_arrival is None or next_arrival > tl.now:
+        if i + 1 == len(tasks) or tasks[i + 1].arrival > tl.now:
             # Idle gap ahead: pace back down to the bottom of the ladder.
             for hop in plan_transition(spec, level, spec.levels[0], scenario.policy):
                 tl.hop(hop)
                 level = hop.to_level
-                if hop.dwell_after > 0.0:
-                    tl.run(hop.dwell_after, level, p_idle, active=False)
+                tl.run(hop.dwell_after, level, active=False)
 
-    if tl.now < scenario.duration:
-        tl.run(scenario.duration - tl.now, level, p_idle, active=False, until=scenario.duration)
+    tl.run(scenario.duration - tl.now, level, active=False, until=scenario.duration)
     end = tl.now
     tl.sample(math.nextafter(end, math.inf))  # only the last span also serves a sample on its end
 
@@ -341,6 +333,16 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
         projected_lifetime=project_lifetime(ledger),
         transition_log=tuple(tl.log),
     )
+    totals = {
+        "energy_total_j": energy.total_j,
+        "cost_usd": cost,
+        "avg_temp_c": report.avg_temp,
+        "wear_total": ledger.total,
+        "total_delta_f_hz": report.total_delta_f_hz,
+    }
+    for name, value in totals.items():
+        if not math.isfinite(value):  # a report is strict JSON: no Infinity or NaN
+            raise DomainError(f"{name} is {value!r}: a model value overflows a float")
     return report, tuple(tl.trace)
 
 

@@ -132,7 +132,7 @@ def write_sweep(runs, path) -> None:
     _write(path, (format_sweep(runs),))
 
 
-def format_comparison_table(comparison: ComparisonReport, bold=None) -> str:
+def format_comparison_table(comparison: ComparisonReport) -> str:
     """Fixed-width side-by-side table; deltas are against the first row."""
     headers = (
         "policy",
@@ -159,12 +159,7 @@ def format_comparison_table(comparison: ComparisonReport, bold=None) -> str:
             )
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
-    out = []
-    for k, row in enumerate(rows):
-        line = "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        if k == 0 and bold is not None:
-            line = bold(line)
-        out.append(line)
+    out = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
     for r in comparison.runs[1:]:
         if r.newly_missed:
             out.append(f"{r.label}: newly missed deadlines: {', '.join(r.newly_missed)}")

@@ -31,11 +31,15 @@ def turion_levels() -> tuple[FrequencyLevel, ...]:
     return tuple(FrequencyLevel(i, f, v) for i, (f, v) in enumerate(zip(TURION_FREQS, TURION_VDDS)))
 
 
+def source_env() -> dict:
+    """This process's environment with this checkout's sources first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_python(*args):
     """Run ``python *args`` on this checkout's sources, whether or not the package is installed."""
-    path = os.pathsep.join(filter(None, (str(SRC_DIR), os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=source_env())
 
 
 def run_cli(*args):

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import pty
+import subprocess
+import sys
 
 import pytest
 
 from dvfsim import cli, engine
-from helpers import SCENARIO_DIR, SCRIPT_DIR, run_cli, run_python
+from helpers import SCENARIO_DIR, SCRIPT_DIR, run_cli, run_python, source_env
 
 TURION = str(SCENARIO_DIR / "turion6.json")
 STEP_DEMO = str(SCENARIO_DIR / "step_demo.json")
@@ -102,6 +106,23 @@ class TestNonFiniteInput:
         result = run_cli("sweep", "--scenario", path, "--param", "wear.alpha", "--values", "1,2")
         self.assert_one_line(result, 2, "non-finite number NaN is not allowed")
 
+    @pytest.mark.parametrize("verb", ["validate", "sweep"])
+    @pytest.mark.parametrize(
+        "content, text",
+        [
+            (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+            (b"[" * 2000, "maximum recursion depth exceeded"),
+        ],
+        ids=["not-utf-8", "nested-too-deep"],
+    )
+    def test_unreadable_text_is_a_parse_error(self, tmp_path, verb, content, text):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
+        args = ("--param", "wear.alpha", "--values", "1,2") if verb == "sweep" else ()
+        result = run_cli(verb, "--scenario", str(path), *args)
+        self.assert_one_line(result, 2, f"invalid scenario (parse): {path}: ")
+        assert text in result.stderr
+
     def test_overflowing_model_values_exit_1(self, tmp_path):
         hot = json.loads(open(TURION).read())
         hot["thermal"]["r_th_k_per_w"] = 5000.0  # the first task heats toward 65,000 degC ...
@@ -112,6 +133,36 @@ class TestNonFiniteInput:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(doc))
             self.assert_one_line(run_cli("simulate", "--scenario", str(path)), 1, "error: ")
+
+
+class TestNonFiniteReport:
+    """A valid scenario whose report would carry Infinity exits 1 in one line and writes no report."""
+
+    @pytest.mark.parametrize(
+        "changes, name",
+        [
+            ({"processor": {"coeff_a": 1e297}, "thermal": {"r_th_k_per_w": 1e-306},
+              "sim": {"cost_rate_usd_per_mwh": 1e20}}, "cost_usd"),
+            ({"thermal": {"r_th_k_per_w": 1e299, "c_th_j_per_k": 1.0}}, "avg_temp_c"),
+            ({"wear": {"k_shock": 1e300, "f_span_hz": 1.0}}, "wear_total"),
+            ({"processor": {"levels": [{"freq_hz": 1e307, "vdd_v": 0.9}, {"freq_hz": 1.79e308, "vdd_v": 1.2}],
+                            "coeff_a": 0.0}, "governor": {"kind": "fixed", "fixed_index": 1}}, "total_delta_f_hz"),
+        ],
+        ids=["cost", "average-temperature", "shock-wear", "frequency-span"],
+    )
+    def test_a_non_finite_report_value_exits_1(self, tmp_path, changes, name):
+        doc = json.loads(open(STEP_DEMO).read())
+        for section, values in changes.items():
+            doc[section].update(values)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", "--scenario", str(path)).returncode == 0
+        report = tmp_path / "report.json"
+        result = run_cli("simulate", "--scenario", str(path), "--report", str(report))
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [result.stderr.strip()]
+        assert result.stderr.startswith(f"error: {name} is ")
+        assert not report.exists()
 
 
 class TestTraceCap:
@@ -170,6 +221,25 @@ class TestCompare:
         assert [p["label"] for p in doc["policies"]] == ["direct", "stepped:0.5"]
         assert doc["policies"][1]["newly_missed"]
         assert "newly missed deadlines" in result.stdout
+
+    def test_a_terminal_gets_the_same_plain_text(self):
+        env = source_env()
+        env.pop("NO_COLOR", None)
+        master, slave = pty.openpty()
+        argv = [sys.executable, "-m", "dvfsim", "compare", "--scenario", TURION, "--policies", "direct,stepped"]
+        proc = subprocess.run(argv, stdout=slave, stderr=subprocess.PIPE, env=env, timeout=120)
+        os.close(slave)
+        out = b""
+        try:
+            while chunk := os.read(master, 4096):
+                out += chunk
+        except OSError:  # EIO: the terminal is drained and its other end closed
+            pass
+        finally:
+            os.close(master)
+        assert proc.returncode == 0, proc.stderr
+        assert out.startswith(b"policy")
+        assert b"\x1b[" not in out
 
     def test_single_policy_is_a_usage_error(self):
         assert run_cli("compare", "--scenario", STEP_DEMO, "--policies", "direct").returncode == 64

@@ -72,10 +72,24 @@ class TestValidation:
 
     def test_trace_sample_count_is_capped(self):
         make_scenario(duration=float(MAX_TRACE_POINTS), trace_dt=1.0)
-        for duration, trace_dt in ((MAX_TRACE_POINTS + 1.0, 1.0), (120.0, 1e-7), (120.0, 1e-320)):
+        for duration, trace_dt in (
+            (MAX_TRACE_POINTS + 1.0, 1.0),
+            (120.0, 1e-7),
+            (120.0, 1e-320),
+            # duration / trace_dt rounds to exactly 10**6, yet the run's bound 10**6 * trace_dt is below duration
+            (519051.8283284591, 0.5190518283284591),
+        ):
             with pytest.raises(ScenarioError) as err:
                 make_scenario(duration=duration, trace_dt=trace_dt)
             assert fields(err) == ["sim.trace_dt"]
+
+    @pytest.mark.parametrize("trace_dt", [1e-3, 0.1, 0.5190518283284591, 0.3, 7.0])
+    def test_validation_uses_the_runs_trace_bound(self, trace_dt):
+        bound = MAX_TRACE_POINTS * trace_dt  # the end time past which _Timeline.run refuses a span
+        make_scenario(duration=bound, trace_dt=trace_dt)
+        with pytest.raises(ScenarioError) as err:
+            make_scenario(duration=math.nextafter(bound, math.inf), trace_dt=trace_dt)
+        assert fields(err) == ["sim.trace_dt"]
 
     def test_a_run_overrunning_the_trace_cap_raises(self):
         # validation passes: the task misses its deadline and runs for 1e7 s, past 1e6 samples of 1 s
