@@ -14,6 +14,7 @@ from .engine import (
     TransitionEvent,
     compare_policies,
     policy_label,
+    run_scenario,
     simulate,
 )
 from .config import load_scenario, parse_scenario

@@ -15,16 +15,16 @@ import math
 import sys
 
 from .config import load_scenario, parse_scenario, read_document, set_sweep_param
-from .engine import compare_policies, simulate
+from .engine import compare_policies, run_scenario
 from .errors import DomainError, PolicyRunError, ScenarioError
 from .reporting import (
     format_comparison_table,
     format_lifetime,
     format_sweep,
+    trace_writer,
     write_comparison,
     write_report,
     write_sweep,
-    write_trace,
 )
 from .transitions import TransitionPolicy
 
@@ -77,11 +77,13 @@ def cmd_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    report, trace = simulate(scenario)
+    if args.trace:  # opened before the run, so a bad path fails first; rows are written as they are sampled
+        with trace_writer(args.trace) as write_point:
+            report = run_scenario(scenario, write_point)
+    else:
+        report = run_scenario(scenario)
     if args.report:
         write_report(report, args.report)
-    if args.trace:
-        write_trace(trace, args.trace)
     print(f"energy_total_j       = {report.energy.total_j:.9g}")
     print(f"cost_usd             = {report.cost_usd:.9g}")
     print(f"deadline_misses      = {report.deadline_misses}/{len(report.per_task)}")
@@ -114,7 +116,7 @@ def cmd_sweep(args) -> int:
     def runs():
         for value in values:
             set_sweep_param(doc, args.param, value)  # each value overwrites the same key
-            yield value, simulate(parse_scenario(doc))[0]
+            yield value, run_scenario(parse_scenario(doc))
 
     if args.out:
         write_sweep(runs(), args.out)

@@ -3,9 +3,10 @@
 One processor serves tasks FIFO in arrival order. The timeline is a chain of
 piecewise-constant-power intervals delimited by arrivals, hops, dwell ends, and
 completions; temperature advances by the exact closed form on each interval, so
-there is no global timestep. The run is one pass: each interval's thermal
-Segment advances the ledger and also serves the trace samples that fall in it,
-so sampling is purely observational.
+there is no global timestep. The run is one pass. ``run_scenario`` samples the
+trace only when it is given a sink: each interval's thermal Segment then also
+serves the trace points that fall in it, and each point goes to the sink as it
+is sampled, so sampling is purely observational. ``simulate`` collects them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .thermal import Segment, WearLedger, project_lifetime
 from .transitions import POLICY_KINDS, Hop, TransitionPolicy, plan_transition, shock_wear
 from .workload import GOVERNOR_KINDS, GovernorPolicy, Task, select_level
 
-MAX_TRACE_POINTS = 10**6  # about 170 MB of trace; a run past it is refused, not truncated
+MAX_TRACE_POINTS = 10**6  # bounds run time and trace size, sampled or not; a run past it is refused, not truncated
 
 
 @dataclass(frozen=True)
@@ -183,13 +184,14 @@ def _validate_scenario(scenario: Scenario) -> list[Violation]:
 
 
 class _Timeline:
-    """Mutable run state: clock, temperature, wear, energy, transition log, and trace.
+    """Mutable run state: clock, temperature, wear, energy, and transition log.
 
     A span's power follows from its level and whether the processor is busy.
-    Each span's Segment serves both the ledger and the trace points that fall in it.
+    Each span's Segment serves the ledger and, given a ``sink``, the trace points
+    that fall in it; with no sink nothing is sampled.
     """
 
-    def __init__(self, spec: ProcessorSpec, trace_dt: float):
+    def __init__(self, spec: ProcessorSpec, trace_dt: float, sink):
         self.thermal = spec.thermal
         self.wear_params = spec.wear
         self.active_w = [active_power(spec, lv) for lv in spec.levels]
@@ -206,8 +208,9 @@ class _Timeline:
         self.peak = spec.thermal.t_amb
         self.temp_integral = 0.0
         self.log: list[TransitionEvent] = []
-        self.trace: list[TracePoint] = []
-        self.span = None  # (t0, freq, power, Segment, thermal wear at t0) of the latest span
+        self.sink = sink
+        self.samples = 0  # trace points passed to the sink so far
+        self.span = None  # (t0, freq, power, Segment, thermal wear at t0) of the latest span, if sampled
 
     def run(self, length: float, level: FrequencyLevel, active: bool, until: float | None = None):
         """Hold ``level`` for ``length`` seconds, busy or idle; ``until`` pins the end to an event time."""
@@ -218,9 +221,10 @@ class _Timeline:
         if end > MAX_TRACE_POINTS * self.trace_dt:
             raise DomainError(f"the run reaches {end:g} s, beyond {MAX_TRACE_POINTS} trace points of sim.trace_dt")
         seg = Segment(self.thermal, self.temp, power)
-        self.span = (self.now, level.freq, power, seg, self.thermal_acc)
         end_temp, wear, temp_integral = seg.advance(length)
-        self.sample(end)
+        if self.sink is not None:
+            self.span = (self.now, level.freq, power, seg, self.thermal_acc)
+            self.sample(end)
         self.temp_integral += temp_integral
         self.peak = max(self.peak, self.temp, end_temp)
         if active:
@@ -239,13 +243,15 @@ class _Timeline:
         t0, freq, power, seg, thermal0 = self.span
         # hops fall only between spans, so the closing sample on the run's end also counts those logged there
         wear0 = thermal0 + self.shock_acc
-        k = len(self.trace)
+        sink = self.sink
+        k = self.samples
         time = k * self.trace_dt
         while time < until:
             temp, wear, _ = seg.advance(time - t0)
-            self.trace.append(TracePoint(time, freq, power, temp, wear0 + wear))
+            sink(TracePoint(time, freq, power, temp, wear0 + wear))
             k += 1
             time = k * self.trace_dt
+        self.samples = k
 
     def hop(self, hop: Hop) -> None:
         wear = shock_wear(self.wear_params, hop.delta_f)
@@ -253,8 +259,11 @@ class _Timeline:
         self.log.append(TransitionEvent(self.now, hop.from_level.freq, hop.to_level.freq, hop.delta_f, wear))
 
 
-def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
+def run_scenario(scenario: Scenario, sink=None) -> SimReport:
     """Run one scenario to completion and report energy, heat, wear, and deadlines.
+
+    The trace is sampled only if ``sink`` is given: each TracePoint is passed
+    to it in time order as it is sampled, and the report is the same either way.
 
     Raises DomainError if a missed deadline carries the run past the trace cap,
     or if a report total (energy, cost, average temperature, wear, frequency
@@ -278,7 +287,7 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
         at that end, so it equals the ledger total.
     """
     spec = scenario.spec
-    tl = _Timeline(spec, scenario.trace_dt)
+    tl = _Timeline(spec, scenario.trace_dt, sink)
     level = spec.levels[0]
     outcomes: list[TaskOutcome] = []
     tasks = scenario.tasks
@@ -316,7 +325,8 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
 
     tl.run(scenario.duration - tl.now, level, active=False, until=scenario.duration)
     end = tl.now
-    tl.sample(math.nextafter(end, math.inf))  # only the last span also serves a sample on its end
+    if sink is not None:
+        tl.sample(math.nextafter(end, math.inf))  # only the last span also serves a sample on its end
 
     energy = EnergyBreakdown(tl.active_j, tl.idle_j)
     ledger = WearLedger(tl.thermal_acc, tl.shock_acc, end)
@@ -343,7 +353,14 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
     for name, value in totals.items():
         if not math.isfinite(value):  # a report is strict JSON: no Infinity or NaN
             raise DomainError(f"{name} is {value!r}: a model value overflows a float")
-    return report, tuple(tl.trace)
+    return report
+
+
+def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
+    """``run_scenario`` with the trace kept in memory: returns (report, trace)."""
+    trace: list[TracePoint] = []
+    report = run_scenario(scenario, trace.append)
+    return report, tuple(trace)
 
 
 def policy_label(policy: TransitionPolicy) -> str:
@@ -370,7 +387,7 @@ def compare_policies(scenario: Scenario, policies) -> ComparisonReport:
     reports: list[SimReport] = []
     for p in policies:
         try:
-            rep, _ = simulate(replace(scenario, policy=p))
+            rep = run_scenario(replace(scenario, policy=p))
         except Exception as exc:
             raise PolicyRunError(policy_label(p), exc) from exc
         reports.append(rep)

@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+import os
+import stat
+from contextlib import contextmanager, suppress
 
 from .engine import ComparisonReport, SimReport
 
 SCHEMA_VERSION = 1
 
 TRACE_HEADER = "time_s,freq_hz,power_w,temp_c,cum_wear"
+TRACE_ROW = "%r,%r,%r,%r,%r\n"
 SWEEP_HEADER = "value,energy_j,shock_wear,thermal_wear,projected_lifetime_s"
 
 
@@ -91,13 +94,32 @@ def comparison_to_dict(comparison: ComparisonReport) -> dict:
     }
 
 
-def _write(path, chunks) -> None:
-    """Write an iterable of text chunks to ``path``, newlines untranslated."""
+@contextmanager
+def _opened(path):
+    """``path`` opened for writing text, newlines untranslated.
+
+    Any OSError, from opening to closing, reads "cannot write PATH: ...". If the
+    body raises, a regular file at ``path`` is removed, so a failed write or run
+    leaves no partial output; a device, a pipe or a symlink is left in place.
+    """
+    made = None
     try:
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.writelines(chunks)
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+            made = os.fstat(f.fileno())
+            yield f
+    except BaseException as exc:
+        with suppress(OSError):
+            if made is not None and stat.S_ISREG(made.st_mode) and os.path.samestat(made, os.lstat(path)):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
+def _write(path, chunks) -> None:
+    """Write an iterable of text chunks to ``path``."""
+    with _opened(path) as f:
+        f.writelines(chunks)
 
 
 def _write_json(doc: dict, path) -> None:
@@ -112,9 +134,25 @@ def write_comparison(comparison: ComparisonReport, path) -> None:
     _write_json(comparison_to_dict(comparison), path)
 
 
+@contextmanager
+def trace_writer(path):
+    """Open the trace CSV at ``path`` and yield a function that writes one TracePoint as a row.
+
+    The header is written first and every row ends in a newline. Pass the
+    function to ``engine.run_scenario`` as its sink to stream a run's trace: no
+    point is kept in memory, and a run that fails leaves no file behind.
+    """
+    with _opened(path) as f:
+        write = f.write
+        write(TRACE_HEADER + "\n")
+        yield lambda point: write(TRACE_ROW % point)
+
+
 def write_trace(trace, path) -> None:
-    """CSV with one row per trace point, written as it is formatted; rows end in a newline."""
-    _write(path, chain((TRACE_HEADER + "\n",), ("%r,%r,%r,%r,%r\n" % p for p in trace)))
+    """CSV with one row per trace point, as ``trace_writer`` writes it."""
+    with trace_writer(path) as write_point:
+        for point in trace:
+            write_point(point)
 
 
 def format_sweep(runs) -> str:

@@ -2,12 +2,13 @@ import json
 import math
 import os
 import pty
+import resource
 import subprocess
 import sys
 
 import pytest
 
-from dvfsim import cli, engine
+from dvfsim import cli, engine, load_scenario, simulate, write_trace
 from helpers import SCENARIO_DIR, SCRIPT_DIR, run_cli, run_python, source_env
 
 TURION = str(SCENARIO_DIR / "turion6.json")
@@ -136,7 +137,7 @@ class TestNonFiniteInput:
 
 
 class TestNonFiniteReport:
-    """A valid scenario whose report would carry Infinity exits 1 in one line and writes no report."""
+    """A valid scenario whose report would carry Infinity exits 1 in one line and writes no report or trace."""
 
     @pytest.mark.parametrize(
         "changes, name",
@@ -157,12 +158,13 @@ class TestNonFiniteReport:
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(doc))
         assert run_cli("validate", "--scenario", str(path)).returncode == 0
-        report = tmp_path / "report.json"
-        result = run_cli("simulate", "--scenario", str(path), "--report", str(report))
+        report, trace = tmp_path / "report.json", tmp_path / "trace.csv"
+        result = run_cli("simulate", "--scenario", str(path), "--report", str(report), "--trace", str(trace))
         assert result.returncode == 1
         assert result.stderr.splitlines() == [result.stderr.strip()]
         assert result.stderr.startswith(f"error: {name} is ")
         assert not report.exists()
+        assert not trace.exists()  # the streamed trace was complete, but the run failed: it is removed
 
 
 class TestTraceCap:
@@ -190,15 +192,21 @@ class TestTraceCap:
 
     def test_a_run_past_the_cap_exits_1(self, tmp_path):
         doc = json.loads(open(TURION).read())
-        doc["tasks"] = [{"id": "big", "cycles": 1.8e16, "arrival_s": 0.0, "deadline_s": 5.0}]
+        doc["tasks"] = [
+            {"id": "small", "cycles": 1e9, "arrival_s": 0.0, "deadline_s": 2.0},
+            {"id": "big", "cycles": 1.8e16, "arrival_s": 3.0, "deadline_s": 5.0},
+        ]
         doc["sim"].update(duration_s=10.0, trace_dt_s=1.0)
         path = tmp_path / "overrun.json"
         path.write_text(json.dumps(doc))
         assert run_cli("validate", "--scenario", str(path)).returncode == 0
-        result = run_cli("simulate", "--scenario", str(path))
-        assert result.returncode == 1
-        assert len(result.stderr.strip().splitlines()) == 1
-        assert "trace points" in result.stderr
+        trace = tmp_path / "trace.csv"
+        for args in ((), ("--trace", str(trace))):
+            result = run_cli("simulate", "--scenario", str(path), *args)
+            assert result.returncode == 1
+            assert len(result.stderr.strip().splitlines()) == 1
+            assert "trace points" in result.stderr
+        assert not trace.exists()  # the rows up to the big task's start were written, and then removed
 
 
 class TestCompare:
@@ -313,6 +321,73 @@ class TestUnwritableOutput:
         assert result.returncode == 1
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")
+
+    def test_an_unwritable_trace_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr(cli, "run_scenario", lambda *args: runs.append(args))
+        report, trace = tmp_path / "report.json", tmp_path / "missing-dir" / "trace.csv"
+        assert cli.main(["simulate", "--scenario", STEP_DEMO, "--report", str(report), "--trace", str(trace)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {trace}: ")
+        assert runs == []
+        assert not report.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_a_failed_row_write_on_a_device_leaves_the_device(self):
+        result = run_cli("simulate", "--scenario", TURION, "--trace", "/dev/full")
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == ["error: cannot write /dev/full: [Errno 28] No space left on device"]
+        assert os.path.exists("/dev/full")
+
+    def test_a_failed_row_write_removes_the_partial_trace(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        argv = [sys.executable, "-m", "dvfsim", "simulate", "--scenario", TURION, "--trace", str(trace)]
+
+        def limit_file_size():  # the full trace is about 80 kB
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+
+        result = subprocess.run(
+            argv, capture_output=True, text=True, timeout=120, env=source_env(), preexec_fn=limit_file_size
+        )
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [f"error: cannot write {trace}: [Errno 27] File too large"]
+        assert not trace.exists()
+
+
+class TestLazyTrace:
+    """Only simulate --trace samples the trace, and it streams the bytes write_trace writes."""
+
+    @pytest.fixture
+    def samples(self, monkeypatch):
+        calls = []
+        sample = engine._Timeline.sample
+
+        def counted(timeline, until):
+            calls.append(until)
+            return sample(timeline, until)
+
+        monkeypatch.setattr(engine._Timeline, "sample", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--scenario", TURION],
+            ["compare", "--scenario", TURION, "--policies", "direct,stepped,stepped:0.05"],
+            ["sweep", "--scenario", TURION, "--param", "wear.alpha", "--values", "1,2,3"],
+        ],
+        ids=["simulate", "compare", "sweep"],
+    )
+    def test_verbs_without_a_trace_sample_nothing(self, samples, capsys, argv):
+        assert cli.main(argv) == 0
+        assert samples == []
+
+    @pytest.mark.parametrize("scenario", [TURION, STEP_DEMO], ids=["turion6", "step_demo"])
+    def test_the_streamed_trace_has_the_bytes_of_write_trace(self, samples, tmp_path, capsys, scenario):
+        streamed, written = tmp_path / "streamed.csv", tmp_path / "written.csv"
+        assert cli.main(["simulate", "--scenario", scenario, "--trace", str(streamed)]) == 0
+        assert samples
+        write_trace(simulate(load_scenario(scenario))[1], written)
+        assert streamed.read_bytes() == written.read_bytes()
 
 
 class TestOneValidationPerScenario:

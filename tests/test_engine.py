@@ -15,6 +15,7 @@ from dvfsim import (
     active_power,
     compare_policies,
     idle_power,
+    run_scenario,
     shock_wear,
     simulate,
 )
@@ -387,29 +388,36 @@ class TestFeasibleWorkloadsNeverMiss:
         assert report.deadline_misses == 0
 
 
+def draw_many_task_scenario(spec, data):
+    """A scenario of hundreds of tasks under any governor and policy, and whether it ends idle at its horizon."""
+    tasks = data.draw(workloads(spec))
+    governor = data.draw(
+        st.sampled_from([GovernorPolicy("lowest_feasible"), GovernorPolicy("min_energy")])
+        | st.integers(0, len(spec.levels) - 1).map(lambda i: GovernorPolicy("fixed", i))
+    )
+    policy = data.draw(st.sampled_from([DIRECT, STEPPED, TransitionPolicy("stepped", 0.05)]))
+    roomy = data.draw(st.booleans())
+    if roomy:
+        # room for every task at the bottom clock plus every dwell, so the run ends idle at the horizon
+        work = sum(t.cycles for t in tasks) / spec.levels[0].freq + 2 * len(tasks) * len(spec.levels) * policy.dwell
+        horizon = max(max(t.deadline for t in tasks), tasks[-1].arrival + work) + 1.0
+        duration = math.ceil(horizon / 0.5) * 0.5
+    else:
+        # the horizon is the last deadline, so a late task or the descent after it can end the run
+        duration = max(t.deadline for t in tasks)
+    sc = make_scenario(
+        spec=spec, tasks=tasks, governor=governor, policy=policy, duration=duration, trace_dt=duration,
+        dwell_stalls=data.draw(st.booleans()),
+    )
+    return sc, roomy
+
+
 class TestManyTaskInvariants:
     @given(specs(), st.data())
     @settings(max_examples=20, deadline=None)
     def test_invariants_hold_over_hundreds_of_tasks(self, spec, data):
-        tasks = data.draw(workloads(spec))
-        governor = data.draw(
-            st.sampled_from([GovernorPolicy("lowest_feasible"), GovernorPolicy("min_energy")])
-            | st.integers(0, len(spec.levels) - 1).map(lambda i: GovernorPolicy("fixed", i))
-        )
-        policy = data.draw(st.sampled_from([DIRECT, STEPPED, TransitionPolicy("stepped", 0.05)]))
-        roomy = data.draw(st.booleans())
-        if roomy:
-            # room for every task at the bottom clock plus every dwell, so the run ends idle at the horizon
-            work = sum(t.cycles for t in tasks) / spec.levels[0].freq + 2 * len(tasks) * len(spec.levels) * policy.dwell
-            horizon = max(max(t.deadline for t in tasks), tasks[-1].arrival + work) + 1.0
-            duration = math.ceil(horizon / 0.5) * 0.5
-        else:
-            # the horizon is the last deadline, so a late task or the descent after it can end the run
-            duration = max(t.deadline for t in tasks)
-        sc = make_scenario(
-            spec=spec, tasks=tasks, governor=governor, policy=policy, duration=duration, trace_dt=duration,
-            dwell_stalls=data.draw(st.booleans()),
-        )
+        sc, roomy = draw_many_task_scenario(spec, data)
+        tasks, duration = sc.tasks, sc.duration
         report, _ = simulate(sc)
         end = report.ledger.elapsed
         # a power-of-two fraction of the run puts the last sample exactly on its end
@@ -432,3 +440,14 @@ class TestManyTaskInvariants:
         assert all(a <= b for a, b in zip(wears, wears[1:]))
         assert wears[-1] == pytest.approx(report.ledger.total, rel=1e-12, abs=0.0)
         assert max(p.temp for p in trace) <= report.peak_temp
+
+    @given(specs(), st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_the_run_does_not_depend_on_its_sink(self, spec, data):
+        sc, _ = draw_many_task_scenario(spec, data)
+        sc = replace(sc, trace_dt=sc.duration / data.draw(st.sampled_from([1, 7, 64, 1000])))
+        points = []
+        sunk = run_scenario(sc, points.append)
+        report, trace = simulate(sc)
+        assert repr(run_scenario(sc)) == repr(sunk) == repr(report)
+        assert tuple(points) == trace
