@@ -32,7 +32,6 @@ from .power import (
     Violation,
     active_power,
     energy_cost,
-    idle_power,
     task_energy,
     validate_spec,
 )
@@ -45,7 +44,6 @@ from .thermal import (
     Segment,
     ThermalParams,
     WearLedger,
-    arrhenius_factor,
     project_lifetime,
     steady_state_temp,
 )
@@ -55,7 +53,6 @@ from .transitions import (
     WearParams,
     full_span,
     plan_transition,
-    plan_wear,
     shock_wear,
 )
 from .workload import (

@@ -1,4 +1,5 @@
-"""Command-line front end: validate, simulate, compare, and sweep subcommands.
+"""Command-line front end: validate, simulate, compare, and sweep subcommands;
+``sweep --policies`` runs each value under each policy, as ``compare`` does.
 
 Exit codes: 0 success, 1 runtime failure (I/O, a model or report value
 overflowing a float, or a run carried past the trace cap of
@@ -106,22 +107,32 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     doc = read_document(args.scenario)
+    if not args.values.strip():
+        raise _UsageError("--values is empty")
+    if not all(item.strip() for item in args.values.split(",")):
+        raise _UsageError(f"empty value in --values {args.values!r}")
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = [float(v) for v in args.values.split(",")]
     except ValueError:
         raise _UsageError(f"bad --values {args.values!r}") from None
-    if not values:
-        raise _UsageError("--values is empty")
+    policies = _parse_policies(args.policies) if args.policies is not None else []
+    if policies and args.param.startswith("policy."):
+        raise _UsageError(f"--policies sets the policy, so --param {args.param} would have no effect")
 
     def runs():
         for value in values:
             set_sweep_param(doc, args.param, value)  # each value overwrites the same key
-            yield value, run_scenario(parse_scenario(doc))
+            scenario = parse_scenario(doc)
+            if policies:
+                for run in compare_policies(scenario, policies).runs:
+                    yield value, run.label, run.report
+            else:
+                yield value, None, run_scenario(scenario)
 
     if args.out:
-        write_sweep(runs(), args.out)
+        write_sweep(runs(), args.out, bool(policies))
     else:
-        sys.stdout.write(format_sweep(runs()))
+        sys.stdout.write(format_sweep(runs(), bool(policies)))
     return EXIT_OK
 
 
@@ -149,6 +160,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--param", required=True, help="dotted scenario key, e.g. wear.alpha")
     p.add_argument("--values", required=True, help="comma-separated numbers")
+    p.add_argument("--policies", help="run each value under each policy, as compare does; adds a policy column")
     p.add_argument("--out", help="write the sweep CSV here instead of stdout")
     p.set_defaults(func=cmd_sweep)
 

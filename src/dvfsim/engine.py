@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleError, PolicyRunError, ScenarioError
 from .power import (
@@ -24,7 +24,6 @@ from .power import (
     Violation,
     active_power,
     energy_cost,
-    idle_power,
     validate_spec,
 )
 from .thermal import Segment, WearLedger, project_lifetime
@@ -162,11 +161,7 @@ def _validate_scenario(scenario: Scenario) -> list[Violation]:
     elif g.fixed_index is not None:
         v.append(Violation("governor.fixed_index", "only valid for the fixed governor"))
 
-    p = scenario.policy
-    if p.kind not in POLICY_KINDS:
-        v.append(Violation("policy.kind", f"unknown kind {p.kind!r}"))
-    if not (math.isfinite(p.dwell) and p.dwell >= 0):
-        v.append(Violation("policy.dwell", "must be finite and >= 0"))
+    v += _validate_policy(scenario.policy)
 
     if not (math.isfinite(scenario.duration) and scenario.duration > 0):
         v.append(Violation("sim.duration", "must be finite and > 0"))
@@ -183,6 +178,15 @@ def _validate_scenario(scenario: Scenario) -> list[Violation]:
     return v
 
 
+def _validate_policy(p: TransitionPolicy) -> list[Violation]:
+    v = []
+    if p.kind not in POLICY_KINDS:
+        v.append(Violation("policy.kind", f"unknown kind {p.kind!r}"))
+    if not (math.isfinite(p.dwell) and p.dwell >= 0):
+        v.append(Violation("policy.dwell", "must be finite and >= 0"))
+    return v
+
+
 class _Timeline:
     """Mutable run state: clock, temperature, wear, energy, and transition log.
 
@@ -195,7 +199,7 @@ class _Timeline:
         self.thermal = spec.thermal
         self.wear_params = spec.wear
         self.active_w = [active_power(spec, lv) for lv in spec.levels]
-        self.idle_w = idle_power(spec)
+        self.idle_w = spec.p_idle
         self.trace_dt = trace_dt
         self.now = 0.0
         self.temp = spec.thermal.t_amb
@@ -286,6 +290,11 @@ def run_scenario(scenario: Scenario, sink=None) -> SimReport:
         freq, power and temperature; its cum_wear also counts every hop logged
         at that end, so it equals the ledger total.
     """
+    return _run(scenario, scenario.policy, sink)
+
+
+def _run(scenario: Scenario, policy: TransitionPolicy, sink) -> SimReport:
+    """``run_scenario`` under ``policy`` in place of the scenario's own, which a caller has validated."""
     spec = scenario.spec
     tl = _Timeline(spec, scenario.trace_dt, sink)
     level = spec.levels[0]
@@ -300,7 +309,7 @@ def run_scenario(scenario: Scenario, sink=None) -> SimReport:
         except InfeasibleError:  # no level meets the deadline: run at the top and flag it
             target, infeasible = spec.levels[-1], True
         cycles_left = task.cycles
-        for hop in plan_transition(spec, level, target, scenario.policy):
+        for hop in plan_transition(spec, level, target, policy):
             tl.hop(hop)
             level = hop.to_level
             dwell = hop.dwell_after
@@ -318,7 +327,7 @@ def run_scenario(scenario: Scenario, sink=None) -> SimReport:
 
         if i + 1 == len(tasks) or tasks[i + 1].arrival > tl.now:
             # Idle gap ahead: pace back down to the bottom of the ladder.
-            for hop in plan_transition(spec, level, spec.levels[0], scenario.policy):
+            for hop in plan_transition(spec, level, spec.levels[0], policy):
                 tl.hop(hop)
                 level = hop.to_level
                 tl.run(hop.dwell_after, level, active=False)
@@ -387,7 +396,9 @@ def compare_policies(scenario: Scenario, policies) -> ComparisonReport:
     reports: list[SimReport] = []
     for p in policies:
         try:
-            rep = run_scenario(replace(scenario, policy=p))
+            if violations := _validate_policy(p):  # the rest of the scenario was validated when it was built
+                raise ScenarioError("validation", [str(v) for v in violations])
+            rep = _run(scenario, p, None)
         except Exception as exc:
             raise PolicyRunError(policy_label(p), exc) from exc
         reports.append(rep)

@@ -143,11 +143,6 @@ def active_power(spec: ProcessorSpec, level: FrequencyLevel) -> float:
     return spec.coeff_a * level.freq * level.vdd**2 + spec.coeff_b * level.vdd + spec.p_device
 
 
-def idle_power(spec: ProcessorSpec) -> float:
-    """Idle draw in watts; independent of the current frequency level."""
-    return spec.p_idle
-
-
 def task_energy(spec: ProcessorSpec, level: FrequencyLevel, t_active: float, t_idle: float) -> EnergyBreakdown:
     """Energy of one task window: active power over t_active plus idle power over t_idle."""
     if t_active < 0 or t_idle < 0:

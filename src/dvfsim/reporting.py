@@ -20,6 +20,7 @@ SCHEMA_VERSION = 1
 TRACE_HEADER = "time_s,freq_hz,power_w,temp_c,cum_wear"
 TRACE_ROW = "%r,%r,%r,%r,%r\n"
 SWEEP_HEADER = "value,energy_j,shock_wear,thermal_wear,projected_lifetime_s"
+SWEEP_POLICY_HEADER = "value,policy,energy_j,shock_wear,thermal_wear,projected_lifetime_s"
 
 
 def format_lifetime(value: float, spec: str | None = ".9g"):
@@ -155,19 +156,20 @@ def write_trace(trace, path) -> None:
             write_point(point)
 
 
-def format_sweep(runs) -> str:
-    """CSV of (swept value, SimReport) pairs, every float as its shortest repr."""
-    lines = [SWEEP_HEADER]
-    for value, report in runs:
+def format_sweep(runs, by_policy: bool = False) -> str:
+    """CSV of (value, policy label, SimReport) rows, every float as its shortest repr; labels only ``by_policy``."""
+    lines = [SWEEP_POLICY_HEADER if by_policy else SWEEP_HEADER]
+    for value, label, report in runs:
+        key = f"{value!r},{label}" if by_policy else repr(value)
         lines.append(
-            f"{value!r},{report.energy.total_j!r},{report.ledger.shock_wear!r},"
+            f"{key},{report.energy.total_j!r},{report.ledger.shock_wear!r},"
             f"{report.ledger.thermal_wear!r},{format_lifetime(report.projected_lifetime, '')}"
         )
     return "\n".join(lines) + "\n"
 
 
-def write_sweep(runs, path) -> None:
-    _write(path, (format_sweep(runs),))
+def write_sweep(runs, path, by_policy: bool = False) -> None:
+    _write(path, (format_sweep(runs, by_policy),))
 
 
 def format_comparison_table(comparison: ComparisonReport) -> str:

@@ -71,15 +71,6 @@ class WearLedger:
         return self.thermal_wear + self.shock_wear
 
 
-def arrhenius_factor(params: ThermalParams, temp: float) -> float:
-    """Wear-rate multiplier relative to the reference temperature: 2^((T - t_ref)/10)."""
-    return math.exp(_arrhenius_exponent(params, temp))
-
-
-def _arrhenius_exponent(params: ThermalParams, temp: float) -> float:
-    return _LN2_OVER_10 * (temp - params.t_ref)
-
-
 def steady_state_temp(params: ThermalParams, power: float) -> float:
     """Equilibrium temperature under constant power: t_amb + P * r_th."""
     if power < 0:
@@ -102,7 +93,7 @@ class Segment(namedtuple("_SegmentFields", "temp0 t_ss tau d0 a exponent_ss wear
         t_ss = steady_state_temp(params, power)
         d0 = temp0 - t_ss
         tau = params.tau
-        exponent_ss = _arrhenius_exponent(params, t_ss)
+        exponent_ss = _LN2_OVER_10 * (t_ss - params.t_ref)
         a = _LN2_OVER_10 * d0
         if not math.isfinite(a):
             raise DomainError(f"temperature {temp0:g} degC or steady state {t_ss:g} degC is not finite")

@@ -94,11 +94,3 @@ def shock_wear(params: WearParams, delta_f: float) -> float:
     if delta_f < 0:
         raise DomainError(f"delta_f must be >= 0 (got {delta_f})")
     return params.k_shock * (delta_f / params.f_span) ** params.alpha
-
-
-def plan_wear(params: WearParams, hops: tuple[Hop, ...]) -> float:
-    """Total shock wear of chained hops: sum of per-hop shock wear in hop order."""
-    total = 0.0
-    for hop in hops:
-        total += shock_wear(params, hop.delta_f)
-    return total

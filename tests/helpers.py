@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from dvfsim import (
@@ -13,6 +14,7 @@ from dvfsim import (
     GovernorPolicy,
     ProcessorSpec,
     Scenario,
+    Segment,
     Task,
     ThermalParams,
     TransitionPolicy,
@@ -21,7 +23,6 @@ from dvfsim import (
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
-SCRIPT_DIR = Path(__file__).resolve().parent.parent / "scripts"
 
 TURION_FREQS = (800e6, 1000e6, 1200e6, 1400e6, 1600e6, 1800e6)
 TURION_VDDS = (0.90, 0.96, 1.02, 1.08, 1.14, 1.20)
@@ -37,13 +38,11 @@ def source_env() -> dict:
     return dict(os.environ, PYTHONPATH=path)
 
 
-def run_python(*args):
-    """Run ``python *args`` on this checkout's sources, whether or not the package is installed."""
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=source_env())
-
-
 def run_cli(*args):
-    return run_python("-m", "dvfsim", *args)
+    """Run ``python -m dvfsim *args`` on this checkout's sources, whether or not the package is installed."""
+    return subprocess.run(
+        [sys.executable, "-m", "dvfsim", *args], capture_output=True, text=True, timeout=120, env=source_env()
+    )
 
 
 def load_json(path):
@@ -52,6 +51,17 @@ def load_json(path):
 
 def make_thermal(r_th=2.0, c_th=2.5, t_amb=25.0, t_ref=45.0, l_base=3.6e7) -> ThermalParams:
     return ThermalParams(r_th, c_th, t_amb, t_ref, l_base)
+
+
+def steady_wear_factors(params: ThermalParams, temp: float) -> tuple[float, float]:
+    """The Arrhenius factor 2^((temp - t_ref)/10), as the wear of s seconds held at ``temp`` per s / l_base.
+
+    The Segment starts at its own steady state (ambient ``temp``, no power).
+    One factor comes from each thermal path: s = tau/50 takes the short-swing
+    expansion, s = 2 * tau the series.
+    """
+    seg = Segment(replace(params, t_amb=temp), temp, 0.0)
+    return tuple(seg.advance(s)[1] / (s / params.l_base) for s in (params.tau / 50.0, 2.0 * params.tau))
 
 
 def make_wear(k_shock=1e-4, alpha=2.0, f_span=1e9) -> WearParams:

@@ -20,13 +20,12 @@ from dvfsim import (
     ThermalParams,
     TransitionPolicy,
     WearParams,
-    arrhenius_factor,
     compare_policies,
     energy_cost,
     full_span,
     min_energy_level,
     plan_transition,
-    plan_wear,
+    shock_wear,
     simulate,
     steady_state_temp,
     write_report,
@@ -40,6 +39,7 @@ from helpers import (
     make_thermal,
     make_wear,
     run_cli,
+    steady_wear_factors,
     trace_probe_scenario,
 )
 
@@ -73,9 +73,9 @@ def test_ac01_energy_cost_anchors():
 
 def test_ac02_arrhenius_anchors_and_lifetime_doubling():
     params = make_thermal(t_ref=55.0)
-    assert math.isclose(arrhenius_factor(params, 55.0), 1.0, rel_tol=1e-12)
-    assert math.isclose(arrhenius_factor(params, 65.0), 2.0, rel_tol=1e-12)
-    assert math.isclose(arrhenius_factor(params, 45.0), 0.5, rel_tol=1e-12)
+    for temp, factor in ((55.0, 1.0), (65.0, 2.0), (45.0, 0.5)):
+        for wear_factor in steady_wear_factors(params, temp):
+            assert math.isclose(wear_factor, factor, rel_tol=1e-12)
 
     def constant_temp_run(t_amb):
         thermal = ThermalParams(r_th=1.0, c_th=5.0, t_amb=t_amb, t_ref=55.0, l_base=3600.0)
@@ -117,13 +117,21 @@ def test_ac03_simulated_energy_matches_closed_form():
 
 def test_ac04_step_convexity_suite():
     spec1 = make_spec(wear=make_wear(alpha=1.0))
-    direct1 = plan_wear(spec1.wear, plan_transition(spec1, spec1.levels[0], spec1.levels[5], DIRECT))
-    stepped1 = plan_wear(spec1.wear, plan_transition(spec1, spec1.levels[0], spec1.levels[5], STEPPED))
+    direct1 = sum(
+        shock_wear(spec1.wear, h.delta_f) for h in plan_transition(spec1, spec1.levels[0], spec1.levels[5], DIRECT)
+    )
+    stepped1 = sum(
+        shock_wear(spec1.wear, h.delta_f) for h in plan_transition(spec1, spec1.levels[0], spec1.levels[5], STEPPED)
+    )
     assert math.isclose(stepped1, direct1, rel_tol=1e-12)
 
     spec2 = make_spec(wear=make_wear(alpha=2.0))
-    direct2 = plan_wear(spec2.wear, plan_transition(spec2, spec2.levels[0], spec2.levels[5], DIRECT))
-    stepped2 = plan_wear(spec2.wear, plan_transition(spec2, spec2.levels[0], spec2.levels[5], STEPPED))
+    direct2 = sum(
+        shock_wear(spec2.wear, h.delta_f) for h in plan_transition(spec2, spec2.levels[0], spec2.levels[5], DIRECT)
+    )
+    stepped2 = sum(
+        shock_wear(spec2.wear, h.delta_f) for h in plan_transition(spec2, spec2.levels[0], spec2.levels[5], STEPPED)
+    )
     assert math.isclose(stepped2, direct2 / 5.0, rel_tol=1e-12)
 
     rng = random.Random(41)
@@ -134,8 +142,10 @@ def test_ac04_step_convexity_suite():
         b = rng.randrange(a + 2, len(spec.levels))
         if rng.random() < 0.5:
             a, b = b, a
-        direct = plan_wear(wear, plan_transition(spec, spec.levels[a], spec.levels[b], DIRECT))
-        stepped = plan_wear(wear, plan_transition(spec, spec.levels[a], spec.levels[b], STEPPED))
+        direct = sum(shock_wear(wear, h.delta_f) for h in plan_transition(spec, spec.levels[a], spec.levels[b], DIRECT))
+        stepped = sum(
+            shock_wear(wear, h.delta_f) for h in plan_transition(spec, spec.levels[a], spec.levels[b], STEPPED)
+        )
         assert stepped < direct
     print("AC4 PASS: stepping is wear-neutral at alpha=1, 5x cheaper at alpha=2, and strictly cheaper for alpha>1")
 

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from dvfsim import cli, engine, load_scenario, simulate, write_trace
-from helpers import SCENARIO_DIR, SCRIPT_DIR, run_cli, run_python, source_env
+from helpers import SCENARIO_DIR, run_cli, source_env
 
 TURION = str(SCENARIO_DIR / "turion6.json")
 STEP_DEMO = str(SCENARIO_DIR / "step_demo.json")
@@ -275,19 +275,16 @@ class TestSweep:
         assert lines[0] == "value,energy_j,shock_wear,thermal_wear,projected_lifetime_s"
         assert len(lines) == 3
 
-    def test_linear_alpha_equalizes_policies(self, tmp_path):
+    def test_linear_alpha_equalizes_policies(self):
         # run the same sweep under each transition policy; alpha=1 rows must agree
-        stepped_doc = json.loads(open(STEP_DEMO).read())
-        stepped_doc["policy"] = {"kind": "stepped"}
-        stepped_path = tmp_path / "stepped.json"
-        stepped_path.write_text(json.dumps(stepped_doc))
-
-        shocks = {}
-        for label, path in (("direct", STEP_DEMO), ("stepped", str(stepped_path))):
-            result = run_cli("sweep", "--scenario", path, "--param", "wear.alpha", "--values", "1,2")
-            assert result.returncode == 0, result.stderr
-            rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
-            shocks[label] = {float(r[0]): float(r[2]) for r in rows}
+        result = run_cli(
+            "sweep", "--scenario", STEP_DEMO, "--param", "wear.alpha", "--values", "1,2", "--policies", "direct,stepped"
+        )
+        assert result.returncode == 0, result.stderr
+        shocks = {"direct": {}, "stepped": {}}
+        for row in result.stdout.splitlines()[1:]:
+            value, policy, _, shock, *_ = row.split(",")
+            shocks[policy][float(value)] = float(shock)
         assert math.isclose(shocks["direct"][1.0], shocks["stepped"][1.0], rel_tol=1e-12)
         assert shocks["stepped"][2.0] < shocks["direct"][2.0]
 
@@ -411,9 +408,14 @@ class TestOneValidationPerScenario:
             (["validate", "--scenario", TURION], 1),
             (["simulate", "--scenario", TURION], 1),
             (["sweep", "--scenario", TURION, "--param", "wear.alpha", "--values", "1,2,3"], 3),
-            (["compare", "--scenario", TURION, "--policies", "direct,stepped,stepped:0.05"], 1 + 3),
+            (["compare", "--scenario", TURION, "--policies", "direct,stepped,stepped:0.05"], 1),
+            (
+                ["sweep", "--scenario", TURION, "--param", "wear.alpha", "--values", "1,2,3"]
+                + ["--policies", "direct,stepped"],
+                3,
+            ),
         ],
-        ids=["validate", "simulate", "sweep", "compare"],
+        ids=["validate", "simulate", "sweep", "compare", "sweep-policies"],
     )
     def test_each_verb_validates_once_per_scenario(self, validated, capsys, argv, calls):
         assert cli.main(argv) == 0
@@ -433,26 +435,59 @@ class TestUsage:
     def test_no_subcommand_exits_64(self):
         assert run_cli().returncode == 64
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--param", "wear.alpha", "--values", "1,,2"), "empty value in --values '1,,2'"),
+            (
+                ("--param", "policy.dwell_s", "--values", "0.1", "--policies", "direct,stepped"),
+                "--policies sets the policy, so --param policy.dwell_s would have no effect",
+            ),
+        ],
+        ids=["empty-value", "swept-policy-key"],
+    )
+    def test_sweep_usage_errors_exit_64_in_one_line(self, args, message):
+        result = run_cli("sweep", "--scenario", TURION, *args)
+        assert result.returncode == 64
+        assert [line for line in result.stderr.splitlines() if not line.startswith("usage: ")] == [
+            f"usage error: {message}"
+        ]
+        assert result.stdout == ""
 
-class TestScripts:
+
+class TestSweepPolicies:
+    """``sweep --policies`` runs each value under each policy: the shock-exponent experiment."""
+
+    ARGS = ("sweep", "--scenario", TURION, "--param", "wear.alpha", "--policies", "direct,stepped")
+
     def test_shock_exponent_sweep_runs_on_the_shipped_scenario(self):
-        result = run_python(str(SCRIPT_DIR / "sweep_shock_exponent.py"), "--scenario", TURION)
+        result = run_cli(*self.ARGS, "--values", "1,1.5,2,3")
         assert result.returncode == 0, result.stderr
-        header, *rows = result.stdout.splitlines()
-        assert header.split() == ["alpha", "direct_shock", "stepped_shock", "lifetime_ratio"]
-        assert [row.split()[0] for row in rows] == ["1", "1.5", "2", "3"]
-        assert rows[0].split()[3] == "1.0000"
+        header, *lines = result.stdout.splitlines()
+        assert header == "value,policy,energy_j,shock_wear,thermal_wear,projected_lifetime_s"
+        rows = [line.split(",") for line in lines]
+        assert [(row[0], row[1]) for row in rows] == [
+            (value, policy) for value in ("1.0", "1.5", "2.0", "3.0") for policy in ("direct", "stepped")
+        ]
+        direct, stepped = rows[0::2], rows[1::2]
+        # each column to the precision the table of the former shock-exponent script printed
+        assert [format(float(row[3]), ".6g") for row in direct] == ["0.00048", "0.00043606", "0.0004", "0.0003456"]
+        assert [format(float(row[3]), ".6g") for row in stepped] == ["0.00048", "0.000214663", "9.6e-05", "1.92e-05"]
+        ratios = [float(s[5]) / float(d[5]) for d, s in zip(direct, stepped)]
+        assert [format(r, ".4f") for r in ratios] == ["1.0000", "2.0265", "4.1336", "17.1474"]
 
     @pytest.mark.parametrize(
         "alphas, code, message",
         [
-            ("1,x", 64, "usage error: bad --alphas '1,x'"),
-            ("1,nan", 2, "invalid scenario (validation): wear.alpha: must be finite and >= 1"),
+            ("1,x", 64, "usage error: bad --values '1,x'"),
+            ("1,nan", 2, "invalid scenario (schema): wear.alpha: expected a finite number"),
             ("0.5", 2, "invalid scenario (validation): wear.alpha: must be finite and >= 1"),
         ],
+        ids=["1,x", "1,nan", "0.5"],
     )
     def test_shock_exponent_sweep_rejects_bad_alphas_in_one_line(self, alphas, code, message):
-        result = run_python(str(SCRIPT_DIR / "sweep_shock_exponent.py"), "--scenario", TURION, "--alphas", alphas)
+        result = run_cli(*self.ARGS, "--values", alphas)
         assert result.returncode == code
-        assert result.stderr.splitlines() == [message]
+        # a usage error is followed by the usage synopsis, as every usage error is
+        assert [line for line in result.stderr.splitlines() if not line.startswith("usage: ")] == [message]
         assert result.stdout == ""

@@ -14,7 +14,6 @@ from dvfsim import (
     TransitionPolicy,
     active_power,
     compare_policies,
-    idle_power,
     run_scenario,
     shock_wear,
     simulate,
@@ -300,7 +299,7 @@ class TestTrace:
         _, trace = simulate(sc)
         before, at = trace[3], trace[4]
         assert (before.time, at.time) == (1.5, 2.0)
-        assert (before.freq, before.power) == (800e6, idle_power(sc.spec))
+        assert (before.freq, before.power) == (800e6, sc.spec.p_idle)
         assert (at.freq, at.power) == (1800e6, active_power(sc.spec, sc.spec.levels[5]))
 
     def test_a_run_past_the_horizon_is_sampled_through_its_end(self):
@@ -367,6 +366,24 @@ class TestComparePolicies:
         with pytest.raises(PolicyRunError) as err:
             compare_policies(sc, [DIRECT, TransitionPolicy("stepped", -1.0)])
         assert "stepped" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            (TransitionPolicy("bogus"), "policy.kind: unknown kind 'bogus'"),
+            (TransitionPolicy("stepped", math.nan), "policy.dwell: must be finite and >= 0"),
+        ],
+        ids=["kind", "dwell"],
+    )
+    def test_a_bad_policy_fails_as_a_scenario_built_with_it_would(self, policy, message):
+        sc = make_scenario(tasks=(make_task(),), duration=30.0)
+        with pytest.raises(PolicyRunError) as err:
+            compare_policies(sc, [DIRECT, policy])
+        assert str(err.value) == f"simulation failed for policy '{policy.kind}': validation error: {message}"
+        assert isinstance(err.value.__cause__, ScenarioError) and err.value.__cause__.kind == "validation"
+        with pytest.raises(ScenarioError) as built:
+            replace(sc, policy=policy)
+        assert built.value.problems == (message,)
 
 
 class TestFeasibleWorkloadsNeverMiss:

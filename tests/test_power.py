@@ -10,12 +10,12 @@ from dvfsim import (
     UnknownLevelError,
     active_power,
     energy_cost,
-    idle_power,
+    simulate,
     task_energy,
     validate_spec,
 )
 
-from helpers import make_spec, turion_levels
+from helpers import make_scenario, make_spec, turion_levels
 from strategies import specs
 
 
@@ -91,17 +91,23 @@ class TestActivePower:
         assert all(a < b for a, b in zip(powers, powers[1:]))
 
 
+def idle_draws(spec) -> set[float]:
+    """The power of every trace sample of a run with no tasks, which idles throughout."""
+    _, trace = simulate(make_scenario(spec=spec, tasks=(), duration=10.0, trace_dt=1.0))
+    return {point.power for point in trace}
+
+
 class TestIdlePower:
     def test_constant_value(self):
-        assert idle_power(make_spec(p_idle=0.8)) == 0.8
+        assert idle_draws(make_spec(p_idle=0.8)) == {0.8}
 
     def test_zero(self):
-        assert idle_power(make_spec(p_idle=0.0)) == 0.0
+        assert idle_draws(make_spec(p_idle=0.0)) == {0.0}
 
     def test_independent_of_ladder(self):
         a = make_spec(levels=turion_levels())
         b = make_spec(levels=turion_levels()[:3])
-        assert idle_power(a) == idle_power(b)
+        assert idle_draws(a) == idle_draws(b)
 
 
 class TestTaskEnergy:

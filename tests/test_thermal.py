@@ -10,10 +10,11 @@ from dvfsim import (
     ThermalParams,
     Segment,
     WearLedger,
-    arrhenius_factor,
     project_lifetime,
     steady_state_temp,
 )
+
+from helpers import steady_wear_factors
 
 # the documented transient: tau = 5 s, 20 W from ambient, one time constant
 TRANSIENT = ThermalParams(r_th=0.5, c_th=10.0, t_amb=25.0, t_ref=25.0, l_base=1000.0)
@@ -75,21 +76,21 @@ def wear_rate_on_trajectory(params, temp0, power):
 
 class TestArrheniusFactor:
     def test_reference_point(self):
-        assert arrhenius_factor(TRANSIENT, 25.0) == 1.0
+        assert steady_wear_factors(TRANSIENT, 25.0) == (1.0, 1.0)
 
     def test_plus_ten_doubles_wear_rate(self):
-        assert arrhenius_factor(TRANSIENT, 35.0) == pytest.approx(2.0, rel=1e-12)
+        assert steady_wear_factors(TRANSIENT, 35.0) == pytest.approx((2.0, 2.0), rel=1e-12)
 
     def test_minus_ten_halves_wear_rate(self):
-        assert arrhenius_factor(TRANSIENT, 15.0) == pytest.approx(0.5, rel=1e-12)
+        assert steady_wear_factors(TRANSIENT, 15.0) == pytest.approx((0.5, 0.5), rel=1e-12)
 
     def test_fractional_step(self):
-        assert arrhenius_factor(TRANSIENT, 40.0) == pytest.approx(2.0**1.5, rel=1e-12)
+        assert steady_wear_factors(TRANSIENT, 40.0) == pytest.approx((2.0**1.5, 2.0**1.5), rel=1e-12)
 
     @given(st.integers(-8, 8))
     def test_exact_powers_of_two(self, k):
-        factor = arrhenius_factor(TRANSIENT, TRANSIENT.t_ref + 10.0 * k)
-        assert math.isclose(factor, 2.0**k, rel_tol=1e-12)
+        for factor in steady_wear_factors(TRANSIENT, TRANSIENT.t_ref + 10.0 * k):
+            assert math.isclose(factor, 2.0**k, rel_tol=1e-12)
 
 
 class TestSteadyState:

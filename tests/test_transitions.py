@@ -12,7 +12,6 @@ from dvfsim import (
     WearParams,
     full_span,
     plan_transition,
-    plan_wear,
     shock_wear,
 )
 
@@ -113,22 +112,30 @@ class TestPlanWear:
     def test_stepping_divides_full_span_wear_by_hop_count(self):
         spec = make_spec()
         params = make_wear(k_shock=1e-4, alpha=2.0, f_span=1e9)
-        direct = plan_wear(params, plan_transition(spec, spec.levels[0], spec.levels[5], DIRECT))
-        stepped = plan_wear(params, plan_transition(spec, spec.levels[0], spec.levels[5], STEPPED))
+        direct = sum(
+            shock_wear(params, h.delta_f) for h in plan_transition(spec, spec.levels[0], spec.levels[5], DIRECT)
+        )
+        stepped = sum(
+            shock_wear(params, h.delta_f) for h in plan_transition(spec, spec.levels[0], spec.levels[5], STEPPED)
+        )
         assert direct == pytest.approx(1e-4, rel=1e-12)
         assert stepped == pytest.approx(2e-5, rel=1e-12)
 
     def test_linear_exponent_makes_stepping_neutral(self):
         spec = make_spec()
         params = make_wear(k_shock=1e-4, alpha=1.0, f_span=1e9)
-        direct = plan_wear(params, plan_transition(spec, spec.levels[0], spec.levels[5], DIRECT))
-        stepped = plan_wear(params, plan_transition(spec, spec.levels[0], spec.levels[5], STEPPED))
+        direct = sum(
+            shock_wear(params, h.delta_f) for h in plan_transition(spec, spec.levels[0], spec.levels[5], DIRECT)
+        )
+        stepped = sum(
+            shock_wear(params, h.delta_f) for h in plan_transition(spec, spec.levels[0], spec.levels[5], STEPPED)
+        )
         assert math.isclose(direct, stepped, rel_tol=1e-12)
 
     def test_empty_plan_has_no_wear(self):
         spec = make_spec()
         hops = plan_transition(spec, spec.levels[1], spec.levels[1], DIRECT)
-        assert plan_wear(make_wear(), hops) == 0.0
+        assert sum(shock_wear(make_wear(), h.delta_f) for h in hops) == 0.0
 
     @given(specs(min_levels=3), st.data(), st.floats(1.01, 4.0))
     @settings(max_examples=100)
@@ -138,6 +145,10 @@ class TestPlanWear:
         if data.draw(st.booleans()):
             a, b = b, a
         params = WearParams(k_shock=1e-4, alpha=alpha, f_span=full_span(spec.levels))
-        direct = plan_wear(params, plan_transition(spec, spec.levels[a], spec.levels[b], DIRECT))
-        stepped = plan_wear(params, plan_transition(spec, spec.levels[a], spec.levels[b], STEPPED))
+        direct = sum(
+            shock_wear(params, h.delta_f) for h in plan_transition(spec, spec.levels[a], spec.levels[b], DIRECT)
+        )
+        stepped = sum(
+            shock_wear(params, h.delta_f) for h in plan_transition(spec, spec.levels[a], spec.levels[b], STEPPED)
+        )
         assert stepped < direct
