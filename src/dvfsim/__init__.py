@@ -32,7 +32,6 @@ from .power import (
     Violation,
     active_power,
     energy_cost,
-    task_energy,
     validate_spec,
 )
 from .reporting import (
@@ -58,7 +57,6 @@ from .transitions import (
 from .workload import (
     GovernorPolicy,
     Task,
-    execution_time,
     lowest_feasible_level,
     min_energy_level,
     select_level,

@@ -176,7 +176,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
         return EXIT_USAGE
     except ScenarioError as exc:
         if len(exc.problems) == 1:

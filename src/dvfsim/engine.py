@@ -22,7 +22,6 @@ from .power import (
     FrequencyLevel,
     ProcessorSpec,
     Violation,
-    active_power,
     energy_cost,
     validate_spec,
 )
@@ -198,7 +197,7 @@ class _Timeline:
     def __init__(self, spec: ProcessorSpec, trace_dt: float, sink):
         self.thermal = spec.thermal
         self.wear_params = spec.wear
-        self.active_w = [active_power(spec, lv) for lv in spec.levels]
+        self.active_w = spec.active_w
         self.idle_w = spec.p_idle
         self.trace_dt = trace_dt
         self.now = 0.0

@@ -1,14 +1,16 @@
 """Frequency/voltage ladder of a DVFS processor and its power/energy model.
 
 Active power at an operating point is ``coeff_a*f*vdd^2 + coeff_b*vdd + p_device``
-(dynamic switching term, supply-linear term, frequency-independent device draw);
-idle power is a single level-independent constant.
+(dynamic switching term, supply-linear term, frequency-independent device draw).
+That formula lives only in ``ProcessorSpec.active_w``, the spec's table of
+active power per level; idle power is a single level-independent constant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, UnknownLevelError
 from .thermal import ThermalParams
@@ -41,6 +43,11 @@ class ProcessorSpec:
     p_idle: float
     thermal: ThermalParams
     wear: WearParams
+
+    @cached_property
+    def active_w(self) -> tuple[float, ...]:
+        """Active power in watts at each level, by ladder index; built once per spec."""
+        return tuple(self.coeff_a * lv.freq * lv.vdd**2 + self.coeff_b * lv.vdd + self.p_device for lv in self.levels)
 
     def require_level(self, level: FrequencyLevel) -> None:
         """Raise UnknownLevelError unless ``level`` is one of this ladder's levels."""
@@ -108,7 +115,7 @@ def validate_spec(spec: ProcessorSpec) -> tuple[Violation, ...]:
 
     # Strictly rising active power is what makes "slower is cheaper" meaningful.
     if not v:
-        powers = [active_power(spec, lv) for lv in spec.levels]
+        powers = spec.active_w
         for i in range(1, len(powers)):
             if powers[i] <= powers[i - 1]:
                 v.append(Violation("levels", "active power not strictly increasing across levels"))
@@ -140,14 +147,7 @@ def validate_spec(spec: ProcessorSpec) -> tuple[Violation, ...]:
 def active_power(spec: ProcessorSpec, level: FrequencyLevel) -> float:
     """Active-mode draw in watts at a ladder level."""
     spec.require_level(level)
-    return spec.coeff_a * level.freq * level.vdd**2 + spec.coeff_b * level.vdd + spec.p_device
-
-
-def task_energy(spec: ProcessorSpec, level: FrequencyLevel, t_active: float, t_idle: float) -> EnergyBreakdown:
-    """Energy of one task window: active power over t_active plus idle power over t_idle."""
-    if t_active < 0 or t_idle < 0:
-        raise DomainError(f"times must be >= 0 (got t_active={t_active}, t_idle={t_idle})")
-    return EnergyBreakdown(active_power(spec, level) * t_active, spec.p_idle * t_idle)
+    return spec.active_w[level.index]
 
 
 def energy_cost(average_power_mw: float, duration_h: float, rate_usd_per_mwh: float = DEFAULT_COST_RATE) -> float:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleError
-from .power import FrequencyLevel, ProcessorSpec, task_energy
+from .power import FrequencyLevel, ProcessorSpec
 
 GOVERNOR_KINDS = ("lowest_feasible", "min_energy", "fixed")
 
@@ -34,11 +34,6 @@ class GovernorPolicy:
     fixed_index: int | None = None
 
 
-def execution_time(task: Task, level: FrequencyLevel) -> float:
-    """Seconds to run the task's cycles at the level's clock."""
-    return task.cycles / level.freq
-
-
 def _required_hz(task: Task, window: float) -> float:
     return task.cycles / window if window > 0 else math.inf
 
@@ -49,7 +44,7 @@ def lowest_feasible_level(spec: ProcessorSpec, task: Task, start: float) -> Freq
         raise DomainError(f"start {start} precedes arrival {task.arrival}")
     window = task.deadline - start
     for level in spec.levels:
-        if execution_time(task, level) <= window:
+        if task.cycles / level.freq <= window:
             return level
     raise InfeasibleError(task.id, _required_hz(task, window))
 
@@ -66,11 +61,12 @@ def min_energy_level(spec: ProcessorSpec, task: Task, start: float) -> Frequency
     window = task.deadline - start
     best = None
     best_energy = math.inf
-    for level in spec.levels:
-        t_run = execution_time(task, level)
+    cycles, p_idle = task.cycles, spec.p_idle
+    for level, power in zip(spec.levels, spec.active_w):
+        t_run = cycles / level.freq
         if t_run > window:
             continue
-        energy = task_energy(spec, level, t_run, window - t_run).total_j
+        energy = power * t_run + p_idle * (window - t_run)
         if energy < best_energy:
             best = level
             best_energy = energy

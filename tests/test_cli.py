@@ -260,8 +260,7 @@ class TestCompare:
     def test_a_non_finite_dwell_is_a_usage_error(self, dwell):
         result = run_cli("compare", "--scenario", STEP_DEMO, "--policies", f"direct,stepped:{dwell}")
         assert result.returncode == 64
-        errors = [line for line in result.stderr.splitlines() if line.startswith("usage error:")]
-        assert errors == [f"usage error: dwell '{dwell}' in --policies must be finite and >= 0"]
+        assert result.stderr == f"usage error: dwell '{dwell}' in --policies must be finite and >= 0\n"
 
 
 class TestSweep:
@@ -449,9 +448,7 @@ class TestUsage:
     def test_sweep_usage_errors_exit_64_in_one_line(self, args, message):
         result = run_cli("sweep", "--scenario", TURION, *args)
         assert result.returncode == 64
-        assert [line for line in result.stderr.splitlines() if not line.startswith("usage: ")] == [
-            f"usage error: {message}"
-        ]
+        assert result.stderr == f"usage error: {message}\n"
         assert result.stdout == ""
 
 
@@ -488,6 +485,5 @@ class TestSweepPolicies:
     def test_shock_exponent_sweep_rejects_bad_alphas_in_one_line(self, alphas, code, message):
         result = run_cli(*self.ARGS, "--values", alphas)
         assert result.returncode == code
-        # a usage error is followed by the usage synopsis, as every usage error is
-        assert [line for line in result.stderr.splitlines() if not line.startswith("usage: ")] == [message]
+        assert result.stderr == message + "\n"
         assert result.stdout == ""

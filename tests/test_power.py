@@ -7,15 +7,18 @@ import hypothesis.strategies as st
 from dvfsim import (
     DomainError,
     FrequencyLevel,
+    GovernorPolicy,
+    InfeasibleError,
     UnknownLevelError,
     active_power,
     energy_cost,
+    min_energy_level,
+    run_scenario,
     simulate,
-    task_energy,
     validate_spec,
 )
 
-from helpers import make_scenario, make_spec, turion_levels
+from helpers import make_scenario, make_spec, make_task, turion_levels
 from strategies import specs
 
 
@@ -110,36 +113,53 @@ class TestIdlePower:
         assert idle_draws(a) == idle_draws(b)
 
 
+def one_task_energy(spec, level, t_active, t_idle):
+    """The EnergyBreakdown of a run that holds ``level`` for one task of ``t_active`` s from time 0, then idles ``t_idle`` s."""
+    horizon = t_active + t_idle
+    task = make_task(cycles=t_active * level.freq, deadline=horizon)
+    return run_scenario(
+        make_scenario(spec=spec, tasks=(task,), governor=GovernorPolicy("fixed", level.index), duration=horizon)
+    ).energy
+
+
 class TestTaskEnergy:
+    """A task's energy: active power over its run plus idle power over the rest of the window."""
+
     def test_desk_breakdown(self):
         levels = [FrequencyLevel(0, 1.0e9, 1.0), FrequencyLevel(1, 1.8e9, 1.2)]
         spec = make_spec(levels=levels, coeff_a=1e-9, coeff_b=0.5, p_device=1.0, p_idle=0.8)
-        e = task_energy(spec, spec.levels[1], 10.0, 5.0)
+        e = one_task_energy(spec, spec.levels[1], 10.0, 5.0)
         assert e.active_j == pytest.approx(41.92, rel=1e-12)
         assert e.idle_j == pytest.approx(4.0, rel=1e-12)
         assert e.total_j == pytest.approx(45.92, rel=1e-12)
 
     def test_zero_times(self):
         spec = make_spec()
-        assert task_energy(spec, spec.levels[0], 0.0, 0.0).total_j == 0.0
+        # no task: no active time, no active energy; a task filling the horizon: no idle time, no idle energy
+        assert run_scenario(make_scenario(spec=spec, duration=5.0)).energy.active_j == 0.0
+        assert one_task_energy(spec, spec.levels[0], 2.0, 0.0).idle_j == 0.0
 
     def test_all_power_terms_zero(self):
         levels = [FrequencyLevel(0, 1e9, 1.0), FrequencyLevel(1, 2e9, 1.1)]
         spec = make_spec(levels=levels, coeff_a=1e-12, coeff_b=0.0, p_device=0.0, p_idle=0.0)
-        assert task_energy(spec, spec.levels[0], 1.0, 0.0).idle_j == 0.0
+        assert one_task_energy(spec, spec.levels[0], 1.0, 1.0).idle_j == 0.0
 
     def test_negative_time_rejected(self):
         spec = make_spec()
+        task = make_task(cycles=1.8e9, deadline=1.0)  # only the top level runs it in its window
+        # a level that overruns the window would leave a negative idle time, so it is never chosen
+        assert min_energy_level(spec, task, 0.0) == spec.levels[-1]
+        with pytest.raises(InfeasibleError):
+            min_energy_level(spec, task, 0.5)
         with pytest.raises(DomainError):
-            task_energy(spec, spec.levels[0], -1.0, 0.0)
-        with pytest.raises(DomainError):
-            task_energy(spec, spec.levels[0], 0.0, -1.0)
+            min_energy_level(spec, make_task(arrival=1.0), 0.0)  # a start before arrival
 
-    @given(specs(), st.floats(0.0, 1e4), st.floats(0.0, 1e4))
+    @given(specs(), st.floats(1e-3, 1e4), st.floats(0.0, 1e4))
     def test_linear_in_both_times(self, spec, t_active, t_idle):
         level = spec.levels[0]
-        single = task_energy(spec, level, t_active, t_idle)
-        double = task_energy(spec, level, 2.0 * t_active, 2.0 * t_idle)
+        single = one_task_energy(spec, level, t_active, t_idle)
+        double = one_task_energy(spec, level, 2.0 * t_active, 2.0 * t_idle)
+        assert single.active_j > 0.0 and single.idle_j >= 0.0
         assert math.isclose(double.total_j, 2.0 * single.total_j, rel_tol=1e-12, abs_tol=1e-30)
 
 

@@ -1,15 +1,21 @@
+import json
 import math
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from dvfsim import (
+    EnergyBreakdown,
+    SimReport,
+    TaskOutcome,
+    TransitionEvent,
+    WearLedger,
     simulate,
     write_report,
     write_trace,
 )
-from dvfsim.reporting import TRACE_HEADER, format_comparison_table
+from dvfsim.reporting import TRACE_HEADER, format_comparison_table, report_to_dict
 from dvfsim import compare_policies, TransitionPolicy
 
 from helpers import load_json, make_scenario, make_task, trace_probe_scenario
@@ -75,6 +81,54 @@ class TestWriteReport:
         path = tmp_path / "r.json"
         write_report(report, path)
         assert load_json(path)["energy"]["total_j"] == 45.92
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# quotes, backslashes, control characters, non-ASCII and astral characters, lone surrogates
+ID_CHARS = st.one_of(
+    st.sampled_from('"\\/\x00\x1f\n\t\x7fé€\u2028😀\U0010ffff'), st.characters(exclude_categories=())
+)
+
+
+def make_report(per_task, projected_lifetime=math.inf, values=(1.0,) * 10, log=()) -> SimReport:
+    active_j, idle_j, cost, peak, avg, active_s, idle_s, thermal, shock, elapsed = values
+    return SimReport(
+        energy=EnergyBreakdown(active_j, idle_j),
+        cost_usd=cost,
+        per_task=tuple(per_task),
+        peak_temp=peak,
+        avg_temp=avg,
+        active_s=active_s,
+        idle_s=idle_s,
+        ledger=WearLedger(thermal, shock, elapsed),
+        projected_lifetime=projected_lifetime,
+        transition_log=tuple(log),
+    )
+
+
+@st.composite
+def sim_reports(draw):
+    """A SimReport with 0-4 task rows, any finite totals, and a bounded or unbounded lifetime."""
+    outcome = st.builds(
+        TaskOutcome, st.text(ID_CHARS, max_size=8), st.integers(0, 63), FINITE, FINITE, st.booleans(), st.booleans()
+    )
+    return make_report(
+        draw(st.lists(outcome, max_size=4)),
+        draw(st.one_of(st.just(math.inf), FINITE)),
+        draw(st.tuples(*[FINITE] * 10)),
+        draw(st.lists(st.builds(TransitionEvent, FINITE, FINITE, FINITE, FINITE, FINITE), max_size=2)),
+    )
+
+
+class TestReportEncoder:
+    @given(sim_reports())
+    @example(make_report(()))
+    @example(make_report([TaskOutcome('a"\\\x01é😀', 5, 0.0, 1e300, False, True)], 2.5e-300))
+    @settings(max_examples=200)
+    def test_bytes_match_the_indented_json_encoder(self, tmp_path_factory, report):
+        path = tmp_path_factory.mktemp("report") / "r.json"
+        write_report(report, path)
+        assert path.read_bytes() == (json.dumps(report_to_dict(report), indent=2) + "\n").encode("utf-8")
 
 
 class TestWriteTrace:

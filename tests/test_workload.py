@@ -8,14 +8,16 @@ from dvfsim import (
     FrequencyLevel,
     GovernorPolicy,
     InfeasibleError,
+    ProcessorSpec,
     Task,
-    execution_time,
+    active_power,
     lowest_feasible_level,
     min_energy_level,
+    run_scenario,
     select_level,
 )
 
-from helpers import make_spec
+from helpers import make_scenario, make_spec, make_thermal, make_wear
 from strategies import specs, tasks_for
 
 
@@ -24,26 +26,42 @@ def two_level_spec(**kw):
     return make_spec(levels=levels, **kw)
 
 
+def run_time(spec, task, level):
+    """``finish - start`` of ``task``, arriving at 0, run alone at ``level`` by the fixed governor."""
+    governor = GovernorPolicy("fixed", level.index)
+    outcome = run_scenario(make_scenario(spec=spec, tasks=(task,), governor=governor, duration=task.deadline))
+    return outcome.per_task[0].finish - outcome.per_task[0].start
+
+
 class TestExecutionTime:
+    """A task runs for cycles / frequency seconds, in the run and in the governor's feasibility test."""
+
     def test_equal_cycles_and_frequency(self):
         spec = make_spec()
-        assert execution_time(Task("t", 1.8e9, 0.0, 1.0), spec.levels[5]) == 1.0
+        task = Task("t", 1.8e9, 0.0, 1.0)
+        assert run_time(spec, task, spec.levels[5]) == 1.0
+        assert lowest_feasible_level(spec, task, 0.0) == spec.levels[5]
 
     def test_desk_division(self):
         spec = make_spec()
-        assert execution_time(Task("t", 9e8, 0.0, 1.0), spec.levels[0]) == 1.125
+        task = Task("t", 9e8, 0.0, 1.125)
+        assert run_time(spec, task, spec.levels[0]) == 1.125
+        assert lowest_feasible_level(spec, task, 0.0) == spec.levels[0]
 
     def test_doubling_frequency_halves_execution(self):
         levels = [FrequencyLevel(0, 1.0e9, 1.0), FrequencyLevel(1, 2.0e9, 1.2)]
         spec = make_spec(levels=levels)
-        task = Task("t", 3e9, 0.0, 1.0)
-        assert execution_time(task, spec.levels[1]) == execution_time(task, spec.levels[0]) / 2.0
+        task = Task("t", 3e9, 0.0, 3.0)
+        assert run_time(spec, task, spec.levels[1]) == run_time(spec, task, spec.levels[0]) / 2.0
 
     @given(specs(), st.floats(1e6, 1e12))
+    @settings(deadline=None)
     def test_work_is_frequency_invariant(self, spec, cycles):
-        task = Task("t", cycles, 0.0, 1.0)
         for level in spec.levels:
-            assert math.isclose(execution_time(task, level) * level.freq, cycles, rel_tol=1e-12)
+            # a window of exactly cycles / freq: the level fits it and the one below does not
+            task = Task("t", cycles, 0.0, cycles / level.freq)
+            assert math.isclose(run_time(spec, task, level) * level.freq, cycles, rel_tol=1e-12)
+            assert lowest_feasible_level(spec, task, 0.0) == level
 
 
 class TestLowestFeasible:
@@ -77,9 +95,9 @@ class TestLowestFeasible:
         task = Task("t", 2e9, 0.0, 2e9 / spec.levels[-1].freq * 1.7)
         level = lowest_feasible_level(spec, task, 0.0)
         window = task.deadline
-        assert execution_time(task, level) <= window
+        assert task.cycles / level.freq <= window
         if level.index > 0:
-            assert execution_time(task, spec.levels[level.index - 1]) > window
+            assert task.cycles / spec.levels[level.index - 1].freq > window
 
 
 class TestMinEnergy:
@@ -136,6 +154,76 @@ class TestMinEnergy:
         # slack floor stays above 1 so float noise in arrival+window cannot flip feasibility
         task = data.draw(tasks_for(spec, slack_min=1.05, slack_max=8.0))
         assert min_energy_level(spec, task, task.arrival) == lowest_feasible_level(spec, task, task.arrival)
+
+
+@st.composite
+def governor_cases(draw):
+    """(spec, task, start, ties): a 2-8 level ladder with random coefficients, and a task whose
+    window from ``start`` is tight, loose or infeasible at the top clock.
+
+    In a ``ties`` ladder clock, supply and active power all double from level to level and
+    nothing else draws power, so every level that fits the window costs exactly the same energy.
+    """
+    n = draw(st.integers(2, 8))
+    ties = draw(st.booleans())
+    if ties:
+        f0, v0 = draw(st.sampled_from([2.5e8, 5e8, 1e9])), draw(st.sampled_from([0.5, 0.75, 1.0]))
+        levels = [FrequencyLevel(i, f0 * 2**i, v0 * 2**i) for i in range(n)]
+        coeffs = (0.0, draw(st.floats(0.1, 2.0)), 0.0, 0.0)
+    else:
+        freq, vdd = draw(st.floats(1e8, 2e9)), draw(st.floats(0.5, 1.2))
+        levels = []
+        for i in range(n):
+            levels.append(FrequencyLevel(i, freq, vdd))
+            freq += draw(st.floats(1e6, 1e9))
+            vdd += draw(st.floats(1e-3, 0.3))
+        coeffs = tuple(draw(st.floats(0.0, hi)) for hi in (1e-8, 2.0, 10.0, 5.0))
+    spec = ProcessorSpec(tuple(levels), *coeffs, thermal=make_thermal(), wear=make_wear())
+    cycles = draw(st.floats(1e6, 1e11))
+    arrival = draw(st.floats(0.0, 100.0))
+    start = arrival + draw(st.floats(0.0, 10.0))
+    slack = draw(st.one_of(st.floats(1.0, 1.1), st.floats(1.1, 1e3), st.floats(1e-3, 0.999)))
+    return spec, Task("t", cycles, arrival, start + cycles / levels[-1].freq * slack), start, ties
+
+
+def raw_power(spec, lv):
+    """Active power from the raw coefficients, not read from the spec's table."""
+    return spec.coeff_a * lv.freq * lv.vdd**2 + spec.coeff_b * lv.vdd + spec.p_device
+
+
+def brute_force(spec, task, start):
+    """(lowest feasible index, least-energy index with ties to the lower index), or None if no level fits."""
+    window = task.deadline - start
+    energies = {}
+    for lv in spec.levels:
+        t_run = task.cycles / lv.freq
+        if t_run <= window:
+            energies[lv.index] = raw_power(spec, lv) * t_run + spec.p_idle * (window - t_run)
+    if not energies:
+        return None
+    return min(energies), min(energies, key=lambda i: (energies[i], i))
+
+
+class TestGovernorsAgainstBruteForce:
+    @given(governor_cases())
+    @settings(max_examples=300)
+    def test_both_governors_match_a_brute_force_search(self, case):
+        spec, task, start, ties = case
+        for level in spec.levels:
+            assert spec.active_w[level.index] == active_power(spec, level) == raw_power(spec, level)
+        expected = brute_force(spec, task, start)
+        if expected is None:
+            window = task.deadline - start
+            for governor in (lowest_feasible_level, min_energy_level):
+                with pytest.raises(InfeasibleError) as err:
+                    governor(spec, task, start)
+                assert err.value.required_hz == (task.cycles / window if window > 0 else math.inf)
+            return
+        lowest, cheapest = expected
+        assert lowest_feasible_level(spec, task, start).index == lowest
+        assert min_energy_level(spec, task, start).index == cheapest
+        if ties:  # every feasible level ties, and the tie goes to the lowest of them
+            assert cheapest == lowest
 
 
 class TestSelectLevel:
