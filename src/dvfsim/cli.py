@@ -78,9 +78,9 @@ def cmd_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    if args.trace:  # opened before the run, so a bad path fails first; rows are written as they are sampled
-        with trace_writer(args.trace) as write_point:
-            report = run_scenario(scenario, write_point)
+    if args.trace:  # opened before the run, so a bad path fails first; each chunk of rows is written as it is sampled
+        with trace_writer(args.trace) as write_span:
+            report = run_scenario(scenario, write_span)
     else:
         report = run_scenario(scenario)
     if args.report:

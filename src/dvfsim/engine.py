@@ -5,8 +5,9 @@ piecewise-constant-power intervals delimited by arrivals, hops, dwell ends, and
 completions; temperature advances by the exact closed form on each interval, so
 there is no global timestep. The run is one pass. ``run_scenario`` samples the
 trace only when it is given a sink: each interval's thermal Segment then also
-serves the trace points that fall in it, and each point goes to the sink as it
-is sampled, so sampling is purely observational. ``simulate`` collects them.
+serves the trace points that fall in it, and they go to the sink as lists of
+at most TRACE_CHUNK points of one span, so sampling is purely observational.
+``simulate`` collects them.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .transitions import POLICY_KINDS, Hop, TransitionPolicy, plan_transition, s
 from .workload import GOVERNOR_KINDS, GovernorPolicy, Task, select_level
 
 MAX_TRACE_POINTS = 10**6  # bounds run time and trace size, sampled or not; a run past it is refused, not truncated
+TRACE_CHUNK = 4096  # the most trace points in one sink call, so a long span is never held whole
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,8 @@ class _Timeline:
 
     A span's power follows from its level and whether the processor is busy.
     Each span's Segment serves the ledger and, given a ``sink``, the trace points
-    that fall in it; with no sink nothing is sampled.
+    that fall in it, handed over as lists of at most TRACE_CHUNK consecutive
+    points that share the span's freq and power; with no sink nothing is sampled.
     """
 
     def __init__(self, spec: ProcessorSpec, trace_dt: float, sink):
@@ -242,18 +245,25 @@ class _Timeline:
 
     def sample(self, until: float) -> None:
         """Trace the latest span at each k * trace_dt before ``until``, so a sample on an
-        event time reports the span that starts there."""
+        event time reports the span that starts there; the points go to the sink
+        TRACE_CHUNK at a time, the last call holding the rest."""
         t0, freq, power, seg, thermal0 = self.span
         # hops fall only between spans, so the closing sample on the run's end also counts those logged there
         wear0 = thermal0 + self.shock_acc
-        sink = self.sink
+        advance = seg.advance
+        new = tuple.__new__  # builds a TracePoint without the Python-level call of TracePoint(...)
+        dt = self.trace_dt
         k = self.samples
-        time = k * self.trace_dt
+        time = k * dt
         while time < until:
-            temp, wear, _ = seg.advance(time - t0)
-            sink(TracePoint(time, freq, power, temp, wear0 + wear))
-            k += 1
-            time = k * self.trace_dt
+            points = []
+            full = k + TRACE_CHUNK
+            while time < until and k < full:
+                temp, wear, _ = advance(time - t0)
+                points.append(new(TracePoint, (time, freq, power, temp, wear0 + wear)))
+                k += 1
+                time = k * dt
+            self.sink(points)
         self.samples = k
 
     def hop(self, hop: Hop) -> None:
@@ -265,8 +275,10 @@ class _Timeline:
 def run_scenario(scenario: Scenario, sink=None) -> SimReport:
     """Run one scenario to completion and report energy, heat, wear, and deadlines.
 
-    The trace is sampled only if ``sink`` is given: each TracePoint is passed
-    to it in time order as it is sampled, and the report is the same either way.
+    The trace is sampled only if ``sink`` is given: it is called with lists of
+    TracePoints in time order, each list non-empty, at most TRACE_CHUNK long and
+    from one span, so its points share one freq and one power. The report is
+    the same either way.
 
     Raises DomainError if a missed deadline carries the run past the trace cap,
     or if a report total (energy, cost, average temperature, wear, frequency
@@ -367,7 +379,7 @@ def _run(scenario: Scenario, policy: TransitionPolicy, sink) -> SimReport:
 def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
     """``run_scenario`` with the trace kept in memory: returns (report, trace)."""
     trace: list[TracePoint] = []
-    report = run_scenario(scenario, trace.append)
+    report = run_scenario(scenario, trace.extend)
     return report, tuple(trace)
 
 

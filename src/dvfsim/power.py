@@ -51,7 +51,8 @@ class ProcessorSpec:
 
     def require_level(self, level: FrequencyLevel) -> None:
         """Raise UnknownLevelError unless ``level`` is one of this ladder's levels."""
-        if not (0 <= level.index < len(self.levels)) or self.levels[level.index] != level:
+        i, levels = level.index, self.levels
+        if not (0 <= i < len(levels) and (levels[i] is level or levels[i] == level)):  # identity first: the usual case
             raise UnknownLevelError(f"level {level} is not part of this processor spec")
 
 

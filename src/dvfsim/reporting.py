@@ -32,6 +32,16 @@ _JSON = {True: "true", False: "false"}  # a bool as JSON writes it
 _TASKS_MARKER = "\0tasks"  # no other string in a report holds a NUL
 
 
+class _Open:
+    """A trace column left open: TRACE_ROW renders it as ``%r`` again."""
+
+    def __repr__(self):
+        return "%r"
+
+
+_OPEN = _Open()
+
+
 def format_lifetime(value: float, spec: str | None = ".9g"):
     """Lifetime text: "unbounded" if infinite, else ``format(value, spec)``; ``spec=None`` keeps the float."""
     if math.isinf(value):
@@ -157,23 +167,32 @@ def write_comparison(comparison: ComparisonReport, path) -> None:
 
 @contextmanager
 def trace_writer(path):
-    """Open the trace CSV at ``path`` and yield a function that writes one TracePoint as a row.
+    """Open the trace CSV at ``path`` and yield a function that writes a span's TracePoints as rows.
 
+    The function takes a non-empty sequence of points that share one freq and
+    one power, as ``engine.run_scenario`` hands its sink, and writes their rows,
+    ``TRACE_ROW % point`` each, with one write: freq and power are rendered once.
     The header is written first and every row ends in a newline. Pass the
-    function to ``engine.run_scenario`` as its sink to stream a run's trace: no
-    point is kept in memory, and a run that fails leaves no file behind.
+    function to ``run_scenario`` as its sink to stream a run's trace: only the
+    chunk at hand is in memory, and a run that fails leaves no file behind.
     """
     with _opened(path) as f:
         write = f.write
         write(TRACE_HEADER + "\n")
-        yield lambda point: write(TRACE_ROW % point)
+
+        def write_span(points) -> None:
+            _, freq, power, _, _ = points[0]
+            row = TRACE_ROW % (_OPEN, freq, power, _OPEN, _OPEN)  # time, temp and cum_wear left open
+            write("".join([row % (p[0], p[3], p[4]) for p in points]))
+
+        yield write_span
 
 
 def write_trace(trace, path) -> None:
-    """CSV with one row per trace point, as ``trace_writer`` writes it."""
-    with trace_writer(path) as write_point:
-        for point in trace:
-            write_point(point)
+    """CSV with one row per trace point, ``TRACE_ROW % point``: the bytes ``trace_writer`` writes for the same points."""
+    with _opened(path) as f:
+        f.write(TRACE_HEADER + "\n")
+        f.writelines(TRACE_ROW % point for point in trace)
 
 
 def format_sweep(runs, by_policy: bool = False) -> str:

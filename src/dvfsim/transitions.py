@@ -73,18 +73,18 @@ def plan_transition(
     """
     spec.require_level(from_level)
     spec.require_level(to_level)
-    if from_level == to_level:
+    start, stop = from_level.index, to_level.index  # both on the ladder now, so a level is its index
+    if start == stop:
         return ()
     if policy.kind == "direct":
         return (Hop(from_level, to_level, abs(to_level.freq - from_level.freq), 0.0),)
     if policy.kind == "stepped":
-        step = 1 if to_level.index > from_level.index else -1
+        step = 1 if stop > start else -1
         hops = []
-        for i in range(from_level.index, to_level.index, step):
+        for i in range(start, stop, step):
             a = spec.levels[i]
             b = spec.levels[i + step]
-            last = b == to_level
-            hops.append(Hop(a, b, abs(b.freq - a.freq), 0.0 if last else policy.dwell))
+            hops.append(Hop(a, b, abs(b.freq - a.freq), 0.0 if i + step == stop else policy.dwell))
         return tuple(hops)
     raise DomainError(f"unknown transition policy kind {policy.kind!r}")
 

@@ -385,6 +385,20 @@ class TestLazyTrace:
         write_trace(simulate(load_scenario(scenario))[1], written)
         assert streamed.read_bytes() == written.read_bytes()
 
+    def test_a_trace_across_several_chunks_has_the_bytes_of_write_trace(self, tmp_path, capsys):
+        doc = json.loads(open(TURION).read())
+        doc["tasks"] = []  # one idle span of 3 * TRACE_CHUNK + 1 sampling intervals
+        doc["sim"].update(duration_s=(3 * engine.TRACE_CHUNK + 1) * 0.5, trace_dt_s=0.5)
+        scenario = tmp_path / "one_span.json"
+        scenario.write_text(json.dumps(doc))
+        streamed, written = tmp_path / "streamed.csv", tmp_path / "written.csv"
+        assert cli.main(["simulate", "--scenario", str(scenario), "--trace", str(streamed)]) == 0
+        write_trace(simulate(load_scenario(scenario))[1], written)
+        assert streamed.read_bytes() == written.read_bytes()
+        lines = streamed.read_text().splitlines()
+        assert len(lines) == 3 * engine.TRACE_CHUNK + 3
+        assert float(lines[-1].split(",")[0]) == doc["sim"]["duration_s"]
+
 
 class TestOneValidationPerScenario:
     """A Scenario validates itself when it is built, and nothing validates it again."""

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ from dvfsim import (
     shock_wear,
     simulate,
 )
-from dvfsim.engine import MAX_TRACE_POINTS
+from dvfsim import engine
+from dvfsim.engine import MAX_TRACE_POINTS, TRACE_CHUNK
 
 from helpers import TURION_FREQS, make_scenario, make_spec, make_task, make_wear
 from strategies import specs, workloads
@@ -464,7 +466,36 @@ class TestManyTaskInvariants:
         sc, _ = draw_many_task_scenario(spec, data)
         sc = replace(sc, trace_dt=sc.duration / data.draw(st.sampled_from([1, 7, 64, 1000])))
         points = []
-        sunk = run_scenario(sc, points.append)
+        sunk = run_scenario(sc, points.extend)
         report, trace = simulate(sc)
         assert repr(run_scenario(sc)) == repr(sunk) == repr(report)
         assert tuple(points) == trace
+
+
+class TestSinkContract:
+    """The sink gets the trace as lists of at most TRACE_CHUNK consecutive points of one span."""
+
+    @given(specs(), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_each_call_is_a_short_run_of_one_span(self, spec, data):
+        sc, _ = draw_many_task_scenario(spec, data)
+        sc = replace(sc, trace_dt=sc.duration / data.draw(st.sampled_from([1, 7, 64, 1000])))
+        cap = data.draw(st.sampled_from([1, 2, 3, 17, TRACE_CHUNK]))
+        calls = []
+        with mock.patch.object(engine, "TRACE_CHUNK", cap):
+            run_scenario(sc, calls.append)
+        for points in calls:
+            assert 0 < len(points) <= cap
+            assert all(a.time < b.time for a, b in zip(points, points[1:]))
+            assert len({(p.freq, p.power) for p in points}) == 1
+        joined = [p for points in calls for p in points]
+        assert tuple(joined) == simulate(sc)[1]
+        assert all(a.time < b.time for a, b in zip(joined, joined[1:]))
+
+    def test_a_long_span_is_cut_at_the_cap(self):
+        sc = make_scenario(duration=(3 * TRACE_CHUNK + 1) * 0.5, trace_dt=0.5)  # no task: one idle span
+        calls = []
+        run_scenario(sc, calls.append)
+        # the span serves every point before its end, and the closing sample on the end comes on its own
+        assert [len(points) for points in calls] == [TRACE_CHUNK] * 3 + [1, 1]
+        assert calls[-1][-1].time == sc.duration

@@ -15,7 +15,8 @@ from dvfsim import (
     write_report,
     write_trace,
 )
-from dvfsim.reporting import TRACE_HEADER, format_comparison_table, report_to_dict
+from dvfsim.engine import TracePoint
+from dvfsim.reporting import TRACE_HEADER, TRACE_ROW, format_comparison_table, report_to_dict, trace_writer
 from dvfsim import compare_policies, TransitionPolicy
 
 from helpers import load_json, make_scenario, make_task, trace_probe_scenario
@@ -190,6 +191,37 @@ class TestWriteTrace:
             integral = trapezoid([p.time for p in trace], [p.power for p in trace])
             errors.append(abs(integral - report.energy.total_j) / report.energy.total_j)
         assert errors[1] < errors[0]
+
+
+# any finite float, with both zeros, the extremes and reprs from one character to seventeen digits
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1 / 3, 1e16, 123456789.0]
+)
+
+
+@st.composite
+def chunked_traces(draw):
+    """TracePoints cut into chunks whose points share one freq and one power, as a run's sink gets them."""
+    chunks = []
+    for _ in range(draw(st.integers(0, 6))):
+        freq, power = draw(finite_floats), draw(finite_floats)
+        n = draw(st.integers(1, 12))
+        points = [TracePoint(draw(finite_floats), freq, power, draw(finite_floats), draw(finite_floats)) for _ in range(n)]
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        chunks += [points[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    return chunks
+
+
+class TestTraceWriter:
+    @given(chunked_traces())
+    @settings(max_examples=300, deadline=None)
+    def test_chunks_give_the_bytes_of_one_row_per_point(self, tmp_path_factory, chunks):
+        path = tmp_path_factory.mktemp("trace") / "t.csv"
+        with trace_writer(path) as write_span:
+            for chunk in chunks:
+                write_span(chunk)
+        points = [p for chunk in chunks for p in chunk]
+        assert path.read_bytes() == (TRACE_HEADER + "\n" + "".join(TRACE_ROW % p for p in points)).encode()
 
 
 class TestComparisonTable:

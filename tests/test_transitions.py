@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,28 @@ class TestPlanTransition:
         alien = FrequencyLevel(1, 1.1e9, 1.0)
         with pytest.raises(UnknownLevelError):
             plan_transition(spec, alien, spec.levels[0], DIRECT)
+
+    def test_a_level_of_another_ladder_is_rejected(self):
+        spec = make_spec()
+        other = make_spec(levels=[replace(lv, freq=lv.freq * 2) for lv in spec.levels])
+        for alien in (other.levels[1], replace(spec.levels[1], vdd=spec.levels[1].vdd + 0.01)):
+            for policy in (DIRECT, STEPPED):
+                with pytest.raises(UnknownLevelError):
+                    plan_transition(spec, alien, spec.levels[0], policy)
+                with pytest.raises(UnknownLevelError):
+                    plan_transition(spec, spec.levels[0], alien, policy)
+                with pytest.raises(UnknownLevelError):
+                    plan_transition(spec, alien, alien, policy)
+
+    def test_an_equal_copy_of_a_ladder_level_is_accepted(self):
+        spec = make_spec()
+        copies = [replace(lv) for lv in spec.levels]
+        assert all(c == lv and c is not lv for c, lv in zip(copies, spec.levels))
+        for policy in (DIRECT, STEPPED, TransitionPolicy("stepped", 0.25)):
+            for a, b in ((0, 5), (5, 0), (2, 3), (4, 4)):
+                assert plan_transition(spec, copies[a], copies[b], policy) == plan_transition(
+                    spec, spec.levels[a], spec.levels[b], policy
+                )
 
     def test_unknown_policy_kind_rejected(self):
         spec = make_spec()
