@@ -30,7 +30,6 @@ from .power import (
     FrequencyLevel,
     ProcessorSpec,
     Violation,
-    active_power,
     energy_cost,
     validate_spec,
 )

@@ -1,8 +1,9 @@
 """Strict JSON scenario files: explicit units in key names, unknown keys rejected.
 
-Sections: processor, thermal, wear, tasks, governor, policy, sim. The only unit
-conversion is l_base_hours -> seconds; wear.f_span_hz defaults to the ladder's
-full frequency span when omitted.
+``_TABLE`` declares each key once, with its JSON kind and whether it is required,
+for the top-level object, each section, a ladder level and a task entry. The only
+unit conversion is l_base_hours -> seconds; wear.f_span_hz defaults to the
+ladder's full frequency span when omitted.
 """
 
 from __future__ import annotations
@@ -18,27 +19,40 @@ from .thermal import ThermalParams
 from .transitions import TransitionPolicy, WearParams, full_span
 from .workload import GovernorPolicy, Task
 
-_TOP = ("processor", "thermal", "wear", "tasks", "governor", "policy", "sim")
-_SECTION_KEYS = {
-    "processor": ({"levels", "coeff_a", "coeff_b", "p_device_w", "p_idle_w"}, set()),
-    "thermal": ({"r_th_k_per_w", "c_th_j_per_k", "t_amb_c", "t_ref_c", "l_base_hours"}, set()),
-    "wear": ({"k_shock", "alpha"}, {"f_span_hz"}),
-    "governor": ({"kind"}, {"fixed_index"}),
-    "policy": ({"kind"}, {"dwell_s"}),
-    "sim": ({"duration_s", "trace_dt_s", "cost_rate_usd_per_mwh"}, {"dwell_stalls"}),
-}
-_LEVEL_KEYS = {"freq_hz", "vdd_v"}
 _FLOAT_MAX = sys.float_info.max
-_TASK_KEYS = {"id", "cycles", "arrival_s", "deadline_s"}
+# (JSON kind, required); a section is an object read against its own table, under its own name
+_SECTION, _ARRAY, _NUM, _STR = ("section", True), ("array", True), ("number", True), ("string", True)
+# Each object's keys; its kind problems are listed in this order.
+_TABLE = {
+    "scenario": {
+        "processor": _SECTION, "thermal": _SECTION, "wear": _SECTION, "tasks": _ARRAY,
+        "governor": _SECTION, "policy": _SECTION, "sim": _SECTION,
+    },
+    "processor": {"levels": _ARRAY, "coeff_a": _NUM, "coeff_b": _NUM, "p_device_w": _NUM, "p_idle_w": _NUM},
+    "level": {"freq_hz": _NUM, "vdd_v": _NUM},
+    "thermal": {"r_th_k_per_w": _NUM, "c_th_j_per_k": _NUM, "t_amb_c": _NUM, "t_ref_c": _NUM, "l_base_hours": _NUM},
+    "wear": {"f_span_hz": ("number", False), "k_shock": _NUM, "alpha": _NUM},
+    "task": {"id": _STR, "cycles": _NUM, "arrival_s": _NUM, "deadline_s": _NUM},
+    "governor": {"kind": _STR, "fixed_index": ("integer", False)},
+    "policy": {"kind": _STR, "dwell_s": ("number", False)},
+    "sim": {"duration_s": _NUM, "trace_dt_s": _NUM, "cost_rate_usd_per_mwh": _NUM, "dwell_stalls": ("boolean", False)},
+}
+# JSON kind -> the Python types that hold it, and its name in a problem; a bool is only ever a boolean
+_KINDS = {
+    "number": ((int, float), "a number"),
+    "integer": (int, "an integer"),
+    "string": (str, "a string"),
+    "boolean": (bool, "a boolean"),
+    "array": (list, "an array"),
+}
 
 
 def set_sweep_param(doc, param: str, value: float) -> None:
     """Set a dotted key such as ``wear.alpha``; a non-object section is left for the schema to report."""
     section_name, _, key = param.partition(".")
-    known = _SECTION_KEYS.get(section_name)
-    if not key or known is None or key not in (known[0] | known[1]):
+    if _TABLE["scenario"].get(section_name) != _SECTION or key not in _TABLE[section_name]:
         raise ScenarioError("schema", [f"sweep parameter '{param}' is not a scenario key"])
-    if key == "fixed_index":
+    if _TABLE[section_name][key][0] == "integer":
         if not float(value).is_integer():
             raise ScenarioError("schema", [f"sweep parameter '{param}' needs integer values"])
         value = int(value)
@@ -47,148 +61,80 @@ def set_sweep_param(doc, param: str, value: float) -> None:
         section[key] = value
 
 
-class _Schema:
-    """Collects every schema problem in the document before giving up."""
+def _read(obj, where: str, table: dict, problems: list[str]) -> dict:
+    """Check a JSON object against ``table`` and return the values that passed, numbers as floats.
 
-    def __init__(self):
-        self.problems: list[str] = []
-
-    def mapping(self, value, where: str, required: set, optional: set = frozenset()):
-        if not isinstance(value, dict):
-            self.problems.append(f"{where}: expected an object")
-            return {}
-        for key in sorted(required - value.keys()):
-            self.problems.append(f"{where}: missing key '{key}'")
-        for key in sorted(value.keys() - required - optional):
-            self.problems.append(f"{where}: unknown key '{key}'")
-        return value
-
-    def number(self, section: dict, where: str, key: str, default=None):
-        if key not in section:
-            return default
-        value = section[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.problems.append(f"{where}.{key}: expected a number")
-            return default
-        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # inf from 1e400, an integer beyond it, or NaN
-            self.problems.append(f"{where}.{key}: expected a finite number")
-            return default
-        return float(value)
-
-    def integer(self, section: dict, where: str, key: str, default=None):
-        if key not in section:
-            return default
-        value = section[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.problems.append(f"{where}.{key}: expected an integer")
-            return default
-        return value
-
-    def string(self, section: dict, where: str, key: str, default=""):
-        if key not in section:
-            return default
-        value = section[key]
-        if not isinstance(value, str):
-            self.problems.append(f"{where}.{key}: expected a string")
-            return default
-        return value
-
-    def boolean(self, section: dict, where: str, key: str, default=False):
-        if key not in section:
-            return default
-        value = section[key]
-        if not isinstance(value, bool):
-            self.problems.append(f"{where}.{key}: expected a boolean")
-            return default
-        return value
-
-    def array(self, section: dict, where: str, key: str):
-        value = section.get(key, [])
-        if not isinstance(value, list):
-            self.problems.append(f"{where}.{key}: expected an array")
-            return []
-        return value
+    Appends its problems in order: not an object; missing keys, then unknown keys, each sorted; each key's kind.
+    """
+    if not isinstance(obj, dict):
+        problems.append(f"{where}: expected an object")
+        return {}
+    values, missing, wrong = {}, [], []
+    for key, (kind, required) in table.items():
+        if key not in obj:
+            if required:
+                missing.append(key)
+            continue
+        value = obj[key]
+        if kind == "section":
+            values[key] = value
+        elif isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _KINDS[kind][0]):
+            wrong.append(f"{where}.{key}: expected {_KINDS[kind][1]}")
+        elif kind != "number":
+            values[key] = value
+        elif -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            values[key] = float(value)
+        else:  # inf from 1e400, an integer beyond it, or NaN
+            wrong.append(f"{where}.{key}: expected a finite number")
+    for key in sorted(missing):
+        problems.append(f"{where}: missing key '{key}'")
+    for key in sorted(obj.keys() - table.keys()):
+        problems.append(f"{where}: unknown key '{key}'")
+    problems += wrong
+    return values
 
 
 def parse_scenario(doc) -> Scenario:
-    """Build a Scenario from a parsed JSON document: schema problems first, then validation."""
-    s = _Schema()
-    top = s.mapping(doc, "scenario", set(_TOP))
+    """Build a Scenario from a parsed JSON document: schema problems first, then validation.
 
-    proc = s.mapping(top.get("processor", {}), "processor", *_SECTION_KEYS["processor"])
+    Sections are read in file order, each section's entries right after it.
+    """
+    problems: list[str] = []
+    top = _read(doc, "scenario", _TABLE["scenario"], problems)
+    proc = _read(top.get("processor", {}), "processor", _TABLE["processor"], problems)
     levels = []
-    for i, entry in enumerate(s.array(proc, "processor", "levels")):
-        where = f"processor.levels[{i}]"
-        lv = s.mapping(entry, where, _LEVEL_KEYS)
-        levels.append(
-            FrequencyLevel(i, s.number(lv, where, "freq_hz", 0.0), s.number(lv, where, "vdd_v", 0.0))
-        )
-
-    th_sec = s.mapping(top.get("thermal", {}), "thermal", *_SECTION_KEYS["thermal"])
-    thermal = ThermalParams(
-        r_th=s.number(th_sec, "thermal", "r_th_k_per_w", 0.0),
-        c_th=s.number(th_sec, "thermal", "c_th_j_per_k", 0.0),
-        t_amb=s.number(th_sec, "thermal", "t_amb_c", 0.0),
-        t_ref=s.number(th_sec, "thermal", "t_ref_c", 0.0),
-        l_base=s.number(th_sec, "thermal", "l_base_hours", 0.0) * 3600.0,
-    )
-
-    wear_sec = s.mapping(top.get("wear", {}), "wear", *_SECTION_KEYS["wear"])
-    f_span = s.number(wear_sec, "wear", "f_span_hz")
-    if f_span is None and levels:
-        f_span = full_span(tuple(levels))
-    wear = WearParams(
-        k_shock=s.number(wear_sec, "wear", "k_shock", 0.0),
-        alpha=s.number(wear_sec, "wear", "alpha", 1.0),
-        f_span=f_span if f_span is not None else 0.0,
-    )
-
+    for i, entry in enumerate(proc.get("levels", ())):
+        lv = _read(entry, f"processor.levels[{i}]", _TABLE["level"], problems)
+        if not problems:  # after the first problem nothing is built: the parse raises
+            levels.append(FrequencyLevel(i, lv["freq_hz"], lv["vdd_v"]))
+    th = _read(top.get("thermal", {}), "thermal", _TABLE["thermal"], problems)
+    wear = _read(top.get("wear", {}), "wear", _TABLE["wear"], problems)
     tasks = []
-    for i, entry in enumerate(s.array(top, "scenario", "tasks")):
-        where = f"tasks[{i}]"
-        t = s.mapping(entry, where, _TASK_KEYS)
-        tasks.append(
-            Task(
-                id=s.string(t, where, "id", f"task{i}"),
-                cycles=s.number(t, where, "cycles", 0.0),
-                arrival=s.number(t, where, "arrival_s", 0.0),
-                deadline=s.number(t, where, "deadline_s", 0.0),
-            )
-        )
-    tasks.sort(key=lambda t: t.arrival)  # stable: FIFO ties keep file order
+    for i, entry in enumerate(top.get("tasks", ())):
+        t = _read(entry, f"tasks[{i}]", _TABLE["task"], problems)
+        if not problems:  # built as its entry is read, so no entry's dict outlives it
+            tasks.append(Task(t["id"], t["cycles"], t["arrival_s"], t["deadline_s"]))
+    governor = _read(top.get("governor", {}), "governor", _TABLE["governor"], problems)
+    policy = _read(top.get("policy", {}), "policy", _TABLE["policy"], problems)
+    sim = _read(top.get("sim", {}), "sim", _TABLE["sim"], problems)
+    if problems:  # before the Scenario exists, since building one validates it
+        raise ScenarioError("schema", problems)
 
-    gov_sec = s.mapping(top.get("governor", {}), "governor", *_SECTION_KEYS["governor"])
-    governor = GovernorPolicy(
-        kind=s.string(gov_sec, "governor", "kind"),
-        fixed_index=s.integer(gov_sec, "governor", "fixed_index"),
-    )
-
-    pol_sec = s.mapping(top.get("policy", {}), "policy", *_SECTION_KEYS["policy"])
-    policy = TransitionPolicy(
-        kind=s.string(pol_sec, "policy", "kind"),
-        dwell=s.number(pol_sec, "policy", "dwell_s", 0.0),
-    )
-
-    sim_sec = s.mapping(top.get("sim", {}), "sim", *_SECTION_KEYS["sim"])
     spec = ProcessorSpec(
-        levels=tuple(levels),
-        coeff_a=s.number(proc, "processor", "coeff_a", 0.0),
-        coeff_b=s.number(proc, "processor", "coeff_b", 0.0),
-        p_device=s.number(proc, "processor", "p_device_w", 0.0),
-        p_idle=s.number(proc, "processor", "p_idle_w", 0.0),
-        thermal=thermal,
-        wear=wear,
+        tuple(levels),
+        proc["coeff_a"], proc["coeff_b"], proc["p_device_w"], proc["p_idle_w"],
+        ThermalParams(
+            th["r_th_k_per_w"], th["c_th_j_per_k"], th["t_amb_c"], th["t_ref_c"], th["l_base_hours"] * 3600.0
+        ),
+        WearParams(wear["k_shock"], wear["alpha"], wear.get("f_span_hz", full_span(levels) if levels else 0.0)),
     )
-    sim = {
-        "duration": s.number(sim_sec, "sim", "duration_s", 0.0),
-        "trace_dt": s.number(sim_sec, "sim", "trace_dt_s", 0.0),
-        "cost_rate": s.number(sim_sec, "sim", "cost_rate_usd_per_mwh", 0.0),
-        "dwell_stalls": s.boolean(sim_sec, "sim", "dwell_stalls", False),
-    }
-
-    if s.problems:  # before the Scenario exists, since building one validates it
-        raise ScenarioError("schema", s.problems)
-    return Scenario(spec=spec, tasks=tuple(tasks), governor=governor, policy=policy, **sim)
+    return Scenario(
+        spec,
+        tuple(sorted(tasks, key=lambda t: t.arrival)),  # stable: FIFO ties keep file order
+        GovernorPolicy(governor["kind"], governor.get("fixed_index")),
+        TransitionPolicy(policy["kind"], policy.get("dwell_s", 0.0)),
+        sim["duration_s"], sim["trace_dt_s"], sim["cost_rate_usd_per_mwh"], sim.get("dwell_stalls", False),
+    )
 
 
 def _reject_constant(name: str):

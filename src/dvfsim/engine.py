@@ -119,7 +119,6 @@ class PolicyOutcome:
     report: SimReport
     delta_energy_j: float
     delta_lifetime_s: float
-    delta_misses: int
     newly_missed: tuple[str, ...]
     newly_met: tuple[str, ...]
 
@@ -426,7 +425,6 @@ def compare_policies(scenario: Scenario, policies) -> ComparisonReport:
                 report=rep,
                 delta_energy_j=rep.energy.total_j - base.energy.total_j,
                 delta_lifetime_s=_lifetime_delta(rep.projected_lifetime, base.projected_lifetime),
-                delta_misses=len(missed) - len(base_missed),
                 newly_missed=tuple(sorted(missed - base_missed)),
                 newly_met=tuple(sorted(base_missed - missed)),
             )

@@ -145,12 +145,6 @@ def validate_spec(spec: ProcessorSpec) -> tuple[Violation, ...]:
     return tuple(v)
 
 
-def active_power(spec: ProcessorSpec, level: FrequencyLevel) -> float:
-    """Active-mode draw in watts at a ladder level."""
-    spec.require_level(level)
-    return spec.active_w[level.index]
-
-
 def energy_cost(average_power_mw: float, duration_h: float, rate_usd_per_mwh: float = DEFAULT_COST_RATE) -> float:
     """Operating cost in dollars for a sustained average draw.
 

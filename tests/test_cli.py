@@ -291,6 +291,29 @@ class TestSweep:
         result = run_cli("sweep", "--scenario", STEP_DEMO, "--param", "wear.bogus", "--values", "1")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "param, values, message",
+        [
+            ("governor.fixed_index", "1.5", "sweep parameter 'governor.fixed_index' needs integer values"),
+            ("processor.levels", "1", "processor.levels: expected an array"),
+            ("tasks.id", "1", "sweep parameter 'tasks.id' is not a scenario key"),
+            ("scenario.processor", "1", "sweep parameter 'scenario.processor' is not a scenario key"),
+        ],
+    )
+    def test_sweep_key_rules_exit_2_in_one_line(self, param, values, message):
+        result = run_cli("sweep", "--scenario", TURION, "--param", param, "--values", values)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"invalid scenario (schema): {message}\n"
+
+    def test_integer_values_sweep_the_fixed_index(self, tmp_path):
+        doc = json.loads(open(TURION).read())
+        doc["governor"] = {"kind": "fixed", "fixed_index": 5}
+        path = tmp_path / "fixed.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli("sweep", "--scenario", str(path), "--param", "governor.fixed_index", "--values", "0,1")
+        assert result.returncode == 0, result.stderr
+        assert [row.split(",")[0] for row in result.stdout.splitlines()[1:]] == ["0.0", "1.0"]
+
     def test_a_section_that_is_not_an_object_exits_2(self, tmp_path):
         doc = json.loads(open(STEP_DEMO).read())
         doc["sim"] = 5

@@ -1,11 +1,16 @@
 import copy
 import json
+import re
 
 import pytest
 
-from dvfsim import ScenarioError, load_scenario, parse_scenario
+from dvfsim import ScenarioError, config, load_scenario, parse_scenario
 
 from helpers import SCENARIO_DIR
+
+README_SCENARIO_FILES = (
+    (SCENARIO_DIR.parent / "README.md").read_text(encoding="utf-8").split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+)
 
 BASE_DOC = {
     "processor": {
@@ -106,6 +111,177 @@ class TestSchemaStrictness:
         assert err.value.kind == "schema"
         assert all(": missing key '" in p or ": unknown key '" in p for p in err.value.problems)
 
+
+def readme_example() -> dict:
+    """The example document of README's "Scenario files" section, its comments and ``...`` removed."""
+    block = README_SCENARIO_FILES.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    return json.loads(re.sub(r"//[^\n]*", "", block).replace(", ...", ""))
+
+
+# The keys README names in prose, not in its example, with the kind its text gives each.
+README_OPTIONAL = {
+    ("wear", "f_span_hz"): "number",
+    ("governor", "fixed_index"): "integer",
+    ("policy", "dwell_s"): "number",
+    ("sim", "dwell_stalls"): "boolean",
+}
+KIND_OF = {float: "number", str: "string", list: "array", dict: "section"}
+# Values of the wrong kind for each kind, and the problem each gives.
+WRONG = {
+    "number": [(True, "expected a number"), ("1.0", "expected a number"), (float("inf"), "expected a finite number"),
+               (10**400, "expected a finite number")],
+    "integer": [(1.5, "expected an integer"), (True, "expected an integer")],
+    "string": [(3.0, "expected a string")],
+    "boolean": [(1, "expected a boolean")],
+    "array": [({}, "expected an array")],
+    "section": [([], "expected an object")],
+}
+
+
+def at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def readme_keys():
+    """(container path, where, key, kind, required) for every key README documents.
+
+    The container path leads from the document to the object that holds the key:
+    the document, a section, the first ladder level or the first task.
+    """
+    example = readme_example()
+    for section, body in example.items():
+        yield (), "scenario", section, KIND_OF[type(body)], True
+        objects = [((section,), section)] if isinstance(body, dict) else [((section, 0), f"{section}[0]")]
+        if section == "processor":
+            objects.append((("processor", "levels", 0), "processor.levels[0]"))
+        for path, where in objects:
+            for key, value in at(example, path).items():
+                yield path, where, key, KIND_OF[type(value)], True
+    for (section, key), kind in README_OPTIONAL.items():
+        yield (section,), section, key, kind, False
+
+
+def key_cases(required_only=False):
+    return [
+        pytest.param(*case, id=f"{case[1]}.{case[2]}")
+        for case in readme_keys()
+        if case[4] or not required_only
+    ]
+
+
+def schema_problems(doc) -> tuple[str, ...]:
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.kind == "schema"
+    return err.value.problems
+
+
+def broken_in_five_sections(doc):
+    """Problems in the top level, processor and a ladder level, wear, tasks and sim."""
+    doc["extras"] = 1
+    doc["processor"].update(coeff_a=True, zz=0)
+    doc["processor"]["levels"][0]["freq_hz"] = "fast"
+    doc["processor"]["levels"].append({"freq_hz": 1e9})
+    doc["wear"]["f_span_hz"] = True
+    del doc["wear"]["alpha"]
+    doc["tasks"][0]["cycles"] = float("inf")
+    doc["tasks"].append(7)
+    doc["sim"].update(dwell_stalls=1, aa=0)
+
+
+def tasks_not_an_array(doc):
+    doc["tasks"] = {}
+    del doc["governor"]
+    doc["processor"]["p_idle_w"] = "low"
+
+
+class TestSchemaKeys:
+    """Every key README documents, deleted, of the wrong kind, or beside an unknown key: one problem each."""
+
+    def test_the_readme_example_has_no_schema_problem(self):
+        with pytest.raises(ScenarioError) as err:  # one ladder level is too few, which only validation sees
+            parse_scenario(readme_example())
+        assert err.value.kind == "validation"
+        for section, key in README_OPTIONAL:
+            assert re.search(rf"\b{key}\b", README_SCENARIO_FILES), key
+
+    def test_the_schema_table_declares_exactly_the_readme_keys(self):
+        table_of = {"processor.levels[0]": "level", "tasks[0]": "task"}
+        documented = {(table_of.get(w, w), k, kind, r) for _, w, k, kind, r in readme_keys()}
+        declared = {(name, k, kind, r) for name, keys in config._TABLE.items() for k, (kind, r) in keys.items()}
+        assert documented == declared
+
+    @pytest.mark.parametrize("path, where, key, kind, required", key_cases(required_only=True))
+    def test_a_deleted_required_key_is_one_missing_key(self, path, where, key, kind, required):
+        doc = readme_example()
+        del at(doc, path)[key]
+        problems = schema_problems(doc)
+        assert problems[0] == f"{where}: missing key '{key}'"
+        if kind == "section":  # a deleted section is read as an empty one
+            tail = sorted(k for p, _, k, _, r in readme_keys() if p == (key,) and r)
+            assert problems[1:] == tuple(f"{key}: missing key '{k}'" for k in tail)
+        else:
+            assert len(problems) == 1
+
+    @pytest.mark.parametrize("path, where, key, kind, required", key_cases())
+    def test_a_value_of_the_wrong_kind_is_one_problem(self, path, where, key, kind, required):
+        for value, message in WRONG[kind]:
+            doc = readme_example()
+            at(doc, path)[key] = value
+            name = key if kind == "section" else f"{where}.{key}"  # a section is named on its own
+            assert schema_problems(doc) == (f"{name}: {message}",)
+
+    @pytest.mark.parametrize(
+        "path, where", [pytest.param(p, w, id=w) for p, w in sorted({(p, w) for p, w, *_ in readme_keys()})]
+    )
+    def test_an_unknown_key_is_one_problem(self, path, where):
+        doc = readme_example()
+        at(doc, path)["bogus"] = 1.0
+        assert schema_problems(doc) == (f"{where}: unknown key 'bogus'",)
+
+    def test_an_entry_that_is_not_an_object_is_one_problem(self):
+        for path, where in ((("processor", "levels"), "processor.levels[1]"), (("tasks",), "tasks[1]")):
+            doc = readme_example()
+            at(doc, path).append("x")
+            assert schema_problems(doc) == (f"{where}: expected an object",)
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (
+                broken_in_five_sections,
+                [
+                    "scenario: unknown key 'extras'",
+                    "processor: unknown key 'zz'",
+                    "processor.coeff_a: expected a number",
+                    "processor.levels[0].freq_hz: expected a number",
+                    "processor.levels[1]: missing key 'vdd_v'",
+                    "wear: missing key 'alpha'",
+                    "wear.f_span_hz: expected a number",
+                    "tasks[0].cycles: expected a finite number",
+                    "tasks[1]: expected an object",
+                    "sim: unknown key 'aa'",
+                    "sim.dwell_stalls: expected a boolean",
+                ],
+            ),
+            (
+                tasks_not_an_array,
+                [
+                    "scenario: missing key 'governor'",
+                    "scenario.tasks: expected an array",
+                    "processor.p_idle_w: expected a number",
+                    "governor: missing key 'kind'",
+                ],
+            ),
+        ],
+        ids=lambda case: getattr(case, "__name__", ""),
+    )
+    def test_problems_come_in_file_section_order(self, edit, expected):
+        doc = readme_example()
+        edit(doc)
+        assert list(schema_problems(doc)) == expected
 
 class TestValidation:
     def test_levels_out_of_order(self):

@@ -13,7 +13,6 @@ from dvfsim import (
     ScenarioError,
     Task,
     TransitionPolicy,
-    active_power,
     compare_policies,
     run_scenario,
     shock_wear,
@@ -302,7 +301,7 @@ class TestTrace:
         before, at = trace[3], trace[4]
         assert (before.time, at.time) == (1.5, 2.0)
         assert (before.freq, before.power) == (800e6, sc.spec.p_idle)
-        assert (at.freq, at.power) == (1800e6, active_power(sc.spec, sc.spec.levels[5]))
+        assert (at.freq, at.power) == (1800e6, sc.spec.active_w[5])
 
     def test_a_run_past_the_horizon_is_sampled_through_its_end(self):
         # the infeasible task ends the run at 10 s, after sim.duration and on a sample time
@@ -322,7 +321,7 @@ class TestTrace:
         report, trace = simulate(sc)
         assert [e.time for e in report.transition_log] == [0.0, 1.0]
         assert trace[-1].time == 1.0
-        assert (trace[-1].freq, trace[-1].power) == (1800e6, active_power(sc.spec, sc.spec.levels[5]))
+        assert (trace[-1].freq, trace[-1].power) == (1800e6, sc.spec.active_w[5])
         assert trace[-1].cum_wear == pytest.approx(report.ledger.total, rel=1e-12, abs=0.0)
 
     def test_temperature_stays_between_ambient_and_peak(self):
@@ -352,7 +351,8 @@ class TestComparePolicies:
         labels = [r.label for r in comparison.runs]
         assert labels == ["direct", "stepped", "stepped:0.5"]
         base = comparison.runs[0]
-        assert base.delta_energy_j == 0.0 and base.delta_lifetime_s == 0.0 and base.delta_misses == 0
+        assert base.delta_energy_j == 0.0 and base.delta_lifetime_s == 0.0
+        assert base.newly_missed == base.newly_met == ()
 
     def test_dwell_shifts_energy_and_flags_new_misses(self):
         task = make_task(cycles=3.24e9, deadline=2.0)  # feasible only at 1800 MHz
@@ -361,7 +361,8 @@ class TestComparePolicies:
         slow = comparison.runs[1]
         assert slow.delta_energy_j != 0.0
         assert slow.newly_missed == ("t",)
-        assert slow.delta_misses == 1
+        assert slow.newly_met == ()
+        assert (comparison.runs[0].report.deadline_misses, slow.report.deadline_misses) == (0, 1)
 
     def test_failures_are_annotated_with_the_policy(self):
         sc = make_scenario(tasks=(make_task(),), duration=30.0)

@@ -10,7 +10,6 @@ from dvfsim import (
     GovernorPolicy,
     InfeasibleError,
     UnknownLevelError,
-    active_power,
     energy_cost,
     min_energy_level,
     run_scenario,
@@ -64,33 +63,33 @@ class TestActivePower:
     def test_coefficients_zeroed_gives_device_power(self):
         spec = make_spec(coeff_a=0.0, coeff_b=0.0, p_device=3.0, p_idle=0.0)
         # flat power is invalid as a spec, but the formula itself is still defined
-        assert active_power(spec, spec.levels[0]) == 3.0
-        assert active_power(spec, spec.levels[5]) == 3.0
+        assert spec.active_w[0] == 3.0
+        assert spec.active_w[5] == 3.0
 
     def test_desk_value_at_top_level(self):
         levels = [FrequencyLevel(0, 1.0e9, 1.0), FrequencyLevel(1, 1.8e9, 1.2)]
         spec = make_spec(levels=levels, coeff_a=1e-9, coeff_b=0.5, p_device=1.0)
-        assert active_power(spec, spec.levels[1]) == pytest.approx(4.192, rel=1e-12)
+        assert spec.active_w[1] == pytest.approx(4.192, rel=1e-12)
 
     def test_desk_value_dynamic_only(self):
         levels = [FrequencyLevel(0, 1.0e9, 1.0), FrequencyLevel(1, 2.0e9, 1.2)]
         spec = make_spec(levels=levels, coeff_a=1e-9, coeff_b=0.0, p_device=0.0)
-        assert active_power(spec, spec.levels[0]) == pytest.approx(1.0, rel=1e-12)
+        assert spec.active_w[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_unknown_level_rejected(self):
         spec = make_spec()
         with pytest.raises(UnknownLevelError):
-            active_power(spec, FrequencyLevel(2, 1.3e9, 1.0))
+            spec.require_level(FrequencyLevel(2, 1.3e9, 1.0))
 
     @given(specs())
     def test_matches_independent_reevaluation(self, spec):
         for level in spec.levels:
             expected = spec.coeff_a * level.freq * level.vdd * level.vdd + spec.coeff_b * level.vdd + spec.p_device
-            assert math.isclose(active_power(spec, level), expected, rel_tol=1e-12)
+            assert math.isclose(spec.active_w[level.index], expected, rel_tol=1e-12)
 
     @given(specs())
     def test_strictly_increasing_across_ladder(self, spec):
-        powers = [active_power(spec, lv) for lv in spec.levels]
+        powers = spec.active_w
         assert all(a < b for a, b in zip(powers, powers[1:]))
 
 
