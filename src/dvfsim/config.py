@@ -45,6 +45,7 @@ _KINDS = {
     "boolean": (bool, "a boolean"),
     "array": (list, "an array"),
 }
+_TASK_KEYS = _TABLE["task"].keys()
 
 
 def set_sweep_param(doc, param: str, value: float) -> None:
@@ -94,6 +95,11 @@ def _read(obj, where: str, table: dict, problems: list[str]) -> dict:
     return values
 
 
+def _plain(value) -> bool:
+    """Whether ``_read`` takes ``value`` as a number as it is: exactly an int or a float, within the float range."""
+    return (type(value) is float or type(value) is int) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
 def parse_scenario(doc) -> Scenario:
     """Build a Scenario from a parsed JSON document: schema problems first, then validation.
 
@@ -111,6 +117,11 @@ def parse_scenario(doc) -> Scenario:
     wear = _read(top.get("wear", {}), "wear", _TABLE["wear"], problems)
     tasks = []
     for i, entry in enumerate(top.get("tasks", ())):
+        if type(entry) is dict and entry.keys() == _TASK_KEYS:  # a well-formed entry skips _read, to the same Task
+            tid, cycles, arrival, deadline = entry["id"], entry["cycles"], entry["arrival_s"], entry["deadline_s"]
+            if type(tid) is str and _plain(cycles) and _plain(arrival) and _plain(deadline):
+                tasks.append(Task(tid, float(cycles), float(arrival), float(deadline)))
+                continue
         t = _read(entry, f"tasks[{i}]", _TABLE["task"], problems)
         if not problems:  # built as its entry is read, so no entry's dict outlives it
             tasks.append(Task(t["id"], t["cycles"], t["arrival_s"], t["deadline_s"]))

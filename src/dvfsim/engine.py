@@ -60,25 +60,13 @@ class Scenario:
             raise ScenarioError("validation", [str(v) for v in violations])
 
 
-@dataclass(frozen=True)
-class TaskOutcome:
-    id: str
-    level_index: int
-    start: float
-    finish: float
-    deadline_met: bool
-    infeasible: bool = False
+TaskOutcome = namedtuple("TaskOutcome", "id level_index start finish deadline_met infeasible", defaults=(False,))
 
 
-@dataclass(frozen=True)
-class TransitionEvent:
+class TransitionEvent(namedtuple("_TransitionEventFields", "time from_hz to_hz delta_f wear")):
     """One executed hop: when, between which clocks, and the shock it cost."""
 
-    time: float
-    from_hz: float
-    to_hz: float
-    delta_f: float
-    wear: float
+    __slots__ = ()
 
 
 TracePoint = namedtuple("TracePoint", "time freq power temp cum_wear")
@@ -310,6 +298,13 @@ def _run(scenario: Scenario, policy: TransitionPolicy, sink) -> SimReport:
     level = spec.levels[0]
     outcomes: list[TaskOutcome] = []
     tasks = scenario.tasks
+    plans: dict[tuple[int, int], tuple[Hop, ...]] = {}  # (from index, to index) -> its hops, planned once a run
+
+    def plan(a: FrequencyLevel, b: FrequencyLevel) -> tuple[Hop, ...]:
+        key = (a.index, b.index)
+        if key not in plans:
+            plans[key] = plan_transition(spec, a, b, policy)
+        return plans[key]
 
     for i, task in enumerate(tasks):
         tl.run(task.arrival - tl.now, level, active=False, until=task.arrival)
@@ -319,7 +314,7 @@ def _run(scenario: Scenario, policy: TransitionPolicy, sink) -> SimReport:
         except InfeasibleError:  # no level meets the deadline: run at the top and flag it
             target, infeasible = spec.levels[-1], True
         cycles_left = task.cycles
-        for hop in plan_transition(spec, level, target, policy):
+        for hop in plan(level, target):
             tl.hop(hop)
             level = hop.to_level
             dwell = hop.dwell_after
@@ -337,7 +332,7 @@ def _run(scenario: Scenario, policy: TransitionPolicy, sink) -> SimReport:
 
         if i + 1 == len(tasks) or tasks[i + 1].arrival > tl.now:
             # Idle gap ahead: pace back down to the bottom of the ladder.
-            for hop in plan_transition(spec, level, spec.levels[0], policy):
+            for hop in plan(level, spec.levels[0]):
                 tl.hop(hop)
                 level = hop.to_level
                 tl.run(hop.dwell_after, level, active=False)

@@ -9,6 +9,7 @@ small steps strictly reduces the total shock wear.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -32,12 +33,7 @@ class TransitionPolicy:
     dwell: float = 0.0
 
 
-@dataclass(frozen=True)
-class Hop:
-    from_level: FrequencyLevel
-    to_level: FrequencyLevel
-    delta_f: float
-    dwell_after: float
+Hop = namedtuple("Hop", "from_level to_level delta_f dwell_after")
 
 
 @dataclass(frozen=True)

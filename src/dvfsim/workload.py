@@ -8,6 +8,7 @@ level per task at its start; there is no mid-task re-selection.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleError
@@ -16,14 +17,10 @@ from .power import FrequencyLevel, ProcessorSpec
 GOVERNOR_KINDS = ("lowest_feasible", "min_energy", "fixed")
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(namedtuple("_TaskFields", "id cycles arrival deadline")):
     """Work item: cycles > 0, arrival >= 0, absolute deadline > arrival (seconds)."""
 
-    id: str
-    cycles: float
-    arrival: float
-    deadline: float
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
