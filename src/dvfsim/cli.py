@@ -15,7 +15,7 @@ import argparse
 import math
 import sys
 
-from .config import load_scenario, parse_scenario, read_document, set_sweep_param
+from .config import load_scenario, parse_scenario, read_document, set_sweep_param, sweep_kind
 from .engine import compare_policies, run_scenario
 from .errors import DomainError, PolicyRunError, ScenarioError
 from .reporting import (
@@ -106,6 +106,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    kind = sweep_kind(args.param)
+    if kind not in (None, "number", "integer"):  # refused before the file is read; None is left for the schema
+        raise _UsageError(f"--param {args.param} holds a JSON {kind}, not a number")
     doc = read_document(args.scenario)
     if not args.values.strip():
         raise _UsageError("--values is empty")

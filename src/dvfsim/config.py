@@ -48,12 +48,20 @@ _KINDS = {
 _TASK_KEYS = _TABLE["task"].keys()
 
 
-def set_sweep_param(doc, param: str, value: float) -> None:
-    """Set a dotted key such as ``wear.alpha``; a non-object section is left for the schema to report."""
+def sweep_kind(param: str) -> str | None:
+    """The JSON kind of the section key a dotted ``param`` names ("number" for ``wear.alpha``); None if none."""
     section_name, _, key = param.partition(".")
     if _TABLE["scenario"].get(section_name) != _SECTION or key not in _TABLE[section_name]:
+        return None
+    return _TABLE[section_name][key][0]
+
+
+def set_sweep_param(doc, param: str, value: float) -> None:
+    """Set a dotted key such as ``wear.alpha``; a non-object section is left for the schema to report."""
+    if (kind := sweep_kind(param)) is None:
         raise ScenarioError("schema", [f"sweep parameter '{param}' is not a scenario key"])
-    if _TABLE[section_name][key][0] == "integer":
+    section_name, _, key = param.partition(".")
+    if kind == "integer":
         if not float(value).is_integer():
             raise ScenarioError("schema", [f"sweep parameter '{param}' needs integer values"])
         value = int(value)

@@ -295,7 +295,6 @@ class TestSweep:
         "param, values, message",
         [
             ("governor.fixed_index", "1.5", "sweep parameter 'governor.fixed_index' needs integer values"),
-            ("processor.levels", "1", "processor.levels: expected an array"),
             ("tasks.id", "1", "sweep parameter 'tasks.id' is not a scenario key"),
             ("scenario.processor", "1", "sweep parameter 'scenario.processor' is not a scenario key"),
         ],
@@ -304,6 +303,16 @@ class TestSweep:
         result = run_cli("sweep", "--scenario", TURION, "--param", param, "--values", values)
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr == f"invalid scenario (schema): {message}\n"
+
+    @pytest.mark.parametrize(
+        "param, kind",
+        [("sim.dwell_stalls", "boolean"), ("governor.kind", "string"), ("policy.kind", "string"), ("processor.levels", "array")],
+    )
+    def test_a_non_number_key_exits_64_before_reading(self, tmp_path, param, kind):
+        for scenario in (TURION, str(tmp_path / "missing.json")):
+            result = run_cli("sweep", "--scenario", scenario, "--param", param, "--values", "1")
+            assert (result.returncode, result.stdout) == (64, "")
+            assert result.stderr == f"usage error: --param {param} holds a JSON {kind}, not a number\n"
 
     def test_integer_values_sweep_the_fixed_index(self, tmp_path):
         doc = json.loads(open(TURION).read())
