@@ -1,10 +1,14 @@
 import copy
 import json
 import re
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from dvfsim import ScenarioError, config, load_scenario, parse_scenario
+from dvfsim import ScenarioError, Task, config, load_scenario, parse_scenario
 
 from helpers import SCENARIO_DIR
 
@@ -282,6 +286,73 @@ class TestSchemaKeys:
         doc = readme_example()
         edit(doc)
         assert list(schema_problems(doc)) == expected
+
+TASK_KEYS = ("id", "cycles", "arrival_s", "deadline_s")
+# numbers _read takes as they are: ints and floats within the float range
+PLAIN_NUMBERS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([int(sys.float_info.max), -int(sys.float_info.max)]),
+)
+ANY_VALUES = st.one_of(
+    PLAIN_NUMBERS,
+    st.floats(),
+    st.booleans(),
+    st.sampled_from([10**400, -(10**400), int(sys.float_info.max) + 1, None]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def task_entries(draw):
+    """A task entry that is right, has one value of any kind, lacks or adds keys, or is not an object."""
+    shape = draw(st.sampled_from(("right", "any value", "keys", "not an object")))
+    if shape == "not an object":
+        return draw(st.one_of(st.lists(PLAIN_NUMBERS, max_size=2), ANY_VALUES))
+    entry = {"id": draw(st.text(max_size=4))} | {key: draw(PLAIN_NUMBERS) for key in TASK_KEYS[1:]}
+    if shape == "any value":
+        entry[draw(st.sampled_from(TASK_KEYS))] = draw(ANY_VALUES)
+    elif shape == "keys":
+        for key in draw(st.sets(st.sampled_from(TASK_KEYS), max_size=2)):
+            del entry[key]
+        if draw(st.booleans()):
+            entry["priority"] = draw(ANY_VALUES)
+    return entry
+
+
+def _tasks_only(spec, tasks, *rest):
+    """Stands in for Scenario, so the parsed tasks come back without the scenario's validation."""
+    return tasks
+
+
+class TestTaskFastPath:
+    """parse_scenario builds a well-formed task entry without _read; every entry must come out as _read has it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.lists(task_entries(), min_size=1, max_size=6), earlier_problem=st.booleans())
+    def test_tasks_and_problems_are_those_read_gives(self, entries, earlier_problem):
+        d = doc(tasks=entries)
+        if earlier_problem:  # wear is read before the tasks
+            d["wear"]["alpha"] = True
+        problems, want = [], []
+        config._read(d["wear"], "wear", config._TABLE["wear"], problems)
+        for i, entry in enumerate(entries):
+            values = config._read(entry, f"tasks[{i}]", config._TABLE["task"], problems)
+            if not problems:
+                want.append(Task(values["id"], values["cycles"], values["arrival_s"], values["deadline_s"]))
+        with mock.patch.object(config, "Scenario", _tasks_only):
+            if problems:
+                assert schema_problems(d) == tuple(problems)
+                return
+            got = parse_scenario(d)
+        assert repr(got) == repr(tuple(sorted(want, key=lambda t: t.arrival)))  # repr tells -0.0 from 0.0
+        assert all(type(value) is float for task in got for value in task[1:])
+
+    def test_integer_numbers_become_floats(self):
+        with mock.patch.object(config, "Scenario", _tasks_only):
+            (task,) = parse_scenario(doc(tasks=[{"id": "t", "cycles": 10**9, "arrival_s": 0, "deadline_s": 5}]))
+        assert repr(task) == repr(Task("t", 1e9, 0.0, 5.0))
+
 
 class TestValidation:
     def test_levels_out_of_order(self):

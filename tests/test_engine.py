@@ -9,11 +9,16 @@ import hypothesis.strategies as st
 from dvfsim import (
     DomainError,
     GovernorPolicy,
+    Hop,
     PolicyRunError,
     ScenarioError,
     Task,
+    TaskOutcome,
+    TransitionEvent,
     TransitionPolicy,
     compare_policies,
+    load_scenario,
+    plan_transition,
     run_scenario,
     shock_wear,
     simulate,
@@ -21,7 +26,7 @@ from dvfsim import (
 from dvfsim import engine
 from dvfsim.engine import MAX_TRACE_POINTS, TRACE_CHUNK
 
-from helpers import TURION_FREQS, make_scenario, make_spec, make_task, make_wear
+from helpers import SCENARIO_DIR, TURION_FREQS, make_scenario, make_spec, make_task, make_wear
 from strategies import specs, workloads
 
 DIRECT = TransitionPolicy("direct")
@@ -387,6 +392,51 @@ class TestComparePolicies:
         with pytest.raises(ScenarioError) as built:
             replace(sc, policy=policy)
         assert built.value.problems == (message,)
+
+
+    @pytest.mark.parametrize("name", ["turion6.json", "step_demo.json"])
+    def test_each_policy_gets_the_transition_log_of_its_own_run(self, name):
+        sc = load_scenario(SCENARIO_DIR / name)
+        policies = [DIRECT, STEPPED, TransitionPolicy("stepped", 0.05)]
+        with mock.patch.object(engine, "plan_transition", wraps=plan_transition) as planner:
+            runs = compare_policies(sc, policies).runs
+        logs = [run.report.transition_log for run in runs]
+        assert logs == [run_scenario(replace(sc, policy=p)).transition_log for p in policies]
+        assert logs[0] != logs[1] != logs[2]  # a plan kept from one policy would show in the next
+        for p in policies:  # each (from, to) pair is planned once per run
+            pairs = [(c.args[1].index, c.args[2].index) for c in planner.call_args_list if c.args[3] == p]
+            assert pairs and len(pairs) == len(set(pairs))
+
+
+class TestRecords:
+    """The per-task records are named tuples with the fields, in order, that they had as dataclasses."""
+
+    FIELDS = {
+        Task: ("id", "cycles", "arrival", "deadline"),
+        TaskOutcome: ("id", "level_index", "start", "finish", "deadline_met", "infeasible"),
+        TransitionEvent: ("time", "from_hz", "to_hz", "delta_f", "wear"),
+        Hop: ("from_level", "to_level", "delta_f", "dwell_after"),
+    }
+
+    @pytest.mark.parametrize("record", FIELDS, ids=lambda record: record.__name__)
+    def test_fields_keep_their_names_and_order(self, record):
+        assert record._fields == self.FIELDS[record]
+
+    @pytest.mark.parametrize("record", FIELDS, ids=lambda record: record.__name__)
+    def test_attributes_cannot_be_assigned(self, record):
+        rec = record(*range(len(self.FIELDS[record])))
+        for name in (*self.FIELDS[record], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, -1)
+        assert rec == tuple(range(len(self.FIELDS[record])))
+
+    def test_a_task_outcome_is_feasible_unless_flagged(self):
+        assert TaskOutcome("t", 0, 0.0, 1.0, True).infeasible is False
+        assert TaskOutcome("t", 0, 0.0, 1.0, True, True).infeasible is True
+
+    def test_replace_varies_one_field(self):
+        task = Task("t", 1e9, 0.0, 5.0)
+        assert task._replace(deadline=6.0) == Task("t", 1e9, 0.0, 6.0)
 
 
 class TestFeasibleWorkloadsNeverMiss:
