@@ -348,11 +348,6 @@ class TestTaskFastPath:
         assert repr(got) == repr(tuple(sorted(want, key=lambda t: t.arrival)))  # repr tells -0.0 from 0.0
         assert all(type(value) is float for task in got for value in task[1:])
 
-    def test_integer_numbers_become_floats(self):
-        with mock.patch.object(config, "Scenario", _tasks_only):
-            (task,) = parse_scenario(doc(tasks=[{"id": "t", "cycles": 10**9, "arrival_s": 0, "deadline_s": 5}]))
-        assert repr(task) == repr(Task("t", 1e9, 0.0, 5.0))
-
 
 class TestValidation:
     def test_levels_out_of_order(self):
