@@ -40,6 +40,7 @@ from .reporting import (
 )
 from .thermal import (
     Segment,
+    SteadyState,
     ThermalParams,
     WearLedger,
     project_lifetime,
@@ -56,6 +57,7 @@ from .transitions import (
 from .workload import (
     GovernorPolicy,
     Task,
+    governor_rule,
     lowest_feasible_level,
     min_energy_level,
     select_level,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from .engine import Scenario
@@ -111,31 +112,37 @@ def _plain(value) -> bool:
 def parse_scenario(doc) -> Scenario:
     """Build a Scenario from a parsed JSON document: schema problems first, then validation.
 
-    Sections are read in file order, each section's entries right after it.
+    Sections are read in file order, each section's entries right after it. A
+    section that is missing, or in a document that is not an object, has had its
+    one problem listed, so none of its keys is read.
     """
     problems: list[str] = []
     top = _read(doc, "scenario", _TABLE["scenario"], problems)
-    proc = _read(top.get("processor", {}), "processor", _TABLE["processor"], problems)
+
+    def section(name: str) -> dict:
+        return _read(top[name], name, _TABLE[name], problems) if name in top else {}
+
+    proc = section("processor")
     levels = []
     for i, entry in enumerate(proc.get("levels", ())):
         lv = _read(entry, f"processor.levels[{i}]", _TABLE["level"], problems)
         if not problems:  # after the first problem nothing is built: the parse raises
             levels.append(FrequencyLevel(i, lv["freq_hz"], lv["vdd_v"]))
-    th = _read(top.get("thermal", {}), "thermal", _TABLE["thermal"], problems)
-    wear = _read(top.get("wear", {}), "wear", _TABLE["wear"], problems)
+    th = section("thermal")
+    wear = section("wear")
     tasks = []
     for i, entry in enumerate(top.get("tasks", ())):
         if type(entry) is dict and entry.keys() == _TASK_KEYS:  # a well-formed entry skips _read, to the same Task
             tid, cycles, arrival, deadline = entry["id"], entry["cycles"], entry["arrival_s"], entry["deadline_s"]
             if type(tid) is str and _plain(cycles) and _plain(arrival) and _plain(deadline):
-                tasks.append(Task(tid, float(cycles), float(arrival), float(deadline)))
+                tasks.append(tuple.__new__(Task, (tid, float(cycles), float(arrival), float(deadline))))
                 continue
         t = _read(entry, f"tasks[{i}]", _TABLE["task"], problems)
         if not problems:  # built as its entry is read, so no entry's dict outlives it
             tasks.append(Task(t["id"], t["cycles"], t["arrival_s"], t["deadline_s"]))
-    governor = _read(top.get("governor", {}), "governor", _TABLE["governor"], problems)
-    policy = _read(top.get("policy", {}), "policy", _TABLE["policy"], problems)
-    sim = _read(top.get("sim", {}), "sim", _TABLE["sim"], problems)
+    governor = section("governor")
+    policy = section("policy")
+    sim = section("sim")
     if problems:  # before the Scenario exists, since building one validates it
         raise ScenarioError("schema", problems)
 
@@ -149,7 +156,7 @@ def parse_scenario(doc) -> Scenario:
     )
     return Scenario(
         spec,
-        tuple(sorted(tasks, key=lambda t: t.arrival)),  # stable: FIFO ties keep file order
+        tuple(sorted(tasks, key=itemgetter(2))),  # by arrival, stable: FIFO ties keep file order
         GovernorPolicy(governor["kind"], governor.get("fixed_index")),
         TransitionPolicy(policy["kind"], policy.get("dwell_s", 0.0)),
         sim["duration_s"], sim["trace_dt_s"], sim["cost_rate_usd_per_mwh"], sim.get("dwell_stalls", False),

@@ -7,7 +7,9 @@ there is no global timestep. The run is one pass. ``run_scenario`` samples the
 trace only when it is given a sink: each interval's thermal Segment then also
 serves the trace points that fall in it, and they go to the sink as lists of
 at most TRACE_CHUNK points of one span, so sampling is purely observational.
-``simulate`` collects them.
+``simulate`` collects them. A run resolves its governor's rule, each power's
+thermal SteadyState and each level pair's hops with their shock once, and
+makes no span of zero length.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from .power import (
     energy_cost,
     validate_spec,
 )
-from .thermal import Segment, WearLedger, project_lifetime
+from .thermal import SteadyState, WearLedger, project_lifetime
 from .transitions import POLICY_KINDS, Hop, TransitionPolicy, plan_transition, shock_wear
-from .workload import GOVERNOR_KINDS, GovernorPolicy, Task, select_level
+from .workload import GOVERNOR_KINDS, GovernorPolicy, Task, governor_rule
 
 MAX_TRACE_POINTS = 10**6  # bounds run time and trace size, sampled or not; a run past it is refused, not truncated
 TRACE_CHUNK = 4096  # the most trace points in one sink call, so a long span is never held whole
@@ -124,18 +126,22 @@ def _validate_scenario(scenario: Scenario) -> list[Violation]:
     seen_ids: set[str] = set()
     prev_arrival = -math.inf
     for i, t in enumerate(scenario.tasks):
-        where = f"tasks[{i}]"
-        if not (math.isfinite(t.cycles) and t.cycles > 0):
-            v.append(Violation(f"{where}.cycles", "must be finite and > 0"))
-        if not (math.isfinite(t.arrival) and t.arrival >= 0):
-            v.append(Violation(f"{where}.arrival", "must be finite and >= 0"))
-        if not (math.isfinite(t.deadline) and t.deadline > t.arrival):
-            v.append(Violation(f"{where}.deadline", "must be finite and > arrival"))
-        if t.arrival < prev_arrival:
-            v.append(Violation(f"{where}.arrival", "tasks must be sorted by arrival"))
-        prev_arrival = t.arrival
-        if t.id in seen_ids:
-            v.append(Violation(f"{where}.id", f"duplicate task id {t.id!r}"))
+        arrival = t.arrival
+        # a clean task passes every rule below at once (NaN fails each comparison); only a broken one is spelled out
+        if not (0.0 < t.cycles < math.inf and prev_arrival <= arrival < t.deadline < math.inf and arrival >= 0.0
+                and t.id not in seen_ids):
+            where = f"tasks[{i}]"
+            if not (math.isfinite(t.cycles) and t.cycles > 0):
+                v.append(Violation(f"{where}.cycles", "must be finite and > 0"))
+            if not (math.isfinite(arrival) and arrival >= 0):
+                v.append(Violation(f"{where}.arrival", "must be finite and >= 0"))
+            if not (math.isfinite(t.deadline) and t.deadline > arrival):
+                v.append(Violation(f"{where}.deadline", "must be finite and > arrival"))
+            if arrival < prev_arrival:
+                v.append(Violation(f"{where}.arrival", "tasks must be sorted by arrival"))
+            if t.id in seen_ids:
+                v.append(Violation(f"{where}.id", f"duplicate task id {t.id!r}"))
+        prev_arrival = arrival
         seen_ids.add(t.id)
 
     g = scenario.governor
@@ -178,18 +184,18 @@ def _validate_policy(p: TransitionPolicy) -> list[Violation]:
 class _Timeline:
     """Mutable run state: clock, temperature, wear, energy, and transition log.
 
-    A span's power follows from its level and whether the processor is busy.
-    Each span's Segment serves the ledger and, given a ``sink``, the trace points
-    that fall in it, handed over as lists of at most TRACE_CHUNK consecutive
-    points that share the span's freq and power; with no sink nothing is sampled.
+    A span's power follows from its level and whether the processor is busy;
+    its Segment starts from that power's SteadyState and serves the ledger and,
+    given a ``sink``, the trace points that fall in the span, handed over as lists
+    of at most TRACE_CHUNK consecutive points that share the span's freq and
+    power; with no sink nothing is sampled.
     """
 
     def __init__(self, spec: ProcessorSpec, trace_dt: float, sink):
-        self.thermal = spec.thermal
-        self.wear_params = spec.wear
-        self.active_w = spec.active_w
-        self.idle_w = spec.p_idle
+        self.active = [(power, SteadyState(spec.thermal, power)) for power in spec.active_w]  # by ladder index
+        self.idle = (spec.p_idle, SteadyState(spec.thermal, spec.p_idle))
         self.trace_dt = trace_dt
+        self.end_cap = MAX_TRACE_POINTS * trace_dt  # no span may end past the trace cap
         self.now = 0.0
         self.temp = spec.thermal.t_amb
         self.thermal_acc = 0.0
@@ -203,23 +209,24 @@ class _Timeline:
         self.log: list[TransitionEvent] = []
         self.sink = sink
         self.samples = 0  # trace points passed to the sink so far
-        self.span = None  # (t0, freq, power, Segment, thermal wear at t0) of the latest span, if sampled
+        self.span = None  # (t0, length, freq, power, Segment, thermal wear at t0) of the latest span, if sampled
 
     def run(self, length: float, level: FrequencyLevel, active: bool, until: float | None = None):
         """Hold ``level`` for ``length`` seconds, busy or idle; ``until`` pins the end to an event time."""
         if length <= 0.0:
             return
-        power = self.active_w[level.index] if active else self.idle_w
+        power, steady = self.active[level.index] if active else self.idle
         end = self.now + length if until is None else until
-        if end > MAX_TRACE_POINTS * self.trace_dt:
+        if end > self.end_cap:
             raise DomainError(f"the run reaches {end:g} s, beyond {MAX_TRACE_POINTS} trace points of sim.trace_dt")
-        seg = Segment(self.thermal, self.temp, power)
+        seg = steady.segment(self.temp)
         end_temp, wear, temp_integral = seg.advance(length)
         if self.sink is not None:
-            self.span = (self.now, level.freq, power, seg, self.thermal_acc)
+            self.span = (self.now, length, level.freq, power, seg, self.thermal_acc)
             self.sample(end)
         self.temp_integral += temp_integral
-        self.peak = max(self.peak, self.temp, end_temp)
+        if end_temp > self.peak:  # the span's entry temperature is the previous span's end, counted already
+            self.peak = end_temp
         if active:
             self.active_j += power * length
             self.active_t += length
@@ -234,7 +241,7 @@ class _Timeline:
         """Trace the latest span at each k * trace_dt before ``until``, so a sample on an
         event time reports the span that starts there; the points go to the sink
         TRACE_CHUNK at a time, the last call holding the rest."""
-        t0, freq, power, seg, thermal0 = self.span
+        t0, length, freq, power, seg, thermal0 = self.span
         # hops fall only between spans, so the closing sample on the run's end also counts those logged there
         wear0 = thermal0 + self.shock_acc
         advance = seg.advance
@@ -246,17 +253,18 @@ class _Timeline:
             points = []
             full = k + TRACE_CHUNK
             while time < until and k < full:
-                temp, wear, _ = advance(time - t0)
+                s = time - t0  # past the span's length only where the clock rounded its end up
+                temp, wear, _ = advance(s if s < length else length)
                 points.append(new(TracePoint, (time, freq, power, temp, wear0 + wear)))
                 k += 1
                 time = k * dt
             self.sink(points)
         self.samples = k
 
-    def hop(self, hop: Hop) -> None:
-        wear = shock_wear(self.wear_params, hop.delta_f)
+    def hop(self, hop: Hop, wear: float) -> None:
         self.shock_acc += wear
-        self.log.append(TransitionEvent(self.now, hop.from_level.freq, hop.to_level.freq, hop.delta_f, wear))
+        event = (self.now, hop.from_level.freq, hop.to_level.freq, hop.delta_f, wear)
+        self.log.append(tuple.__new__(TransitionEvent, event))
 
 
 def run_scenario(scenario: Scenario, sink=None) -> SimReport:
@@ -298,26 +306,32 @@ def _run(scenario: Scenario, policy: TransitionPolicy, sink) -> SimReport:
     level = spec.levels[0]
     outcomes: list[TaskOutcome] = []
     tasks = scenario.tasks
-    plans: dict[tuple[int, int], tuple[Hop, ...]] = {}  # (from index, to index) -> its hops, planned once a run
+    rule = governor_rule(spec, scenario.governor)
+    new = tuple.__new__  # builds a TaskOutcome without the Python-level call of TaskOutcome(...)
+    plans: dict[tuple[int, int], tuple] = {}  # (from, to) index -> its (hop, shock wear) pairs, planned once a run
 
-    def plan(a: FrequencyLevel, b: FrequencyLevel) -> tuple[Hop, ...]:
+    def plan(a: FrequencyLevel, b: FrequencyLevel) -> tuple[tuple[Hop, float], ...]:
         key = (a.index, b.index)
         if key not in plans:
-            plans[key] = plan_transition(spec, a, b, policy)
+            plans[key] = tuple((hop, shock_wear(spec.wear, hop.delta_f)) for hop in plan_transition(spec, a, b, policy))
         return plans[key]
 
+    # a zero-length span changes nothing, so the idle gap before a queued task and a zero dwell are skipped here
     for i, task in enumerate(tasks):
-        tl.run(task.arrival - tl.now, level, active=False, until=task.arrival)
+        if task.arrival > tl.now:
+            tl.run(task.arrival - tl.now, level, active=False, until=task.arrival)
         start = tl.now
         try:
-            target, infeasible = select_level(spec, task, start, scenario.governor), False
+            target, infeasible = rule(spec, task, start), False
         except InfeasibleError:  # no level meets the deadline: run at the top and flag it
             target, infeasible = spec.levels[-1], True
         cycles_left = task.cycles
-        for hop in plan(level, target):
-            tl.hop(hop)
+        for hop, wear in plan(level, target):
+            tl.hop(hop, wear)
             level = hop.to_level
             dwell = hop.dwell_after
+            if dwell <= 0.0:  # a direct hop, or a stepped climb's last
+                continue
             if scenario.dwell_stalls:
                 tl.run(dwell, level, active=True)
                 continue
@@ -328,14 +342,15 @@ def _run(scenario: Scenario, policy: TransitionPolicy, sink) -> SimReport:
             cycles_left -= capacity
         tl.run(cycles_left / level.freq, level, active=True)
         finish = tl.now
-        outcomes.append(TaskOutcome(task.id, target.index, start, finish, finish <= task.deadline, infeasible))
+        outcomes.append(new(TaskOutcome, (task.id, target.index, start, finish, finish <= task.deadline, infeasible)))
 
         if i + 1 == len(tasks) or tasks[i + 1].arrival > tl.now:
             # Idle gap ahead: pace back down to the bottom of the ladder.
-            for hop in plan(level, spec.levels[0]):
-                tl.hop(hop)
+            for hop, wear in plan(level, spec.levels[0]):
+                tl.hop(hop, wear)
                 level = hop.to_level
-                tl.run(hop.dwell_after, level, active=False)
+                if hop.dwell_after > 0.0:
+                    tl.run(hop.dwell_after, level, active=False)
 
     tl.run(scenario.duration - tl.now, level, active=False, until=scenario.duration)
     end = tl.now

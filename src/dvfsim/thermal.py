@@ -18,6 +18,8 @@ expansion in ``1 - u``; otherwise for ``a >= -2`` by the series above, in
 Horner form; otherwise, heating by more than about 29 degC, where the series'
 alternating terms would cancel, as ``E1(|a|*u) - E1(|a|)`` (A&S 5.1.11, and
 the continued fraction 5.1.22).
+``SteadyState(params, power).segment(temp0)`` builds the same Segment from what
+every interval at one power shares, so a run computes that once per power.
 """
 
 from __future__ import annotations
@@ -78,6 +80,28 @@ def steady_state_temp(params: ThermalParams, power: float) -> float:
     return params.t_amb + power * params.r_th
 
 
+class SteadyState(namedtuple("_SteadyStateFields", "t_ss tau exponent_ss wear_scale")):
+    """What every interval at one power shares, built from (params, power): the steady
+    state, ``tau``, the steady-state wear rate's exponent and ``tau / l_base``.
+    Immutable; ``segment(temp0)`` starts an interval at this power."""
+
+    __slots__ = ()
+
+    def __new__(cls, params: ThermalParams, power: float):
+        t_ss = steady_state_temp(params, power)
+        tau = params.tau
+        return tuple.__new__(cls, (t_ss, tau, _LN2_OVER_10 * (t_ss - params.t_ref), tau / params.l_base))
+
+    def segment(self, temp0: float) -> Segment:
+        """The interval at this power entered at ``temp0``; raises DomainError if the swing is not finite."""
+        t_ss, tau, exponent_ss, wear_scale = self
+        d0 = temp0 - t_ss
+        a = _LN2_OVER_10 * d0
+        if not math.isfinite(a):
+            raise DomainError(f"temperature {temp0:g} degC or steady state {t_ss:g} degC is not finite")
+        return tuple.__new__(Segment, (temp0, t_ss, tau, d0, a, exponent_ss, wear_scale))
+
+
 class Segment(namedtuple("_SegmentFields", "temp0 t_ss tau d0 a exponent_ss wear_scale")):
     """Exact temperature and wear trajectory of one constant-power interval.
 
@@ -90,14 +114,7 @@ class Segment(namedtuple("_SegmentFields", "temp0 t_ss tau d0 a exponent_ss wear
     __slots__ = ()
 
     def __new__(cls, params: ThermalParams, temp0: float, power: float):
-        t_ss = steady_state_temp(params, power)
-        d0 = temp0 - t_ss
-        tau = params.tau
-        exponent_ss = _LN2_OVER_10 * (t_ss - params.t_ref)
-        a = _LN2_OVER_10 * d0
-        if not math.isfinite(a):
-            raise DomainError(f"temperature {temp0:g} degC or steady state {t_ss:g} degC is not finite")
-        return tuple.__new__(cls, (temp0, t_ss, tau, d0, a, exponent_ss, tau / params.l_base))
+        return SteadyState(params, power).segment(temp0)
 
     def advance(self, s: float) -> tuple[float, float, float]:
         """(temperature, wear fraction, temperature integral in degC * s) s >= 0 seconds in.

@@ -72,14 +72,20 @@ def min_energy_level(spec: ProcessorSpec, task: Task, start: float) -> Frequency
     return best
 
 
-def select_level(spec: ProcessorSpec, task: Task, start: float, governor: GovernorPolicy) -> FrequencyLevel:
-    """Dispatch to the governor's selection rule. Raises InfeasibleError like the rules do."""
+def governor_rule(spec: ProcessorSpec, governor: GovernorPolicy):
+    """The governor's selection rule, called as ``rule(spec, task, start)``; resolved once a run."""
     if governor.kind == "fixed":
         if governor.fixed_index is None or not (0 <= governor.fixed_index < len(spec.levels)):
             raise DomainError(f"fixed governor index {governor.fixed_index} outside ladder")
-        return spec.levels[governor.fixed_index]
+        level = spec.levels[governor.fixed_index]
+        return lambda spec, task, start: level
     if governor.kind == "lowest_feasible":
-        return lowest_feasible_level(spec, task, start)
+        return lowest_feasible_level
     if governor.kind == "min_energy":
-        return min_energy_level(spec, task, start)
+        return min_energy_level
     raise DomainError(f"unknown governor kind {governor.kind!r}")
+
+
+def select_level(spec: ProcessorSpec, task: Task, start: float, governor: GovernorPolicy) -> FrequencyLevel:
+    """Apply the governor's selection rule. Raises InfeasibleError like the rules do."""
+    return governor_rule(spec, governor)(spec, task, start)

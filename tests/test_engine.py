@@ -115,6 +115,62 @@ class TestValidation:
         assert err.value.problems == ("sim.duration: must cover the latest deadline (10 s)",)
 
 
+    # every task rule broken after clean tasks, and a clean task after broken ones
+    CLEAN = [Task(f"c{i}", 1e9, float(i), i + 5.0) for i in range(4)]
+    BROKEN = [
+        Task("nan", math.nan, 4.0, 9.0), Task("neg", 1e9, -1.0, 9.0), Task("late", 1e9, 6.0, 12.0),
+        Task("early", 1e9, 5.0, 11.0), Task("c1", 1e9, 7.0, 12.0), Task("clean", 1e9, 8.0, 13.0),
+        Task("inf", 1e9, 9.0, math.inf), Task("c2", -1.0, math.nan, 5.0),
+    ]
+
+    def test_each_broken_task_gets_the_lines_of_every_rule_it_breaks_in_order(self):
+        with pytest.raises(ScenarioError) as err:
+            make_scenario(tasks=self.CLEAN + self.BROKEN)
+        assert err.value.problems == (
+            "tasks[4].cycles: must be finite and > 0",
+            "tasks[5].arrival: must be finite and >= 0",
+            "tasks[5].arrival: tasks must be sorted by arrival",
+            "tasks[7].arrival: tasks must be sorted by arrival",
+            "tasks[8].id: duplicate task id 'c1'",
+            "tasks[10].deadline: must be finite and > arrival",
+            "tasks[11].cycles: must be finite and > 0",
+            "tasks[11].arrival: must be finite and >= 0",
+            "tasks[11].deadline: must be finite and > arrival",
+            "tasks[11].id: duplicate task id 'c2'",
+            "sim.duration: must cover the latest deadline (inf s)",
+        )
+
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c", "d"]),
+            *[st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, math.inf, -math.inf, math.nan])] * 3,
+        ),
+        max_size=8,
+    ))
+    @settings(max_examples=300)
+    def test_task_lines_are_those_of_each_rule_checked_alone(self, entries):
+        expected, seen, prev = [], set(), -math.inf
+        for i, (tid, cycles, arrival, deadline) in enumerate(entries):
+            if not (math.isfinite(cycles) and cycles > 0):
+                expected.append(f"tasks[{i}].cycles: must be finite and > 0")
+            if not (math.isfinite(arrival) and arrival >= 0):
+                expected.append(f"tasks[{i}].arrival: must be finite and >= 0")
+            if not (math.isfinite(deadline) and deadline > arrival):
+                expected.append(f"tasks[{i}].deadline: must be finite and > arrival")
+            if arrival < prev:
+                expected.append(f"tasks[{i}].arrival: tasks must be sorted by arrival")
+            if tid in seen:
+                expected.append(f"tasks[{i}].id: duplicate task id {tid!r}")
+            prev = arrival
+            seen.add(tid)
+        try:
+            make_scenario(tasks=[Task(*entry) for entry in entries], duration=10.0, trace_dt=1.0)
+            got = []
+        except ScenarioError as err:
+            got = [p for p in err.problems if p.startswith("tasks[")]
+        assert got == expected
+
+
 class TestSingleTaskEnergy:
     def test_matches_closed_form(self):
         spec = make_spec()
@@ -287,6 +343,15 @@ class TestWearAccounting:
         assert report.transition_count == len(report.transition_log)
 
 
+    @given(specs(), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_each_logged_hop_costs_the_shock_of_its_jump(self, spec, data):
+        sc, _ = draw_many_task_scenario(spec, data)
+        for event in run_scenario(sc).transition_log:
+            assert event.wear == shock_wear(spec.wear, event.delta_f)
+            assert event.delta_f == abs(event.to_hz - event.from_hz)
+
+
 class TestTrace:
     def test_sampling_grid_and_monotone_wear(self):
         sc = make_scenario(tasks=(make_task(cycles=3.6e9, deadline=2.0),), policy=STEPPED, duration=30.0, trace_dt=0.25)
@@ -328,6 +393,17 @@ class TestTrace:
         assert trace[-1].time == 1.0
         assert (trace[-1].freq, trace[-1].power) == (1800e6, sc.spec.active_w[5])
         assert trace[-1].cum_wear == pytest.approx(report.ledger.total, rel=1e-12, abs=0.0)
+
+    def test_a_sample_the_clock_puts_past_its_span_reads_the_span_end(self):
+        # 2^18 s + (0.5 s - 2^-36 s) of work rounds up to 2^18 + 0.5 s, the horizon, so the closing
+        # sample falls 2^-36 s past the heating span that serves it and must not read hotter than its end
+        t0 = 2.0**18
+        task = make_task(cycles=800e6 * (0.5 - 2.0**-36), arrival=t0, deadline=t0 + 0.5)
+        report, trace = simulate(make_scenario(tasks=(task,), duration=t0 + 0.5, trace_dt=t0 + 0.5))
+        length = task.cycles / 800e6
+        assert report.ledger.elapsed == trace[-1].time == t0 + 0.5 and t0 + 0.5 - t0 > length
+        assert trace[-1].temp == report.peak_temp
+        assert trace[-1].cum_wear == pytest.approx(report.ledger.total, rel=1e-15, abs=0.0)
 
     def test_temperature_stays_between_ambient_and_peak(self):
         report, trace = simulate(make_scenario(tasks=(make_task(cycles=3.6e9, deadline=2.0),), duration=30.0))

@@ -9,6 +9,7 @@ from dvfsim import (
     DomainError,
     ThermalParams,
     Segment,
+    SteadyState,
     WearLedger,
     project_lifetime,
     steady_state_temp,
@@ -243,6 +244,53 @@ class TestSegment:
         temp, wear, _ = seg.advance(1e-3)
         assert wear == pytest.approx(reference, rel=1e-12, abs=0.0)
         assert temp == pytest.approx(25.0 + 20.0 * 1e-3, rel=1e-9)
+
+
+class TestSteadyStateRecord:
+    """One SteadyState per power serves every interval at that power, as Segment(params, temp0, power) would."""
+
+    # (entry temperature, power, duration): short swing, series, and E1 for heating by more than about 29 degC
+    ROUTES = {"short": (40.0, 10.0, 0.1), "series": (60.0, 10.0, 8.0), "e1": (25.0, 120.0, 20.0)}
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_each_route_is_taken(self, route):
+        temp0, power, s = self.ROUTES[route]
+        seg = Segment(TRANSIENT, temp0, power)
+        g = -math.expm1(-s / seg.tau)
+        short = abs(seg.a) * g <= 1.0 and (g <= 1.0 / 16.0 or seg.a < -2.0)
+        assert (short, not short and seg.a >= -2.0, not short and seg.a < -2.0) == (
+            route == "short", route == "series", route == "e1")
+
+    @given(
+        st.sampled_from(sorted(ROUTES)),
+        st.floats(0.5, 4.0),
+        st.floats(0.1, 10.0),
+        st.floats(0.5, 2.0),
+        st.floats(-20.0, 60.0),
+        st.floats(1e3, 1e9),
+    )
+    @settings(max_examples=150)
+    def test_a_segment_from_the_record_is_the_segment(self, route, r_th, c_th, scale, t_ref, l_base):
+        temp0, power, s = self.ROUTES[route]
+        params = ThermalParams(r_th, c_th, 25.0, t_ref, l_base)
+        power *= 0.5 / r_th  # the same rise over ambient whatever r_th, so the route's swing is kept
+        steady = SteadyState(params, power)
+        seg = steady.segment(temp0)
+        direct = Segment(params, temp0, power)
+        assert type(seg) is Segment and seg == direct
+        t_ss = 25.0 + power * r_th
+        assert steady == (t_ss, r_th * c_th, math.log(2.0) / 10.0 * (t_ss - t_ref), r_th * c_th / l_base)
+        d0 = temp0 - t_ss
+        assert seg == (temp0, t_ss, r_th * c_th, d0, math.log(2.0) / 10.0 * d0, steady.exponent_ss, steady.wear_scale)
+        duration = s * seg.tau / 5.0 * scale  # the routes are set for tau = 5 s
+        assert seg.advance(duration) == direct.advance(duration)
+
+    def test_one_record_serves_many_entry_temperatures(self):
+        steady = SteadyState(TRANSIENT, 20.0)
+        for temp0 in (25.0, 35.0, 80.0, 400.0):
+            assert steady.segment(temp0).advance(3.0) == Segment(TRANSIENT, temp0, 20.0).advance(3.0)
+        with pytest.raises(DomainError, match="not finite"):
+            steady.segment(math.inf)
 
 
 class TestProjectLifetime:

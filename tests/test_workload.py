@@ -5,11 +5,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from dvfsim import (
+    DomainError,
     FrequencyLevel,
     GovernorPolicy,
     InfeasibleError,
     ProcessorSpec,
     Task,
+    governor_rule,
     lowest_feasible_level,
     min_energy_level,
     run_scenario,
@@ -223,6 +225,41 @@ class TestGovernorsAgainstBruteForce:
         assert min_energy_level(spec, task, start).index == cheapest
         if ties:  # every feasible level ties, and the tie goes to the lowest of them
             assert cheapest == lowest
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type and message of the InfeasibleError or DomainError it raises."""
+    try:
+        return call()
+    except (InfeasibleError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+class TestGovernorRule:
+    @given(governor_cases(), st.integers(-2, 9))
+    @settings(max_examples=200)
+    def test_the_resolved_rule_agrees_with_select_level(self, case, index):
+        spec, task, start, _ = case
+        named = {"lowest_feasible": lowest_feasible_level, "min_energy": min_energy_level}
+        for governor in (GovernorPolicy("lowest_feasible"), GovernorPolicy("min_energy"), GovernorPolicy("fixed", index)):
+            got = _outcome(lambda: governor_rule(spec, governor)(spec, task, start))
+            assert got == _outcome(lambda: select_level(spec, task, start, governor))
+            if governor.kind in named:
+                assert got == _outcome(lambda: named[governor.kind](spec, task, start))
+            elif 0 <= index < len(spec.levels):
+                assert got is spec.levels[index]  # whether or not the task fits
+            else:
+                assert got == (DomainError, f"fixed governor index {index} outside ladder")
+
+    def test_a_bad_governor_is_refused_when_it_is_resolved(self):
+        spec = make_spec()
+        for governor, message in (
+            (GovernorPolicy("fixed"), "fixed governor index None outside ladder"),
+            (GovernorPolicy("fixed", len(spec.levels)), "fixed governor index 6 outside ladder"),
+            (GovernorPolicy("race"), "unknown governor kind 'race'"),
+        ):
+            with pytest.raises(DomainError, match=message):
+                governor_rule(spec, governor)
 
 
 class TestSelectLevel:
