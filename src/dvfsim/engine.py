@@ -330,7 +330,7 @@ def _run(scenario: Scenario, policy: TransitionPolicy, sink) -> SimReport:
             tl.hop(hop, wear)
             level = hop.to_level
             dwell = hop.dwell_after
-            if dwell <= 0.0:  # a direct hop, or a stepped climb's last
+            if dwell <= 0.0:  # a direct hop, a stepped climb's last, or any hop of a policy without dwell
                 continue
             if scenario.dwell_stalls:
                 tl.run(dwell, level, active=True)
