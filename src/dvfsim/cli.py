@@ -97,8 +97,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scenario = load_scenario(args.scenario)
-    comparison = compare_policies(scenario, _parse_policies(args.policies))
+    policies = _parse_policies(args.policies)  # a usage error is reported before the file is read
+    comparison = compare_policies(load_scenario(args.scenario), policies)
     print(format_comparison_table(comparison))
     if args.report:
         write_comparison(comparison, args.report)
@@ -106,10 +106,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # every usage error is reported before the file is read
     kind = sweep_kind(args.param)
-    if kind not in (None, "number", "integer"):  # refused before the file is read; None is left for the schema
+    if kind not in (None, "number", "integer"):  # None is left for the schema
         raise _UsageError(f"--param {args.param} holds a JSON {kind}, not a number")
-    doc = read_document(args.scenario)
     if not args.values.strip():
         raise _UsageError("--values is empty")
     if not all(item.strip() for item in args.values.split(",")):
@@ -121,6 +121,7 @@ def cmd_sweep(args) -> int:
     policies = _parse_policies(args.policies) if args.policies is not None else []
     if policies and args.param.startswith("policy."):
         raise _UsageError(f"--policies sets the policy, so --param {args.param} would have no effect")
+    doc = read_document(args.scenario)
 
     def runs():
         for value in values:

@@ -4,9 +4,11 @@ One processor serves tasks FIFO in arrival order. The timeline is a chain of
 piecewise-constant-power intervals delimited by arrivals, hops, dwell ends, and
 completions; temperature advances by the exact closed form on each interval, so
 there is no global timestep. The run is one pass. ``run_scenario`` samples the
-trace only when it is given a sink: each interval's thermal Segment then also
-serves the trace points that fall in it, and they go to the sink as lists of
-at most TRACE_CHUNK points of one span, so sampling is purely observational.
+trace only when it is given a sink: each interval's thermal Segment, which
+``Segment.advance`` steps over the whole interval, then also gives the trace
+points that fall in it through its span trace query, ``Segment.trace``, and they
+go to the sink as lists of at most TRACE_CHUNK points of one span, so sampling
+is purely observational.
 ``simulate`` collects them. A run resolves its governor's rule, each power's
 thermal SteadyState and each level pair's hops with their shock once, and
 makes no span of zero length.
@@ -28,7 +30,7 @@ from .power import (
     energy_cost,
     validate_spec,
 )
-from .thermal import SteadyState, WearLedger, project_lifetime
+from .thermal import SteadyState, TracePoint, WearLedger, project_lifetime
 from .transitions import POLICY_KINDS, Hop, TransitionPolicy, plan_transition, shock_wear
 from .workload import GOVERNOR_KINDS, GovernorPolicy, Task, governor_rule
 
@@ -69,9 +71,6 @@ class TransitionEvent(namedtuple("_TransitionEventFields", "time from_hz to_hz d
     """One executed hop: when, between which clocks, and the shock it cost."""
 
     __slots__ = ()
-
-
-TracePoint = namedtuple("TracePoint", "time freq power temp cum_wear")
 
 
 @dataclass(frozen=True)
@@ -185,10 +184,11 @@ class _Timeline:
     """Mutable run state: clock, temperature, wear, energy, and transition log.
 
     A span's power follows from its level and whether the processor is busy;
-    its Segment starts from that power's SteadyState and serves the ledger and,
-    given a ``sink``, the trace points that fall in the span, handed over as lists
-    of at most TRACE_CHUNK consecutive points that share the span's freq and
-    power; with no sink nothing is sampled.
+    its Segment starts from that power's SteadyState; ``Segment.advance`` gives the
+    ledger its end state and, given a ``sink``, ``Segment.trace`` gives the trace
+    points that fall in the span, handed over as lists of at most TRACE_CHUNK
+    consecutive points that share the span's freq and power; with no sink nothing
+    is sampled.
     """
 
     def __init__(self, spec: ProcessorSpec, trace_dt: float, sink):
@@ -244,22 +244,16 @@ class _Timeline:
         t0, length, freq, power, seg, thermal0 = self.span
         # hops fall only between spans, so the closing sample on the run's end also counts those logged there
         wear0 = thermal0 + self.shock_acc
-        advance = seg.advance
-        new = tuple.__new__  # builds a TracePoint without the Python-level call of TracePoint(...)
         dt = self.trace_dt
         k = self.samples
-        time = k * dt
-        while time < until:
-            points = []
-            full = k + TRACE_CHUNK
-            while time < until and k < full:
-                s = time - t0  # past the span's length only where the clock rounded its end up
-                temp, wear, _ = advance(s if s < length else length)
-                points.append(new(TracePoint, (time, freq, power, temp, wear0 + wear)))
-                k += 1
-                time = k * dt
-            self.sink(points)
-        self.samples = k
+        m = max(k, math.ceil(until / dt))  # the first index at or past until: i * dt grows with i, so adjust by steps
+        while m > k and (m - 1) * dt >= until:
+            m -= 1
+        while m * dt < until:
+            m += 1
+        for c in range(k, m, TRACE_CHUNK):
+            self.sink(seg.trace(t0, length, dt, c, min(c + TRACE_CHUNK, m), freq, power, wear0))
+        self.samples = m
 
     def hop(self, hop: Hop, wear: float) -> None:
         self.shock_acc += wear

@@ -13,6 +13,7 @@ import os
 import stat
 from contextlib import contextmanager, suppress
 from dataclasses import replace
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 
 from .engine import ComparisonReport, SimReport
@@ -20,7 +21,6 @@ from .engine import ComparisonReport, SimReport
 SCHEMA_VERSION = 1
 
 TRACE_HEADER = "time_s,freq_hz,power_w,temp_c,cum_wear"
-TRACE_ROW = "%r,%r,%r,%r,%r\n"
 SWEEP_HEADER = "value,energy_j,shock_wear,thermal_wear,projected_lifetime_s"
 SWEEP_POLICY_HEADER = "value,policy,energy_j,shock_wear,thermal_wear,projected_lifetime_s"
 # one row of a report's "tasks" array, as json.dumps(..., indent=2) lays it out
@@ -30,16 +30,6 @@ TASK_ROW = (
 )
 _JSON = {True: "true", False: "false"}  # a bool as JSON writes it
 _TASKS_MARKER = "\0tasks"  # no other string in a report holds a NUL
-
-
-class _Open:
-    """A trace column left open: TRACE_ROW renders it as ``%r`` again."""
-
-    def __repr__(self):
-        return "%r"
-
-
-_OPEN = _Open()
 
 
 def format_lifetime(value: float, spec: str | None = ".9g"):
@@ -165,13 +155,24 @@ def write_comparison(comparison: ComparisonReport, path) -> None:
     _write_json(comparison_to_dict(comparison), path)
 
 
+def _operating_point(point) -> str:
+    """A trace row's freq and power columns between their commas: what the points of one span share."""
+    return f",{point[1]!r},{point[2]!r},"
+
+
+def _rows(operating_point: str, points) -> str:
+    """The trace rows of points that share one ``_operating_point``: each float as its repr, columns in
+    TRACE_HEADER's order, every row ending in a newline."""
+    return "".join([f"{p[0]!r}{operating_point}{p[3]!r},{p[4]!r}\n" for p in points])
+
+
 @contextmanager
 def trace_writer(path):
     """Open the trace CSV at ``path`` and yield a function that writes a span's TracePoints as rows.
 
     The function takes a non-empty sequence of points that share one freq and
     one power, as ``engine.run_scenario`` hands its sink, and writes their rows,
-    ``TRACE_ROW % point`` each, with one write: freq and power are rendered once.
+    one per point, with one write: freq and power are rendered once.
     The header is written first and every row ends in a newline. Pass the
     function to ``run_scenario`` as its sink to stream a run's trace: only the
     chunk at hand is in memory, and a run that fails leaves no file behind.
@@ -181,18 +182,16 @@ def trace_writer(path):
         write(TRACE_HEADER + "\n")
 
         def write_span(points) -> None:
-            _, freq, power, _, _ = points[0]
-            row = TRACE_ROW % (_OPEN, freq, power, _OPEN, _OPEN)  # time, temp and cum_wear left open
-            write("".join([row % (p[0], p[3], p[4]) for p in points]))
+            write(_rows(_operating_point(points[0]), points))
 
         yield write_span
 
 
 def write_trace(trace, path) -> None:
-    """CSV with one row per trace point, ``TRACE_ROW % point``: the bytes ``trace_writer`` writes for the same points."""
+    """CSV with one row per trace point, rendered as ``trace_writer`` renders them: the same bytes, point for point."""
     with _opened(path) as f:
         f.write(TRACE_HEADER + "\n")
-        f.writelines(TRACE_ROW % point for point in trace)
+        f.writelines(_rows(operating_point, span) for operating_point, span in groupby(trace, _operating_point))
 
 
 def format_sweep(runs, by_policy: bool = False) -> str:

@@ -10,9 +10,12 @@ exponential-integral difference (Abramowitz & Stegun 5.1.10)
 
     rate_ss * tau * [Ei(a) - Ei(a*u)] = rate_ss * (s + tau * sum_k a^k (1 - u^k) / (k * k!)).
 
-``Segment.advance(s)``, the one query, gives the temperature, this wear and the
-temperature integral s seconds into an interval. It evaluates the wear in closed
-form, to a few units of rounding error: over a short interval
+``Segment.advance(s)``, the interval's query, gives the temperature, this wear
+and the temperature integral s seconds into an interval; ``Segment.trace``, the
+span trace query beside it, gives the same temperature and wear, bit for bit, at
+each point of a run of trace grid times, working out the interval's constants
+once. Both evaluate the wear in closed form, to a few units of rounding error:
+over a short interval
 (``|a| * (1 - u) <= 1``, and ``1 - u <= 1/16`` unless ``a < -2``) by an
 expansion in ``1 - u``; otherwise for ``a >= -2`` by the series above, in
 Horner form; otherwise, heating by more than about 29 degC, where the series'
@@ -102,6 +105,9 @@ class SteadyState(namedtuple("_SteadyStateFields", "t_ss tau exponent_ss wear_sc
         return tuple.__new__(Segment, (temp0, t_ss, tau, d0, a, exponent_ss, wear_scale))
 
 
+TracePoint = namedtuple("TracePoint", "time freq power temp cum_wear")  # a span's operating point and thermal state
+
+
 class Segment(namedtuple("_SegmentFields", "temp0 t_ss tau d0 a exponent_ss wear_scale")):
     """Exact temperature and wear trajectory of one constant-power interval.
 
@@ -119,13 +125,62 @@ class Segment(namedtuple("_SegmentFields", "temp0 t_ss tau d0 a exponent_ss wear
     def advance(self, s: float) -> tuple[float, float, float]:
         """(temperature, wear fraction, temperature integral in degC * s) s >= 0 seconds in.
 
-        The Segment's one query, from a single exponential; chain intervals with
+        The interval's query, from a single exponential; ``trace`` samples a span's trace. Chain intervals with
         ``Segment(params, seg.advance(s)[0], power)``. Raises DomainError if the wear overflows.
         """
         if s < 0:
             raise DomainError(f"duration must be >= 0 (got {s})")
         g = -math.expm1(-s / self.tau)  # the fraction of the way from temp0 to t_ss
         return self.temp0 - self.d0 * g, self._wear(s, g), self.t_ss * s + self.d0 * self.tau * g
+
+    def trace(self, t0: float, length: float, dt: float, k: int, m: int, freq, power, wear0: float) -> list[TracePoint]:
+        """The span trace query: ``TracePoint(i * dt, freq, power, temp, wear0 + wear)`` for each ``k <= i < m``,
+        where the interval began at time ``t0 <= k * dt``, lasts ``length`` seconds, and (temp, wear) is
+        ``advance(min(i * dt - t0, length))[:2]`` bit for bit.
+
+        The route flags, the series' sums and each route's scale, ``exp(exponent) * wear_scale``, are worked
+        out once per call, a route's scale only when a point first takes that route; the E1 route and every
+        non-finite wear go through ``_wear``, so a failure is the DomainError ``advance`` raises.
+        """
+        if k * dt < t0:
+            raise DomainError(f"trace time {k * dt:g} s precedes the interval's start {t0:g} s")
+        temp0, _, tau, d0, a, exponent_ss, wear_scale = self
+        size = abs(a)
+        steep = a < _SERIES_MIN_A  # only the short-swing route or E1
+        series = not steep and a <= _MAX_A
+        short_g = _SHORT_G
+        expm1 = math.expm1
+        inf = math.inf
+        new = tuple.__new__  # builds a TracePoint without the Python-level call of TracePoint(...)
+        short_scale = series_scale = tails = None
+        points = []
+        append = points.append
+        for i in range(k, m):
+            time = i * dt
+            s = time - t0
+            if s > length:  # only where the clock rounded the span's end up
+                s = length
+            x = s / tau
+            g = -expm1(-x)
+            if size * g <= 1.0 and (g <= short_g or steep):
+                if short_scale is None:
+                    short_scale = _scale(exponent_ss + a, wear_scale)
+                wear = short_scale * _short_swing(a, x, g)
+            elif series:
+                if tails is None:
+                    tails = _series_tail_sums(a)
+                    series_scale = _scale(exponent_ss, wear_scale)
+                u = 1.0 - g
+                q = 0.0
+                for t in tails:
+                    q = q * u + t
+                wear = series_scale * (x + g * q)
+            else:
+                wear = self._wear(s, g)
+            if not wear < inf:
+                wear = self._wear(s, g)  # the same product, not finite: raises the DomainError
+            append(new(TracePoint, (time, freq, power, temp0 - d0 * g, wear0 + wear)))
+        return points
 
     def _wear(self, s: float, g: float) -> float:
         """Wear over [0, s] as exp(exponent) * tau/l_base * integral, routed as in the module notes."""
@@ -151,16 +206,21 @@ class Segment(namedtuple("_SegmentFields", "temp0 t_ss tau d0 a exponent_ss wear
             log_b = math.log(b)
             exponent = self.exponent_ss - z  # the rate at the end of the interval
             integral = _scaled_e1(z, log_b - x) - math.exp(z - b) * _scaled_e1(b, log_b)
-        try:
-            wear = math.exp(exponent) * self.wear_scale * integral
-        except OverflowError:
-            wear = math.inf
+        wear = _scale(exponent, self.wear_scale) * integral
         if not math.isfinite(wear):
             raise DomainError(f"thermal wear from {self.temp0:g} degC toward {self.t_ss:g} degC overflows")
         return wear
 
 
-@lru_cache(maxsize=1)  # a trace samples one segment many times in a row
+def _scale(exponent: float, wear_scale: float) -> float:
+    """exp(exponent) * wear_scale, the factor of a route's wear integral; inf if the exponential overflows."""
+    try:
+        return math.exp(exponent) * wear_scale
+    except OverflowError:
+        return math.inf
+
+
+@lru_cache(maxsize=1)  # a span's advance in the run and its trace query in a traced run share one segment's sums
 def _series_tail_sums(a: float) -> tuple[float, ...]:
     """Suffix sums T_j = sum_{k>j} a^k/(k*k!), highest j first, for Horner's rule.
 

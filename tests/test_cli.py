@@ -257,10 +257,11 @@ class TestCompare:
         assert result.returncode == 64
 
     @pytest.mark.parametrize("dwell", ["nan", "inf", "1e400"])
-    def test_a_non_finite_dwell_is_a_usage_error(self, dwell):
-        result = run_cli("compare", "--scenario", STEP_DEMO, "--policies", f"direct,stepped:{dwell}")
-        assert result.returncode == 64
-        assert result.stderr == f"usage error: dwell '{dwell}' in --policies must be finite and >= 0\n"
+    def test_a_non_finite_dwell_is_a_usage_error(self, tmp_path, dwell):
+        for scenario in (STEP_DEMO, str(tmp_path / "missing.json")):  # refused before the file is read
+            result = run_cli("compare", "--scenario", scenario, "--policies", f"direct,stepped:{dwell}")
+            assert (result.returncode, result.stdout) == (64, "")
+            assert result.stderr == f"usage error: dwell '{dwell}' in --policies must be finite and >= 0\n"
 
 
 class TestSweep:
@@ -488,14 +489,21 @@ class TestUsage:
                 ("--param", "policy.dwell_s", "--values", "0.1", "--policies", "direct,stepped"),
                 "--policies sets the policy, so --param policy.dwell_s would have no effect",
             ),
+            (("--param", "wear.alpha", "--values", ""), "--values is empty"),
+            (("--param", "wear.alpha", "--values", "1,x"), "bad --values '1,x'"),
+            (
+                ("--param", "wear.alpha", "--values", "1", "--policies", "direct,bogus"),
+                "unknown policy 'bogus' (expected direct or stepped[:dwell_s])",
+            ),
         ],
-        ids=["empty-value", "swept-policy-key"],
+        ids=["empty-value", "swept-policy-key", "no-values", "bad-value", "bad-policy"],
     )
-    def test_sweep_usage_errors_exit_64_in_one_line(self, args, message):
-        result = run_cli("sweep", "--scenario", TURION, *args)
-        assert result.returncode == 64
-        assert result.stderr == f"usage error: {message}\n"
-        assert result.stdout == ""
+    def test_sweep_usage_errors_exit_64_in_one_line(self, tmp_path, args, message):
+        for scenario in (TURION, str(tmp_path / "missing.json")):  # refused before the file is read
+            result = run_cli("sweep", "--scenario", scenario, *args)
+            assert result.returncode == 64
+            assert result.stderr == f"usage error: {message}\n"
+            assert result.stdout == ""
 
 
 class TestSweepPolicies:

@@ -16,7 +16,7 @@ from dvfsim import (
     write_trace,
 )
 from dvfsim.engine import TracePoint
-from dvfsim.reporting import TRACE_HEADER, TRACE_ROW, format_comparison_table, report_to_dict, trace_writer
+from dvfsim.reporting import TRACE_HEADER, format_comparison_table, report_to_dict, trace_writer
 from dvfsim import compare_policies, TransitionPolicy
 
 from helpers import load_json, make_scenario, make_task, trace_probe_scenario
@@ -193,6 +193,8 @@ class TestWriteTrace:
         assert errors[1] < errors[0]
 
 
+TRACE_ROW = "%r,%r,%r,%r,%r\n"  # the reference for one trace row: TRACE_ROW % point
+
 # any finite float, with both zeros, the extremes and reprs from one character to seventeen digits
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1 / 3, 1e16, 123456789.0]
@@ -214,6 +216,9 @@ def chunked_traces(draw):
 
 class TestTraceWriter:
     @given(chunked_traces())
+    # equal freqs that render apart, in adjacent spans: write_trace must not render one span's for the other's
+    @example([[TracePoint(0.0, 0.0, 1.0, 2.0, 3.0)], [TracePoint(0.5, -0.0, 1.0, 2.0, 3.0)],
+              [TracePoint(1.0, 0, 1.0, 2.0, 3.0)]])
     @settings(max_examples=300, deadline=None)
     def test_chunks_give_the_bytes_of_one_row_per_point(self, tmp_path_factory, chunks):
         path = tmp_path_factory.mktemp("trace") / "t.csv"
@@ -221,7 +226,10 @@ class TestTraceWriter:
             for chunk in chunks:
                 write_span(chunk)
         points = [p for chunk in chunks for p in chunk]
-        assert path.read_bytes() == (TRACE_HEADER + "\n" + "".join(TRACE_ROW % p for p in points)).encode()
+        want = (TRACE_HEADER + "\n" + "".join(TRACE_ROW % p for p in points)).encode()
+        assert path.read_bytes() == want
+        write_trace(points, path)  # the whole trace at once, through the same renderer
+        assert path.read_bytes() == want
 
 
 class TestComparisonTable:

@@ -285,6 +285,37 @@ class TestSteadyStateRecord:
         duration = s * seg.tau / 5.0 * scale  # the routes are set for tau = 5 s
         assert seg.advance(duration) == direct.advance(duration)
 
+    @given(st.sampled_from(sorted(ROUTES)), st.floats(0.0, 100.0), st.floats(0.5, 1.5), st.integers(1, 60))
+    @settings(max_examples=150)
+    def test_the_span_trace_query_is_advance_at_each_point(self, route, t0, reach, n):
+        temp0, power, length = self.ROUTES[route]
+        seg = Segment(TRANSIENT, temp0, power)
+        dt = reach * length / n  # the offsets reach up to half a length past the span's end, where they clamp
+        k = math.ceil(t0 / dt)
+        while k * dt < t0:
+            k += 1
+        points = seg.trace(t0, length, dt, k, k + n + 1, 8e8, power, 0.25)
+        assert [p[:3] for p in points] == [(i * dt, 8e8, power) for i in range(k, k + n + 1)]
+        for p in points:
+            temp, wear = seg.advance(min(p.time - t0, length))[:2]
+            assert (p.temp, p.cum_wear) == (temp, 0.25 + wear)
+
+    def test_the_span_trace_query_fails_as_advance_does(self):
+        hot = ThermalParams(r_th=2000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1.0)
+        edge = ThermalParams(r_th=1.0, c_th=1.0, t_amb=10045.0, t_ref=45.0, l_base=1.0)
+        for seg, s in ((Segment(hot, 20025.0, 10.0), 1.0), (Segment(edge, 10045.0, 0.0), 1e10),
+                       (Segment(TRANSIENT, 1.1e4, 0.0), 10.0)):
+            with pytest.raises(DomainError) as want:
+                seg.advance(s)
+            with pytest.raises(DomainError) as got:
+                seg.trace(0.0, s, s, 1, 2, 8e8, 0.0, 0.0)
+            assert str(got.value) == str(want.value)
+        slow = ThermalParams(r_th=5000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1000.0)
+        seg = Segment(slow, 25.0, 20.0)  # a hot steady state that the span does not reach: no overflow
+        assert seg.trace(0.0, 1e-3, 1e-3, 1, 2, 8e8, 20.0, 0.0)[0][3:] == seg.advance(1e-3)[:2]
+        with pytest.raises(DomainError, match="precedes"):
+            seg.trace(1.0, 1e-3, 0.5, 1, 2, 8e8, 20.0, 0.0)
+
     def test_one_record_serves_many_entry_temperatures(self):
         steady = SteadyState(TRANSIENT, 20.0)
         for temp0 in (25.0, 35.0, 80.0, 400.0):
