@@ -3,12 +3,14 @@
 One processor serves tasks FIFO in arrival order. The timeline is a chain of
 piecewise-constant-power intervals delimited by arrivals, hops, dwell ends, and
 completions; temperature advances by the exact closed form on each interval, so
-there is no global timestep. The run is one pass. ``run_scenario`` samples the
-trace only when it is given a sink: each interval's thermal Segment, which
-``Segment.advance`` steps over the whole interval, then also gives the trace
-points that fall in it through its span trace query, ``Segment.trace``, and they
-go to the sink as lists of at most TRACE_CHUNK points of one span, so sampling
-is purely observational.
+there is no global timestep. The run is one pass. Without a sink, each interval
+is one thermal step, ``SteadyState.step``, and no Segment is built.
+``run_scenario`` samples the trace only when it is given a sink: each interval
+then builds its thermal Segment, which ``Segment.advance`` steps over the whole
+interval, bit for bit as ``step`` does, and whose span trace query,
+``Segment.trace``, gives the trace points that fall in it; they go to the sink
+as lists of at most TRACE_CHUNK points of one span, so sampling is purely
+observational.
 ``simulate`` collects them. A run resolves its governor's rule, each power's
 thermal SteadyState and each level pair's hops with their shock once, and
 makes no span of zero length.
@@ -183,12 +185,13 @@ def _validate_policy(p: TransitionPolicy) -> list[Violation]:
 class _Timeline:
     """Mutable run state: clock, temperature, wear, energy, and transition log.
 
-    A span's power follows from its level and whether the processor is busy;
-    its Segment starts from that power's SteadyState; ``Segment.advance`` gives the
-    ledger its end state and, given a ``sink``, ``Segment.trace`` gives the trace
-    points that fall in the span, handed over as lists of at most TRACE_CHUNK
-    consecutive points that share the span's freq and power; with no sink nothing
-    is sampled.
+    A span's power follows from its level and whether the processor is busy.
+    With no sink nothing is sampled: that power's ``SteadyState.step`` gives the
+    ledger the span's end state, and no Segment is built. Given a ``sink``, the
+    span's Segment starts from that SteadyState; ``Segment.advance`` gives the
+    same end state, and ``Segment.trace`` gives the trace points that fall in
+    the span, handed over as lists of at most TRACE_CHUNK consecutive points
+    that share the span's freq and power.
     """
 
     def __init__(self, spec: ProcessorSpec, trace_dt: float, sink):
@@ -219,9 +222,11 @@ class _Timeline:
         end = self.now + length if until is None else until
         if end > self.end_cap:
             raise DomainError(f"the run reaches {end:g} s, beyond {MAX_TRACE_POINTS} trace points of sim.trace_dt")
-        seg = steady.segment(self.temp)
-        end_temp, wear, temp_integral = seg.advance(length)
-        if self.sink is not None:
+        if self.sink is None:
+            end_temp, wear, temp_integral = steady.step(self.temp, length)
+        else:
+            seg = steady.segment(self.temp)
+            end_temp, wear, temp_integral = seg.advance(length)
             self.span = (self.now, length, level.freq, power, seg, self.thermal_acc)
             self.sample(end)
         self.temp_integral += temp_integral

@@ -23,12 +23,6 @@ SCHEMA_VERSION = 1
 TRACE_HEADER = "time_s,freq_hz,power_w,temp_c,cum_wear"
 SWEEP_HEADER = "value,energy_j,shock_wear,thermal_wear,projected_lifetime_s"
 SWEEP_POLICY_HEADER = "value,policy,energy_j,shock_wear,thermal_wear,projected_lifetime_s"
-# one row of a report's "tasks" array, as json.dumps(..., indent=2) lays it out
-TASK_ROW = (
-    '    {\n      "id": %s,\n      "level_index": %d,\n      "start_s": %r,\n      "finish_s": %r,\n'
-    '      "deadline_met": %s,\n      "infeasible": %s\n    }'
-)
-_JSON = {True: "true", False: "false"}  # a bool as JSON writes it
 _TASKS_MARKER = "\0tasks"  # no other string in a report holds a NUL
 
 
@@ -137,17 +131,20 @@ def _write_json(doc: dict, path) -> None:
 
 
 def write_report(report: SimReport, path) -> None:
-    """``report_to_dict(report)`` as ``_write_json`` writes it; the task rows come from TASK_ROW, not from dicts."""
+    """``report_to_dict(report)`` as ``_write_json`` writes it; the task rows are rendered by an f-string, laid out
+    as json.dumps(..., indent=2) lays them out, not built as dicts."""
     doc = report_to_dict(replace(report, per_task=()))
     if not report.per_task:
         return _write_json(doc, path)
     doc["tasks"] = _TASKS_MARKER
-    head, tail = json.dumps(doc, indent=2).split(encode_basestring_ascii(_TASKS_MARKER))
-    rows = ",\n".join(
-        TASK_ROW
-        % (encode_basestring_ascii(t.id), t.level_index, t.start, t.finish, _JSON[t.deadline_met], _JSON[t.infeasible])
-        for t in report.per_task
-    )
+    encode = encode_basestring_ascii
+    head, tail = json.dumps(doc, indent=2).split(encode(_TASKS_MARKER))
+    rows = ",\n".join([
+        f'    {{\n      "id": {encode(id_)},\n      "level_index": {index},\n      "start_s": {start!r},\n'
+        f'      "finish_s": {finish!r},\n      "deadline_met": {"true" if met else "false"},\n'
+        f'      "infeasible": {"true" if infeasible else "false"}\n    }}'
+        for id_, index, start, finish, met, infeasible in report.per_task
+    ])
     _write(path, (head, "[\n", rows, "\n  ]", tail, "\n"))
 
 

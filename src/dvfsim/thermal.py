@@ -22,7 +22,10 @@ Horner form; otherwise, heating by more than about 29 degC, where the series'
 alternating terms would cancel, as ``E1(|a|*u) - E1(|a|)`` (A&S 5.1.11, and
 the continued fraction 5.1.22).
 ``SteadyState(params, power).segment(temp0)`` builds the same Segment from what
-every interval at one power shares, so a run computes that once per power.
+every interval at one power shares, so a run computes that once per power; its
+``step(temp0, s)`` is ``segment(temp0).advance(s)``, bit for bit, without
+building the Segment, for an interval that no trace samples. ``advance``,
+``step`` and ``trace``'s fallback all route the wear through one function.
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ def steady_state_temp(params: ThermalParams, power: float) -> float:
 class SteadyState(namedtuple("_SteadyStateFields", "t_ss tau exponent_ss wear_scale")):
     """What every interval at one power shares, built from (params, power): the steady
     state, ``tau``, the steady-state wear rate's exponent and ``tau / l_base``.
-    Immutable; ``segment(temp0)`` starts an interval at this power."""
+    Immutable; ``segment(temp0)`` starts an interval at this power, and ``step(temp0, s)``
+    steps one without building its Segment."""
 
     __slots__ = ()
 
@@ -101,8 +105,18 @@ class SteadyState(namedtuple("_SteadyStateFields", "t_ss tau exponent_ss wear_sc
         d0 = temp0 - t_ss
         a = _LN2_OVER_10 * d0
         if not math.isfinite(a):
-            raise DomainError(f"temperature {temp0:g} degC or steady state {t_ss:g} degC is not finite")
+            raise _not_finite(temp0, t_ss)
         return tuple.__new__(Segment, (temp0, t_ss, tau, d0, a, exponent_ss, wear_scale))
+
+    def step(self, temp0: float, s: float) -> tuple[float, float, float]:
+        """``segment(temp0).advance(s)``, bit for bit and with its DomainErrors, without building the Segment:
+        the query for an interval that no trace samples."""
+        t_ss, tau, exponent_ss, wear_scale = self
+        d0 = temp0 - t_ss
+        a = _LN2_OVER_10 * d0
+        if not math.isfinite(a):
+            raise _not_finite(temp0, t_ss)
+        return _advance(temp0, t_ss, tau, d0, a, exponent_ss, wear_scale, s)
 
 
 TracePoint = namedtuple("TracePoint", "time freq power temp cum_wear")  # a span's operating point and thermal state
@@ -128,10 +142,7 @@ class Segment(namedtuple("_SegmentFields", "temp0 t_ss tau d0 a exponent_ss wear
         The interval's query, from a single exponential; ``trace`` samples a span's trace. Chain intervals with
         ``Segment(params, seg.advance(s)[0], power)``. Raises DomainError if the wear overflows.
         """
-        if s < 0:
-            raise DomainError(f"duration must be >= 0 (got {s})")
-        g = -math.expm1(-s / self.tau)  # the fraction of the way from temp0 to t_ss
-        return self.temp0 - self.d0 * g, self._wear(s, g), self.t_ss * s + self.d0 * self.tau * g
+        return _advance(*self, s)
 
     def trace(self, t0: float, length: float, dt: float, k: int, m: int, freq, power, wear0: float) -> list[TracePoint]:
         """The span trace query: ``TracePoint(i * dt, freq, power, temp, wear0 + wear)`` for each ``k <= i < m``,
@@ -140,7 +151,7 @@ class Segment(namedtuple("_SegmentFields", "temp0 t_ss tau d0 a exponent_ss wear
 
         The route flags, the series' sums and each route's scale, ``exp(exponent) * wear_scale``, are worked
         out once per call, a route's scale only when a point first takes that route; the E1 route and every
-        non-finite wear go through ``_wear``, so a failure is the DomainError ``advance`` raises.
+        non-finite wear go through ``advance``'s own routing, so a failure is the DomainError it raises.
         """
         if k * dt < t0:
             raise DomainError(f"trace time {k * dt:g} s precedes the interval's start {t0:g} s")
@@ -176,40 +187,49 @@ class Segment(namedtuple("_SegmentFields", "temp0 t_ss tau d0 a exponent_ss wear
                     q = q * u + t
                 wear = series_scale * (x + g * q)
             else:
-                wear = self._wear(s, g)
+                wear = _advance(*self, s)[1]
             if not wear < inf:
-                wear = self._wear(s, g)  # the same product, not finite: raises the DomainError
+                wear = _advance(*self, s)[1]  # the same product, not finite: raises the DomainError
             append(new(TracePoint, (time, freq, power, temp0 - d0 * g, wear0 + wear)))
         return points
 
-    def _wear(self, s: float, g: float) -> float:
-        """Wear over [0, s] as exp(exponent) * tau/l_base * integral, routed as in the module notes."""
-        a = self.a
-        x = s / self.tau
-        if abs(a) * g <= 1.0 and (g <= _SHORT_G or a < _SERIES_MIN_A):
-            exponent = self.exponent_ss + a  # the rate at temp0
-            integral = _short_swing(a, x, g)
-        elif a >= _SERIES_MIN_A:
-            if a > _MAX_A:
-                raise DomainError(f"cooling from {self.temp0:g} degC toward {self.t_ss:g} degC is beyond float range")
-            # x + sum_k a^k (1 - u^k)/(k*k!) = x + g * sum_j T_j u^j with T_j = sum_{k>j} a^k/(k*k!)
-            u = 1.0 - g
-            q = 0.0
-            for t in _series_tail_sums(a):
-                q = q * u + t
-            exponent = self.exponent_ss
-            integral = x + g * q
-        else:
-            # E1(z) - E1(b) = e^-z * (e^z E1(z) - e^(z-b) * e^b E1(b)), with z = b*u
-            b = -a
-            z = b * math.exp(-x)
-            log_b = math.log(b)
-            exponent = self.exponent_ss - z  # the rate at the end of the interval
-            integral = _scaled_e1(z, log_b - x) - math.exp(z - b) * _scaled_e1(b, log_b)
-        wear = _scale(exponent, self.wear_scale) * integral
-        if not math.isfinite(wear):
-            raise DomainError(f"thermal wear from {self.temp0:g} degC toward {self.t_ss:g} degC overflows")
-        return wear
+
+def _advance(temp0, t_ss, tau, d0, a, exponent_ss, wear_scale, s: float) -> tuple[float, float, float]:
+    """``Segment.advance(s)`` of the interval with these fields: the one place the wear is routed, as in the
+    module notes, to exp(exponent) * tau/l_base * integral. Raises DomainError if ``s < 0`` or the wear
+    is not finite."""
+    if s < 0:
+        raise DomainError(f"duration must be >= 0 (got {s})")
+    x = s / tau
+    g = -math.expm1(-x)  # the fraction of the way from temp0 to t_ss
+    if abs(a) * g <= 1.0 and (g <= _SHORT_G or a < _SERIES_MIN_A):
+        exponent = exponent_ss + a  # the rate at temp0
+        integral = _short_swing(a, x, g)
+    elif a >= _SERIES_MIN_A:
+        if a > _MAX_A:
+            raise DomainError(f"cooling from {temp0:g} degC toward {t_ss:g} degC is beyond float range")
+        # x + sum_k a^k (1 - u^k)/(k*k!) = x + g * sum_j T_j u^j with T_j = sum_{k>j} a^k/(k*k!)
+        u = 1.0 - g
+        q = 0.0
+        for t in _series_tail_sums(a):
+            q = q * u + t
+        exponent = exponent_ss
+        integral = x + g * q
+    else:
+        # E1(z) - E1(b) = e^-z * (e^z E1(z) - e^(z-b) * e^b E1(b)), with z = b*u
+        b = -a
+        z = b * math.exp(-x)
+        log_b = math.log(b)
+        exponent = exponent_ss - z  # the rate at the end of the interval
+        integral = _scaled_e1(z, log_b - x) - math.exp(z - b) * _scaled_e1(b, log_b)
+    wear = _scale(exponent, wear_scale) * integral
+    if not math.isfinite(wear):
+        raise DomainError(f"thermal wear from {temp0:g} degC toward {t_ss:g} degC overflows")
+    return temp0 - d0 * g, wear, t_ss * s + d0 * tau * g
+
+
+def _not_finite(temp0: float, t_ss: float) -> DomainError:
+    return DomainError(f"temperature {temp0:g} degC or steady state {t_ss:g} degC is not finite")
 
 
 def _scale(exponent: float, wear_scale: float) -> float:

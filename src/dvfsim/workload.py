@@ -53,23 +53,35 @@ def min_energy_level(spec: ProcessorSpec, task: Task, start: float) -> Frequency
     remainder of the window, so with nonzero device or idle power racing to a
     higher level and idling can beat stretching.
     """
-    if start < task.arrival:
-        raise DomainError(f"start {start} precedes arrival {task.arrival}")
-    window = task.deadline - start
-    best = None
-    best_energy = math.inf
-    cycles, p_idle = task.cycles, spec.p_idle
-    for level, power in zip(spec.levels, spec.active_w):
-        t_run = cycles / level.freq
-        if t_run > window:
-            continue
-        energy = power * t_run + p_idle * (window - t_run)
-        if energy < best_energy:
-            best = level
-            best_energy = energy
-    if best is None:
-        raise InfeasibleError(task.id, _required_hz(task, window))
-    return best
+    return _min_energy_rule(spec)(spec, task, start)
+
+
+def _min_energy_rule(spec: ProcessorSpec):
+    """``min_energy_level`` for ``spec``, its (level, power, freq) table built once; the rule ignores the spec it
+    is called with."""
+    table = tuple(zip(spec.levels, spec.active_w, [level.freq for level in spec.levels]))
+    p_idle = spec.p_idle
+
+    def rule(_spec, task: Task, start: float) -> FrequencyLevel:
+        if start < task.arrival:
+            raise DomainError(f"start {start} precedes arrival {task.arrival}")
+        window = task.deadline - start
+        best = None
+        best_energy = math.inf
+        cycles = task.cycles
+        for level, power, freq in table:
+            t_run = cycles / freq
+            if t_run > window:
+                continue
+            energy = power * t_run + p_idle * (window - t_run)
+            if energy < best_energy:
+                best = level
+                best_energy = energy
+        if best is None:
+            raise InfeasibleError(task.id, _required_hz(task, window))
+        return best
+
+    return rule
 
 
 def governor_rule(spec: ProcessorSpec, governor: GovernorPolicy):
@@ -82,7 +94,7 @@ def governor_rule(spec: ProcessorSpec, governor: GovernorPolicy):
     if governor.kind == "lowest_feasible":
         return lowest_feasible_level
     if governor.kind == "min_energy":
-        return min_energy_level
+        return _min_energy_rule(spec)
     raise DomainError(f"unknown governor kind {governor.kind!r}")
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from dvfsim import (
@@ -23,10 +23,10 @@ from dvfsim import (
     shock_wear,
     simulate,
 )
-from dvfsim import engine
+from dvfsim import engine, thermal
 from dvfsim.engine import MAX_TRACE_POINTS, TRACE_CHUNK
 
-from helpers import SCENARIO_DIR, TURION_FREQS, make_scenario, make_spec, make_task, make_wear
+from helpers import SCENARIO_DIR, TURION_FREQS, make_scenario, make_spec, make_task, make_thermal, make_wear
 from strategies import specs, workloads
 
 DIRECT = TransitionPolicy("direct")
@@ -346,7 +346,7 @@ class TestWearAccounting:
     @given(specs(), st.data())
     @settings(max_examples=15, deadline=None)
     def test_each_logged_hop_costs_the_shock_of_its_jump(self, spec, data):
-        sc, _ = draw_many_task_scenario(spec, data)
+        sc, _ = draw_many_task_scenario(spec, data.draw)
         for event in run_scenario(sc).transition_log:
             assert event.wear == shock_wear(spec.wear, event.delta_f)
             assert event.delta_f == abs(event.to_hz - event.from_hz)
@@ -534,15 +534,18 @@ class TestFeasibleWorkloadsNeverMiss:
         assert report.deadline_misses == 0
 
 
-def draw_many_task_scenario(spec, data):
-    """A scenario of hundreds of tasks under any governor and policy, and whether it ends idle at its horizon."""
-    tasks = data.draw(workloads(spec))
-    governor = data.draw(
+def draw_many_task_scenario(spec, draw):
+    """A scenario of hundreds of tasks under any governor and policy, and whether it ends idle at its horizon.
+
+    ``draw`` is a hypothesis draw function, such as ``data.draw``.
+    """
+    tasks = draw(workloads(spec))
+    governor = draw(
         st.sampled_from([GovernorPolicy("lowest_feasible"), GovernorPolicy("min_energy")])
         | st.integers(0, len(spec.levels) - 1).map(lambda i: GovernorPolicy("fixed", i))
     )
-    policy = data.draw(st.sampled_from([DIRECT, STEPPED, TransitionPolicy("stepped", 0.05)]))
-    roomy = data.draw(st.booleans())
+    policy = draw(st.sampled_from([DIRECT, STEPPED, TransitionPolicy("stepped", 0.05)]))
+    roomy = draw(st.booleans())
     if roomy:
         # room for every task at the bottom clock plus every dwell, so the run ends idle at the horizon
         work = sum(t.cycles for t in tasks) / spec.levels[0].freq + 2 * len(tasks) * len(spec.levels) * policy.dwell
@@ -553,16 +556,39 @@ def draw_many_task_scenario(spec, data):
         duration = max(t.deadline for t in tasks)
     sc = make_scenario(
         spec=spec, tasks=tasks, governor=governor, policy=policy, duration=duration, trace_dt=duration,
-        dwell_stalls=data.draw(st.booleans()),
+        dwell_stalls=draw(st.booleans()),
     )
     return sc, roomy
+
+
+@st.composite
+def sampled_scenarios(draw):
+    """A many-task scenario whose trace_dt samples it 1, 7, 64 or 1,000 times."""
+    sc, _ = draw_many_task_scenario(draw(specs()), draw)
+    return replace(sc, trace_dt=sc.duration / draw(st.sampled_from([1, 7, 64, 1000])))
+
+
+def hot_scenario():
+    """Tasks on a part whose top level heats it by over 100 degC (r_th = 10 K/W, tau = 5 s): a long task
+    heats by more than 29 degC in one span (the E1 wear route), an idle gap cools (the series), and a short
+    task and the stepped dwells take the short-swing expansion."""
+    tasks = (
+        make_task("long", 3.6e9, 0.0, 2.5),
+        make_task("short", 1e7, 12.0, 13.0),
+        make_task("queued", 1.8e9, 12.0, 16.0),
+        make_task("late", 2.4e9, 30.0, 32.0),
+    )
+    spec = make_spec(thermal=make_thermal(r_th=10.0, c_th=0.5))
+    return make_scenario(
+        spec=spec, tasks=tasks, policy=TransitionPolicy("stepped", 0.05), duration=60.0, trace_dt=60.0 / 7
+    )
 
 
 class TestManyTaskInvariants:
     @given(specs(), st.data())
     @settings(max_examples=20, deadline=None)
     def test_invariants_hold_over_hundreds_of_tasks(self, spec, data):
-        sc, roomy = draw_many_task_scenario(spec, data)
+        sc, roomy = draw_many_task_scenario(spec, data.draw)
         tasks, duration = sc.tasks, sc.duration
         report, _ = simulate(sc)
         end = report.ledger.elapsed
@@ -587,16 +613,24 @@ class TestManyTaskInvariants:
         assert wears[-1] == pytest.approx(report.ledger.total, rel=1e-12, abs=0.0)
         assert max(p.temp for p in trace) <= report.peak_temp
 
-    @given(specs(), st.data())
+    @given(sampled_scenarios())
+    @example(hot_scenario())
     @settings(max_examples=10, deadline=None)
-    def test_the_run_does_not_depend_on_its_sink(self, spec, data):
-        sc, _ = draw_many_task_scenario(spec, data)
-        sc = replace(sc, trace_dt=sc.duration / data.draw(st.sampled_from([1, 7, 64, 1000])))
+    def test_the_run_does_not_depend_on_its_sink(self, sc):
         points = []
         sunk = run_scenario(sc, points.extend)
         report, trace = simulate(sc)
         assert repr(run_scenario(sc)) == repr(sunk) == repr(report)
         assert tuple(points) == trace
+
+    def test_the_hot_example_takes_every_wear_route_unsampled(self):
+        with (
+            mock.patch.object(thermal, "_short_swing", wraps=thermal._short_swing) as short,
+            mock.patch.object(thermal, "_series_tail_sums", wraps=thermal._series_tail_sums) as series,
+            mock.patch.object(thermal, "_scaled_e1", wraps=thermal._scaled_e1) as e1,
+        ):
+            run_scenario(hot_scenario())
+        assert short.called and series.called and e1.called
 
 
 class TestSinkContract:
@@ -605,7 +639,7 @@ class TestSinkContract:
     @given(specs(), st.data())
     @settings(max_examples=15, deadline=None)
     def test_each_call_is_a_short_run_of_one_span(self, spec, data):
-        sc, _ = draw_many_task_scenario(spec, data)
+        sc, _ = draw_many_task_scenario(spec, data.draw)
         sc = replace(sc, trace_dt=sc.duration / data.draw(st.sampled_from([1, 7, 64, 1000])))
         cap = data.draw(st.sampled_from([1, 2, 3, 17, TRACE_CHUNK]))
         calls = []

@@ -284,6 +284,28 @@ class TestSteadyStateRecord:
         assert seg == (temp0, t_ss, r_th * c_th, d0, math.log(2.0) / 10.0 * d0, steady.exponent_ss, steady.wear_scale)
         duration = s * seg.tau / 5.0 * scale  # the routes are set for tau = 5 s
         assert seg.advance(duration) == direct.advance(duration)
+        # the step of an interval no trace samples is the Segment's advance, bit for bit
+        assert steady.step(temp0, duration) == seg.advance(duration)
+        assert steady.step(temp0, 0.0) == seg.advance(0.0)
+
+    def test_the_step_fails_as_advance_does(self):
+        hot = ThermalParams(r_th=2000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1.0)
+        edge = ThermalParams(r_th=1.0, c_th=1.0, t_amb=10045.0, t_ref=45.0, l_base=1.0)
+        cases = (
+            (SteadyState(TRANSIENT, 20.0), math.inf, 1.0, "not finite"),
+            (SteadyState(TRANSIENT, 20.0), math.nan, 1.0, "not finite"),
+            (SteadyState(TRANSIENT, math.inf), 25.0, 1.0, "not finite"),
+            (SteadyState(TRANSIENT, 20.0), 30.0, -1.0, "must be >= 0"),
+            (SteadyState(hot, 10.0), 20025.0, 1.0, "overflows"),  # held at 20,025 degC: 2^1998 overflows
+            (SteadyState(edge, 0.0), 10045.0, 1e10, "overflows"),  # a finite rate whose integral is not
+            (SteadyState(TRANSIENT, 0.0), 1.1e4, 10.0, "beyond float range"),  # cooling with a > 709
+        )
+        for steady, temp0, s, kind in cases:
+            with pytest.raises(DomainError, match=kind) as want:
+                steady.segment(temp0).advance(s)
+            with pytest.raises(DomainError) as got:
+                steady.step(temp0, s)
+            assert str(got.value) == str(want.value)
 
     @given(st.sampled_from(sorted(ROUTES)), st.floats(0.0, 100.0), st.floats(0.5, 1.5), st.integers(1, 60))
     @settings(max_examples=150)

@@ -101,6 +101,15 @@ class TestLowestFeasible:
             assert task.cycles / spec.levels[level.index - 1].freq > window
 
 
+def min_energy_rule(spec, task, start):
+    """``governor_rule(spec, GovernorPolicy("min_energy"))`` resolved for ``spec`` and called."""
+    return governor_rule(spec, GovernorPolicy("min_energy"))(spec, task, start)
+
+
+# the governor's two entry points: the module function and the rule a run resolves once
+MIN_ENERGY = pytest.mark.parametrize("min_energy", [min_energy_level, min_energy_rule], ids=["level", "rule"])
+
+
 class TestMinEnergy:
     def test_stretching_wins_without_static_power(self):
         spec = two_level_spec(coeff_a=1e-9, coeff_b=0.0, p_device=0.0, p_idle=0.0)
@@ -108,23 +117,26 @@ class TestMinEnergy:
         # 1 GHz: 1 W for 1 s = 1 J; 2 GHz: 3.92 W for 0.5 s = 1.96 J
         assert min_energy_level(spec, task, 0.0).freq == 1.0e9
 
-    def test_race_to_idle_wins_with_static_power(self):
+    @MIN_ENERGY
+    def test_race_to_idle_wins_with_static_power(self, min_energy):
         spec = two_level_spec(coeff_a=1e-9, coeff_b=0.0, p_device=5.0, p_idle=0.5)
         task = Task("t", 1e9, 0.0, 2.0)
         # 1 GHz: 6 W * 1 s + 0.5 W * 1 s = 6.5 J; 2 GHz: 8.92 * 0.5 + 0.5 * 1.5 = 5.21 J
-        assert min_energy_level(spec, task, 0.0).freq == 2.0e9
+        assert min_energy(spec, task, 0.0).freq == 2.0e9
 
-    def test_tie_breaks_toward_lower_index(self):
+    @MIN_ENERGY
+    def test_tie_breaks_toward_lower_index(self, min_energy):
         # with only the supply-linear term, energy = b*vdd*cycles/f is equal here
         levels = [FrequencyLevel(0, 1.0e9, 1.0), FrequencyLevel(1, 2.0e9, 2.0)]
         spec = make_spec(levels=levels, coeff_a=0.0, coeff_b=1.0, p_device=0.0, p_idle=0.0)
         task = Task("t", 1e9, 0.0, 2.0)
-        assert min_energy_level(spec, task, 0.0).index == 0
+        assert min_energy(spec, task, 0.0).index == 0
 
-    def test_infeasible_raises(self):
+    @MIN_ENERGY
+    def test_infeasible_raises(self, min_energy):
         spec = two_level_spec()
         with pytest.raises(InfeasibleError):
-            min_energy_level(spec, Task("t", 4.1e9, 0.0, 2.0), 0.0)
+            min_energy(spec, Task("t", 4.1e9, 0.0, 2.0), 0.0)
 
     @given(specs(), st.data())
     @settings(max_examples=120)
