@@ -6,13 +6,15 @@ overflowing a float, or a run carried past the trace cap of
 engine.MAX_TRACE_POINTS samples), 2 invalid scenario (parse/schema/validation,
 including NaN, Infinity, out-of-range numbers, a file that is not UTF-8 or is
 nested too deeply to decode, and a sim.trace_dt finer than the cap allows), 64
-usage error. Output is plain text.
+usage error (including simulate's --report and --trace naming one file). Output
+is plain text.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .config import load_scenario, parse_scenario, read_document, set_sweep_param, sweep_kind
@@ -77,6 +79,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    same = args.report and args.trace and os.path.realpath(args.report) == os.path.realpath(args.trace)
+    if same and (os.path.isfile(args.report) or not os.path.exists(args.report)):  # a device may take both
+        raise _UsageError(f"--report and --trace both name {args.report!r}")
     scenario = load_scenario(args.scenario)
     if args.trace:  # opened before the run, so a bad path fails first; each chunk of rows is written as it is sampled
         with trace_writer(args.trace) as write_span:

@@ -3,6 +3,7 @@
 Writers emit byte-identical output for identical inputs: stable key order,
 shortest round-trippable float repr (Python's default), LF newlines, and a
 final newline. Unbounded lifetimes serialize as the string "unbounded".
+Task rows (TASK_BLOCK at a time) and trace rows are streamed, not held whole.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ TRACE_HEADER = "time_s,freq_hz,power_w,temp_c,cum_wear"
 SWEEP_HEADER = "value,energy_j,shock_wear,thermal_wear,projected_lifetime_s"
 SWEEP_POLICY_HEADER = "value,policy,energy_j,shock_wear,thermal_wear,projected_lifetime_s"
 _TASKS_MARKER = "\0tasks"  # no other string in a report holds a NUL
+TASK_BLOCK = 512  # task rows rendered per write of a report: about 100 kB of text
 
 
 def format_lifetime(value: float, spec: str | None = ".9g"):
@@ -132,20 +134,29 @@ def _write_json(doc: dict, path) -> None:
 
 def write_report(report: SimReport, path) -> None:
     """``report_to_dict(report)`` as ``_write_json`` writes it; the task rows are rendered by an f-string, laid out
-    as json.dumps(..., indent=2) lays them out, not built as dicts."""
+    as json.dumps(..., indent=2) lays them out, not built as dicts, and written TASK_BLOCK rows at a time, so
+    only one block's text is in memory whatever the task count."""
     doc = report_to_dict(replace(report, per_task=()))
     if not report.per_task:
         return _write_json(doc, path)
     doc["tasks"] = _TASKS_MARKER
     encode = encode_basestring_ascii
     head, tail = json.dumps(doc, indent=2).split(encode(_TASKS_MARKER))
-    rows = ",\n".join([
-        f'    {{\n      "id": {encode(id_)},\n      "level_index": {index},\n      "start_s": {start!r},\n'
-        f'      "finish_s": {finish!r},\n      "deadline_met": {"true" if met else "false"},\n'
-        f'      "infeasible": {"true" if infeasible else "false"}\n    }}'
-        for id_, index, start, finish, met, infeasible in report.per_task
-    ])
-    _write(path, (head, "[\n", rows, "\n  ]", tail, "\n"))
+
+    def chunks():
+        yield head + "[\n"
+        for first in range(0, len(report.per_task), TASK_BLOCK):
+            if first:
+                yield ",\n"  # the separator one join over all the rows would put here
+            yield ",\n".join([
+                f'    {{\n      "id": {encode(id_)},\n      "level_index": {index},\n      "start_s": {start!r},\n'
+                f'      "finish_s": {finish!r},\n      "deadline_met": {"true" if met else "false"},\n'
+                f'      "infeasible": {"true" if infeasible else "false"}\n    }}'
+                for id_, index, start, finish, met, infeasible in report.per_task[first : first + TASK_BLOCK]
+            ])
+        yield "\n  ]" + tail + "\n"
+
+    _write(path, chunks())
 
 
 def write_comparison(comparison: ComparisonReport, path) -> None:

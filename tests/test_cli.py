@@ -65,6 +65,24 @@ class TestSimulate:
         result = run_cli("simulate", "--scenario", str(tmp_path / "absent.json"))
         assert result.returncode == 1
 
+    @pytest.mark.parametrize("scenario", [TURION, "missing.json"], ids=["shipped", "missing"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_one_file_for_report_and_trace_is_a_usage_error(self, tmp_path, monkeypatch, capsys, scenario, existing):
+        monkeypatch.chdir(tmp_path)  # refused before the scenario file is read, and the file is left as it was
+        target = tmp_path / "x.json"
+        if existing:
+            target.write_text("kept")
+        assert cli.main(["simulate", "--scenario", scenario, "--report", "x.json", "--trace", "./x.json"]) == 64
+        assert capsys.readouterr() == ("", "usage error: --report and --trace both name 'x.json'\n")
+        if existing:
+            assert target.read_text() == "kept"
+        else:
+            assert not target.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs the /dev/null device")
+    def test_a_device_may_take_both_report_and_trace(self, capsys):
+        assert cli.main(["simulate", "--scenario", TURION, "--report", "/dev/null", "--trace", "/dev/null"]) == 0
+
     def test_invalid_scenario_exits_2(self, tmp_path):
         doc = json.loads(open(TURION).read())
         doc["sim"]["duration_s"] = 1.0  # shorter than the deadlines

@@ -1,5 +1,10 @@
+import errno
+import io
 import json
 import math
+import os
+import tracemalloc
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -16,7 +21,8 @@ from dvfsim import (
     write_trace,
 )
 from dvfsim.engine import TracePoint
-from dvfsim.reporting import TRACE_HEADER, format_comparison_table, report_to_dict, trace_writer
+from dvfsim import reporting
+from dvfsim.reporting import TASK_BLOCK, TRACE_HEADER, format_comparison_table, report_to_dict, trace_writer
 from dvfsim import compare_policies, TransitionPolicy
 
 from helpers import load_json, make_scenario, make_task, trace_probe_scenario
@@ -130,6 +136,67 @@ class TestReportEncoder:
         path = tmp_path_factory.mktemp("report") / "r.json"
         write_report(report, path)
         assert path.read_bytes() == (json.dumps(report_to_dict(report), indent=2) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("count", [0, 1, TASK_BLOCK - 1, TASK_BLOCK, TASK_BLOCK + 1, 2 * TASK_BLOCK + 1])
+    def test_bytes_at_the_block_boundaries(self, tmp_path, count):
+        report = make_report(
+            TaskOutcome(f'"t\\{i}\x01\u2028é😀', i % 64, i * 0.1, i * 0.1 + 1e-300, i % 3 > 0, i % 5 == 0)
+            for i in range(count)
+        )
+        path = tmp_path / "r.json"
+        write_report(report, path)
+        assert path.read_bytes() == (json.dumps(report_to_dict(report), indent=2) + "\n").encode("utf-8")
+
+
+def many_tasks(count):
+    return make_report(TaskOutcome(f"task-{i}", i % 6, i * 0.1, i * 0.1 + 0.05, i % 3 > 0, False) for i in range(count))
+
+
+class TestStreamedReport:
+    """write_report renders and writes TASK_BLOCK task rows at a time."""
+
+    def test_memory_for_writing_does_not_grow_with_the_tasks(self, tmp_path):
+        report = many_tasks(20_000)  # a 3.8 MB report
+        tracemalloc.start()
+        try:
+            write_report(report, tmp_path / "r.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_an_oserror_after_the_first_block_leaves_no_file(self, tmp_path, monkeypatch):
+        class FullAfterOneBlock(io.FileIO):
+            def write(self, data):
+                if self.tell() > TASK_BLOCK * 100:  # the head and the first block are in the file
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(data)
+
+        def open_full(file, mode, encoding, newline):
+            return io.TextIOWrapper(io.BufferedWriter(FullAfterOneBlock(file, mode)), encoding=encoding, newline=newline)
+
+        monkeypatch.setattr(reporting, "open", open_full, raising=False)
+        path = tmp_path / "r.json"
+        with pytest.raises(OSError) as failed:
+            write_report(many_tasks(3 * TASK_BLOCK), path)
+        assert str(failed.value) == f"cannot write {path}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert not path.exists()
+
+    def test_a_row_that_fails_to_render_removes_the_partial_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        written = []
+
+        class NotARow:
+            def __iter__(self):
+                written.append(path.stat().st_size)
+                raise ValueError("not a task row")
+
+        report = many_tasks(TASK_BLOCK)
+        report = replace(report, per_task=report.per_task + (NotARow(),))
+        with pytest.raises(ValueError, match="not a task row"):
+            write_report(report, path)
+        assert written[0] > TASK_BLOCK * 100  # the head and the first block had reached the file
+        assert not path.exists()
 
 
 class TestWriteTrace:
