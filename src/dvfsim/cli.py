@@ -8,6 +8,10 @@ including NaN, Infinity, out-of-range numbers, a file that is not UTF-8 or is
 nested too deeply to decode, and a sim.trace_dt finer than the cap allows), 64
 usage error (including simulate's --report and --trace naming one file). Output
 is plain text.
+
+``main`` builds the parser of the subcommand its first argument names, and no
+other; any other first argument (none, ``-h``, an unknown word) gets all four,
+so the top-level help and the list of choices stay whole.
 """
 
 from __future__ import annotations
@@ -79,9 +83,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    same = args.report and args.trace and os.path.realpath(args.report) == os.path.realpath(args.trace)
-    if same and (os.path.isfile(args.report) or not os.path.exists(args.report)):  # a device may take both
-        raise _UsageError(f"--report and --trace both name {args.report!r}")
+    report, trace = args.report, args.trace
+    if report and trace:  # one regular file, or one path not made yet, would lose the trace; a device may take both
+        if os.path.exists(report) and os.path.exists(trace):
+            same = os.path.samefile(report, trace) and os.path.isfile(report)  # samefile also sees a hard link
+        else:
+            same = os.path.realpath(report) == os.path.realpath(trace)
+        if same:
+            raise _UsageError(f"--report and --trace both name {report!r}")
     scenario = load_scenario(args.scenario)
     if args.trace:  # opened before the run, so a bad path fails first; each chunk of rows is written as it is sampled
         with trace_writer(args.trace) as write_span:
@@ -145,39 +154,46 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
+# Each subcommand: its help line, its handler, and its options as (flag, required, help), in help order.
+_COMMANDS = {
+    "validate": ("check a scenario file, listing every violation", cmd_validate, (("--scenario", True, None),)),
+    "simulate": ("run one scenario and optionally write report/trace", cmd_simulate, (
+        ("--scenario", True, None),
+        ("--report", False, "write the run report (JSON) here"),
+        ("--trace", False, "write the sampled trace (CSV) here"),
+    )),
+    "compare": ("run the scenario under several transition policies", cmd_compare, (
+        ("--scenario", True, None),
+        ("--policies", True, "e.g. direct,stepped or direct,stepped:0.05"),
+        ("--report", False, "write the comparison (JSON) here"),
+    )),
+    "sweep": ("re-run the scenario across values of one parameter", cmd_sweep, (
+        ("--scenario", True, None),
+        ("--param", True, "dotted scenario key, e.g. wear.alpha"),
+        ("--values", True, "comma-separated numbers"),
+        ("--policies", False, "run each value under each policy, as compare does; adds a policy column"),
+        ("--out", False, "write the sweep CSV here instead of stdout"),
+    )),
+}
+
+
+def build_parser(commands=_COMMANDS) -> _Parser:
+    """The top-level parser with the named subcommands, by default all of them."""
     parser = _Parser(prog="dvfsim", description="DVFS energy/temperature/wear co-simulator")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("validate", help="check a scenario file, listing every violation")
-    p.add_argument("--scenario", required=True)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("simulate", help="run one scenario and optionally write report/trace")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--report", help="write the run report (JSON) here")
-    p.add_argument("--trace", help="write the sampled trace (CSV) here")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("compare", help="run the scenario under several transition policies")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--policies", required=True, help="e.g. direct,stepped or direct,stepped:0.05")
-    p.add_argument("--report", help="write the comparison (JSON) here")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("sweep", help="re-run the scenario across values of one parameter")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--param", required=True, help="dotted scenario key, e.g. wear.alpha")
-    p.add_argument("--values", required=True, help="comma-separated numbers")
-    p.add_argument("--policies", help="run each value under each policy, as compare does; adds a policy column")
-    p.add_argument("--out", help="write the sweep CSV here instead of stdout")
-    p.set_defaults(func=cmd_sweep)
-
+    for name in commands:
+        help_line, func, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flag, required, help_text in options:
+            p.add_argument(flag, required=required, help=help_text)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a shell pays this build on every call, so a named subcommand gets its parser alone
+    parser = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "func", None):

@@ -75,18 +75,16 @@ class TransitionEvent(namedtuple("_TransitionEventFields", "time from_hz to_hz d
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SimReport:
-    energy: EnergyBreakdown
-    cost_usd: float
-    per_task: tuple[TaskOutcome, ...]
-    peak_temp: float
-    avg_temp: float
-    active_s: float
-    idle_s: float
-    ledger: WearLedger
-    projected_lifetime: float  # seconds; inf means unbounded
-    transition_log: tuple[TransitionEvent, ...]
+class SimReport(
+    namedtuple(
+        "_SimReportFields",
+        "energy cost_usd per_task peak_temp avg_temp active_s idle_s ledger projected_lifetime transition_log",
+    )
+):
+    """One run's totals: an EnergyBreakdown, the cost, one TaskOutcome per task, temperatures, busy and idle
+    seconds, the WearLedger, the projected lifetime in seconds (inf means unbounded) and the TransitionEvents."""
+
+    __slots__ = ()
 
     @property
     def deadline_misses(self) -> int:
@@ -101,22 +99,15 @@ class SimReport:
         return sum(e.delta_f for e in self.transition_log)
 
 
-@dataclass(frozen=True)
-class PolicyOutcome:
+class PolicyOutcome(
+    namedtuple("_PolicyOutcomeFields", "policy label report delta_energy_j delta_lifetime_s newly_missed newly_met")
+):
     """One policy's run plus its deltas against the first (baseline) policy."""
 
-    policy: TransitionPolicy
-    label: str
-    report: SimReport
-    delta_energy_j: float
-    delta_lifetime_s: float
-    newly_missed: tuple[str, ...]
-    newly_met: tuple[str, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    runs: tuple[PolicyOutcome, ...]
+ComparisonReport = namedtuple("ComparisonReport", "runs")  # one PolicyOutcome per policy, the baseline first
 
 
 def _validate_scenario(scenario: Scenario) -> list[Violation]:

@@ -9,8 +9,7 @@ active power per level; idle power is a single level-independent constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 
 from .errors import DomainError, UnknownLevelError
 from .thermal import ThermalParams
@@ -19,59 +18,48 @@ from .transitions import WearParams
 DEFAULT_COST_RATE = 100.0  # $/MWh
 
 
-@dataclass(frozen=True)
-class FrequencyLevel:
+class FrequencyLevel(namedtuple("_FrequencyLevelFields", "index freq vdd")):
     """One discrete operating point: 0-based ladder index, clock in Hz, supply in V."""
 
-    index: int
-    freq: float
-    vdd: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ProcessorSpec:
+class ProcessorSpec(namedtuple("_ProcessorSpecFields", "levels coeff_a coeff_b p_device p_idle thermal wear")):
     """Ladder of operating points plus power, thermal, and wear parameters.
 
     Levels must be strictly increasing in both frequency and supply voltage;
     coefficients are in W/(Hz*V^2), W/V, W, W respectively.
     """
 
-    levels: tuple[FrequencyLevel, ...]
-    coeff_a: float
-    coeff_b: float
-    p_device: float
-    p_idle: float
-    thermal: ThermalParams
-    wear: WearParams
+    __slots__ = ()
 
-    @cached_property
+    @property
     def active_w(self) -> tuple[float, ...]:
-        """Active power in watts at each level, by ladder index; built once per spec."""
+        """Active power in watts at each level, by ladder index; computed from the fields at each read, so a copy
+        from ``_replace`` has its own (a run reads it once or twice)."""
         return tuple(self.coeff_a * lv.freq * lv.vdd**2 + self.coeff_b * lv.vdd + self.p_device for lv in self.levels)
 
     def require_level(self, level: FrequencyLevel) -> None:
-        """Raise UnknownLevelError unless ``level`` is one of this ladder's levels."""
-        i, levels = level.index, self.levels
+        """Raise UnknownLevelError unless ``level`` is one of this ladder's levels; a tuple of the same items that
+        is not a FrequencyLevel is not one."""
+        levels = self.levels
+        i = level.index if isinstance(level, FrequencyLevel) else -1  # a plain tuple's .index is a method
         if not (0 <= i < len(levels) and (levels[i] is level or levels[i] == level)):  # identity first: the usual case
             raise UnknownLevelError(f"level {level} is not part of this processor spec")
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(namedtuple("_EnergyBreakdownFields", "active_j idle_j")):
     """Joules split into active (task executing) and idle portions."""
 
-    active_j: float
-    idle_j: float
+    __slots__ = ()
 
     @property
     def total_j(self) -> float:
         return self.active_j + self.idle_j
 
 
-@dataclass(frozen=True)
-class Violation:
-    field: str
-    rule: str
+class Violation(namedtuple("_ViolationFields", "field rule")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.field}: {self.rule}"

@@ -13,7 +13,6 @@ import math
 import os
 import stat
 from contextlib import contextmanager, suppress
-from dataclasses import replace
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 
@@ -136,7 +135,7 @@ def write_report(report: SimReport, path) -> None:
     """``report_to_dict(report)`` as ``_write_json`` writes it; the task rows are rendered by an f-string, laid out
     as json.dumps(..., indent=2) lays them out, not built as dicts, and written TASK_BLOCK rows at a time, so
     only one block's text is in memory whatever the task count."""
-    doc = report_to_dict(replace(report, per_task=()))
+    doc = report_to_dict(report._replace(per_task=()))
     if not report.per_task:
         return _write_json(doc, path)
     doc["tasks"] = _TASKS_MARKER

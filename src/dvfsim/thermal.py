@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
@@ -46,19 +45,14 @@ _SHORT_G = 1.0 / 16.0  # up to this rise the short-swing expansion needs few ter
 _MAX_A = 709.0  # the series' terms reach e^a / sqrt(2*pi*a), which overflows beyond this
 
 
-@dataclass(frozen=True)
-class ThermalParams:
+class ThermalParams(namedtuple("_ThermalParamsFields", "r_th c_th t_amb t_ref l_base")):
     """Thermal resistance/capacitance, ambient, and the wear reference point.
 
     r_th in K/W, c_th in J/K, temperatures in degC, l_base in seconds of
     baseline lifetime at the reference temperature.
     """
 
-    r_th: float
-    c_th: float
-    t_amb: float
-    t_ref: float
-    l_base: float
+    __slots__ = ()
 
     @property
     def tau(self) -> float:
@@ -66,13 +60,10 @@ class ThermalParams:
         return self.r_th * self.c_th
 
 
-@dataclass(frozen=True)
-class WearLedger:
+class WearLedger(namedtuple("_WearLedgerFields", "thermal_wear shock_wear elapsed", defaults=(0.0, 0.0, 0.0))):
     """Accumulated wear fractions; a component fails when the total reaches 1."""
 
-    thermal_wear: float = 0.0
-    shock_wear: float = 0.0
-    elapsed: float = 0.0
+    __slots__ = ()
 
     @property
     def total(self) -> float:

@@ -10,7 +10,6 @@ small steps strictly reduces the total shock wear.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
@@ -21,23 +20,20 @@ if TYPE_CHECKING:
 POLICY_KINDS = ("direct", "stepped")
 
 
-@dataclass(frozen=True)
-class TransitionPolicy:
+class TransitionPolicy(namedtuple("_TransitionPolicyFields", "kind dwell", defaults=(0.0,))):
     """How to move between ladder levels: kind is "direct" or "stepped".
 
     ``dwell`` is the time in seconds spent operating at each intermediate level
     of a stepped transition (the final hop resumes normal operation at once).
     """
 
-    kind: str
-    dwell: float = 0.0
+    __slots__ = ()
 
 
 Hop = namedtuple("Hop", "from_level to_level delta_f dwell_after")
 
 
-@dataclass(frozen=True)
-class WearParams:
+class WearParams(namedtuple("_WearParamsFields", "k_shock alpha f_span")):
     """Shock-wear model: wear per hop = k_shock * (delta_f / f_span)^alpha.
 
     f_span normalizes delta_f so k_shock is the wear fraction of one full-span
@@ -45,9 +41,7 @@ class WearParams:
     strongly large jumps are penalized (alpha = 1 makes stepping neutral).
     """
 
-    k_shock: float
-    alpha: float
-    f_span: float
+    __slots__ = ()
 
 
 def full_span(levels: tuple[FrequencyLevel, ...]) -> float:

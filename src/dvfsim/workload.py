@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleError
 from .power import FrequencyLevel, ProcessorSpec
@@ -23,12 +22,10 @@ class Task(namedtuple("_TaskFields", "id cycles arrival deadline")):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GovernorPolicy:
+class GovernorPolicy(namedtuple("_GovernorPolicyFields", "kind fixed_index", defaults=(None,))):
     """Frequency selection rule; ``fixed_index`` applies only to kind "fixed"."""
 
-    kind: str
-    fixed_index: int | None = None
+    __slots__ = ()
 
 
 def _required_hz(task: Task, window: float) -> float:

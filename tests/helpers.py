@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from dvfsim import (
@@ -60,7 +59,7 @@ def steady_wear_factors(params: ThermalParams, temp: float) -> tuple[float, floa
     One factor comes from each thermal path: s = tau/50 takes the short-swing
     expansion, s = 2 * tau the series.
     """
-    seg = Segment(replace(params, t_amb=temp), temp, 0.0)
+    seg = Segment(params._replace(t_amb=temp), temp, 0.0)
     return tuple(seg.advance(s)[1] / (s / params.l_base) for s in (params.tau / 50.0, 2.0 * params.tau))
 
 

@@ -79,6 +79,16 @@ class TestSimulate:
         else:
             assert not target.exists()
 
+    @pytest.mark.parametrize("scenario", [TURION, "missing.json"], ids=["shipped", "missing"])
+    def test_a_hard_link_for_report_and_trace_is_a_usage_error(self, tmp_path, monkeypatch, capsys, scenario):
+        monkeypatch.chdir(tmp_path)  # two names, one file: the paths differ even once resolved
+        target = tmp_path / "a.json"
+        target.write_text("kept")
+        os.link(target, tmp_path / "b.json")
+        assert cli.main(["simulate", "--scenario", scenario, "--report", "a.json", "--trace", "b.json"]) == 64
+        assert capsys.readouterr() == ("", "usage error: --report and --trace both name 'a.json'\n")
+        assert target.read_text() == "kept"
+
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs the /dev/null device")
     def test_a_device_may_take_both_report_and_trace(self, capsys):
         assert cli.main(["simulate", "--scenario", TURION, "--report", "/dev/null", "--trace", "/dev/null"]) == 0
@@ -522,6 +532,122 @@ class TestUsage:
             assert result.returncode == 64
             assert result.stderr == f"usage error: {message}\n"
             assert result.stdout == ""
+
+
+class TestParser:
+    """``main`` builds only the named subcommand's parser; help and usage errors read as they did with all
+    four subcommands built. The expected texts are argparse's at 80 columns."""
+
+    HELP = {
+        "": """usage: dvfsim [-h] command ...
+
+DVFS energy/temperature/wear co-simulator
+
+positional arguments:
+  command
+    validate  check a scenario file, listing every violation
+    simulate  run one scenario and optionally write report/trace
+    compare   run the scenario under several transition policies
+    sweep     re-run the scenario across values of one parameter
+
+options:
+  -h, --help  show this help message and exit
+""",
+        "validate": """usage: dvfsim validate [-h] --scenario SCENARIO
+
+options:
+  -h, --help           show this help message and exit
+  --scenario SCENARIO
+""",
+        "simulate": """usage: dvfsim simulate [-h] --scenario SCENARIO [--report REPORT]
+                       [--trace TRACE]
+
+options:
+  -h, --help           show this help message and exit
+  --scenario SCENARIO
+  --report REPORT      write the run report (JSON) here
+  --trace TRACE        write the sampled trace (CSV) here
+""",
+        "compare": """usage: dvfsim compare [-h] --scenario SCENARIO --policies POLICIES
+                      [--report REPORT]
+
+options:
+  -h, --help           show this help message and exit
+  --scenario SCENARIO
+  --policies POLICIES  e.g. direct,stepped or direct,stepped:0.05
+  --report REPORT      write the comparison (JSON) here
+""",
+        "sweep": """usage: dvfsim sweep [-h] --scenario SCENARIO --param PARAM --values VALUES
+                    [--policies POLICIES] [--out OUT]
+
+options:
+  -h, --help           show this help message and exit
+  --scenario SCENARIO
+  --param PARAM        dotted scenario key, e.g. wear.alpha
+  --values VALUES      comma-separated numbers
+  --policies POLICIES  run each value under each policy, as compare does; adds
+                       a policy column
+  --out OUT            write the sweep CSV here instead of stdout
+""",
+    }
+    CHOICES = "(choose from 'validate', 'simulate', 'compare', 'sweep')"
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal's width
+
+    @pytest.mark.parametrize("verb", HELP, ids=lambda verb: verb or "top")
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_text(self, capsys, verb, flag):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([verb, flag] if verb else [flag])
+        assert exit_.value.code == 0
+        assert capsys.readouterr() == (self.HELP[verb], "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "a subcommand is required"),
+            (["bogus"], f"argument command: invalid choice: 'bogus' {CHOICES}"),
+            (["sim", "--scenario", TURION], f"argument command: invalid choice: 'sim' {CHOICES}"),
+            (["--bogus", "validate", "--scenario", TURION], "unrecognized arguments: --bogus"),
+            (["validate", "--scenario", TURION, "--bogus"], "unrecognized arguments: --bogus"),
+            (["simulate"], "the following arguments are required: --scenario"),
+            (["sweep", "--scenario", TURION, "--param", "wear.alpha"], "the following arguments are required: --values"),
+            (["simulate", "validate"], "the following arguments are required: --scenario"),
+            (["validate", "--scenario"], "argument --scenario: expected one argument"),
+            (["--scen", TURION], f"argument command: invalid choice: {TURION!r} {CHOICES}"),
+            (
+                ["sweep", "--scenario", TURION, "--p", "wear.alpha", "--values", "1"],
+                "ambiguous option: --p could match --param, --policies",
+            ),
+        ],
+        ids=[
+            "no-argument", "unknown-subcommand", "abbreviated-subcommand", "unknown-option-before",
+            "unknown-option-after", "missing-required", "missing-second-required", "second-subcommand",
+            "option-without-value", "abbreviated-option-first", "ambiguous-abbreviation",
+        ],
+    )
+    def test_usage_errors(self, capsys, argv, message):
+        assert cli.main(argv) == 64
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+    def test_an_abbreviated_option_is_taken(self, capsys):
+        assert cli.main(["validate", "--scen", TURION]) == 0
+        assert capsys.readouterr() == (f"{TURION}: OK (6 levels, 4 tasks)\n", "")
+
+    def test_a_named_subcommand_gets_its_parser_alone(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+
+        def spy(commands):
+            built.append(list(commands))
+            return build(commands)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli.main(["validate", "--scenario", TURION])
+        cli.main(["bogus"])
+        assert built == [["validate"], ["validate", "simulate", "compare", "sweep"]]
 
 
 class TestSweepPolicies:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 from unittest import mock
@@ -6,16 +7,28 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+import dvfsim
 from dvfsim import (
+    ComparisonReport,
     DomainError,
+    EnergyBreakdown,
+    FrequencyLevel,
     GovernorPolicy,
     Hop,
+    PolicyOutcome,
     PolicyRunError,
+    ProcessorSpec,
+    Scenario,
     ScenarioError,
+    SimReport,
     Task,
     TaskOutcome,
+    ThermalParams,
     TransitionEvent,
     TransitionPolicy,
+    Violation,
+    WearLedger,
+    WearParams,
     compare_policies,
     load_scenario,
     plan_transition,
@@ -112,6 +125,7 @@ class TestValidation:
         sc = make_scenario(tasks=(make_task(),))
         with pytest.raises(ScenarioError) as err:
             replace(sc, duration=5.0)
+        assert err.value.kind == "validation"
         assert err.value.problems == ("sim.duration: must cover the latest deadline (10 s)",)
 
 
@@ -485,13 +499,30 @@ class TestComparePolicies:
 
 
 class TestRecords:
-    """The per-task records are named tuples with the fields, in order, that they had as dataclasses."""
+    """Every record but Scenario is a named tuple with the fields, in order, that it had as a dataclass."""
 
     FIELDS = {
         Task: ("id", "cycles", "arrival", "deadline"),
         TaskOutcome: ("id", "level_index", "start", "finish", "deadline_met", "infeasible"),
         TransitionEvent: ("time", "from_hz", "to_hz", "delta_f", "wear"),
         Hop: ("from_level", "to_level", "delta_f", "dwell_after"),
+        FrequencyLevel: ("index", "freq", "vdd"),
+        ProcessorSpec: ("levels", "coeff_a", "coeff_b", "p_device", "p_idle", "thermal", "wear"),
+        EnergyBreakdown: ("active_j", "idle_j"),
+        Violation: ("field", "rule"),
+        ThermalParams: ("r_th", "c_th", "t_amb", "t_ref", "l_base"),
+        WearLedger: ("thermal_wear", "shock_wear", "elapsed"),
+        TransitionPolicy: ("kind", "dwell"),
+        WearParams: ("k_shock", "alpha", "f_span"),
+        GovernorPolicy: ("kind", "fixed_index"),
+        SimReport: (
+            "energy", "cost_usd", "per_task", "peak_temp", "avg_temp", "active_s", "idle_s", "ledger",
+            "projected_lifetime", "transition_log",
+        ),
+        PolicyOutcome: (
+            "policy", "label", "report", "delta_energy_j", "delta_lifetime_s", "newly_missed", "newly_met",
+        ),
+        ComparisonReport: ("runs",),
     }
 
     @pytest.mark.parametrize("record", FIELDS, ids=lambda record: record.__name__)
@@ -513,6 +544,22 @@ class TestRecords:
     def test_replace_varies_one_field(self):
         task = Task("t", 1e9, 0.0, 5.0)
         assert task._replace(deadline=6.0) == Task("t", 1e9, 0.0, 6.0)
+
+    @pytest.mark.parametrize("record", FIELDS, ids=lambda record: record.__name__)
+    def test_a_record_is_no_dataclass_and_replace_gives_a_varied_copy(self, record):
+        n = len(self.FIELDS[record])
+        rec = record(*range(n))
+        assert not dataclasses.is_dataclass(rec)
+        for i, name in enumerate(self.FIELDS[record]):
+            copy = rec._replace(**{name: -1})
+            assert type(copy) is record
+            assert copy == (*range(i), -1, *range(i + 1, n))
+        assert rec == tuple(range(n))
+
+    def test_scenario_is_the_only_dataclass_exported(self):
+        classes = [name for name, value in vars(dvfsim).items() if isinstance(value, type)]
+        assert [name for name in classes if dataclasses.is_dataclass(getattr(dvfsim, name))] == ["Scenario"]
+        assert Scenario.__dataclass_params__.frozen
 
 
 class TestFeasibleWorkloadsNeverMiss:

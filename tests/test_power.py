@@ -81,6 +81,13 @@ class TestActivePower:
         with pytest.raises(UnknownLevelError):
             spec.require_level(FrequencyLevel(2, 1.3e9, 1.0))
 
+    def test_a_varied_copy_has_the_power_of_its_own_coefficients(self):
+        spec = make_spec()
+        before = spec.active_w  # read first, so that a table kept from the original would show in the copy
+        for changes in ({"coeff_a": spec.coeff_a * 2}, {"coeff_b": 0.0, "p_device": 7.5}, {"levels": spec.levels[:2]}):
+            copy = spec._replace(**changes)
+            assert copy.active_w == make_spec(**{**spec._asdict(), **changes}).active_w != before
+
     @given(specs())
     def test_matches_independent_reevaluation(self, spec):
         for level in spec.levels:

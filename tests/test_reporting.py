@@ -4,7 +4,6 @@ import json
 import math
 import os
 import tracemalloc
-from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -57,14 +56,10 @@ class TestWriteReport:
         assert a.read_bytes() == b.read_bytes()
 
     def test_unbounded_lifetime_sentinel(self, tmp_path):
-        import dataclasses
-
         from dvfsim import WearLedger
 
         report, _ = run_demo()
-        pristine = dataclasses.replace(
-            report, ledger=WearLedger(0.0, 0.0, 30.0), projected_lifetime=math.inf
-        )
+        pristine = report._replace(ledger=WearLedger(0.0, 0.0, 30.0), projected_lifetime=math.inf)
         path = tmp_path / "r.json"
         write_report(pristine, path)
         assert load_json(path)["projected_lifetime_s"] == "unbounded"
@@ -83,8 +78,7 @@ class TestWriteReport:
         # the canonical active 41.92 J + idle 4.0 J breakdown
         report, _ = run_demo()
         patched = report.energy.__class__(41.92, 4.0)
-        import dataclasses
-        report = dataclasses.replace(report, energy=patched)
+        report = report._replace(energy=patched)
         path = tmp_path / "r.json"
         write_report(report, path)
         assert load_json(path)["energy"]["total_j"] == 45.92
@@ -192,7 +186,7 @@ class TestStreamedReport:
                 raise ValueError("not a task row")
 
         report = many_tasks(TASK_BLOCK)
-        report = replace(report, per_task=report.per_task + (NotARow(),))
+        report = report._replace(per_task=report.per_task + (NotARow(),))
         with pytest.raises(ValueError, match="not a task row"):
             write_report(report, path)
         assert written[0] > TASK_BLOCK * 100  # the head and the first block had reached the file

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -62,8 +61,10 @@ class TestPlanTransition:
 
     def test_a_level_of_another_ladder_is_rejected(self):
         spec = make_spec()
-        other = make_spec(levels=[replace(lv, freq=lv.freq * 2) for lv in spec.levels])
-        for alien in (other.levels[1], replace(spec.levels[1], vdd=spec.levels[1].vdd + 0.01)):
+        other = make_spec(levels=[lv._replace(freq=lv.freq * 2) for lv in spec.levels])
+        level = spec.levels[1]
+        plain = (level.index, level.freq, level.vdd)  # equal to the level as a tuple, but not a FrequencyLevel
+        for alien in (other.levels[1], level._replace(vdd=level.vdd + 0.01), plain):
             for policy in (DIRECT, STEPPED):
                 with pytest.raises(UnknownLevelError):
                     plan_transition(spec, alien, spec.levels[0], policy)
@@ -74,7 +75,7 @@ class TestPlanTransition:
 
     def test_an_equal_copy_of_a_ladder_level_is_accepted(self):
         spec = make_spec()
-        copies = [replace(lv) for lv in spec.levels]
+        copies = [lv._replace() for lv in spec.levels]
         assert all(c == lv and c is not lv for c, lv in zip(copies, spec.levels))
         for policy in (DIRECT, STEPPED, TransitionPolicy("stepped", 0.25)):
             for a, b in ((0, 5), (5, 0), (2, 3), (4, 4)):
