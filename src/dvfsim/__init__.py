@@ -2,6 +2,7 @@
 
 Quantifies how direct vs. step-based frequency transitions trade energy
 consumption against component lifetime under deadline-constrained workloads.
+Exports the names README's "Python API" documents; the rest live in their modules.
 """
 
 from .engine import (
@@ -13,7 +14,6 @@ from .engine import (
     TracePoint,
     TransitionEvent,
     compare_policies,
-    policy_label,
     run_scenario,
     simulate,
 )
@@ -30,37 +30,29 @@ from .power import (
     FrequencyLevel,
     ProcessorSpec,
     Violation,
-    energy_cost,
     validate_spec,
 )
 from .reporting import (
     write_comparison,
     write_report,
-    write_trace,
 )
 from .thermal import (
     Segment,
     SteadyState,
     ThermalParams,
     WearLedger,
-    project_lifetime,
-    steady_state_temp,
 )
 from .transitions import (
     Hop,
     TransitionPolicy,
     WearParams,
-    full_span,
     plan_transition,
-    shock_wear,
 )
 from .workload import (
     GovernorPolicy,
     Task,
     governor_rule,
     lowest_feasible_level,
-    min_energy_level,
-    select_level,
 )
 
 __version__ = "0.1.0"

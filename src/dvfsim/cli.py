@@ -7,7 +7,8 @@ engine.MAX_TRACE_POINTS samples), 2 invalid scenario (parse/schema/validation,
 including NaN, Infinity, out-of-range numbers, a file that is not UTF-8 or is
 nested too deeply to decode, and a sim.trace_dt finer than the cap allows), 64
 usage error (including simulate's --report and --trace naming one file). Output
-is plain text.
+is plain text. ``main`` returns the exit code on every path, ``-h``/``--help``
+(0) included, and never raises SystemExit.
 
 ``main`` builds the parser of the subcommand its first argument names, and no
 other; any other first argument (none, ``-h``, an unknown word) gets all four,
@@ -199,6 +200,8 @@ def main(argv=None) -> int:
         if not getattr(args, "func", None):
             raise _UsageError("a subcommand is required")
         return args.func(args)
+    except SystemExit as exc:  # -h/--help: argparse prints the help, then exits 0
+        return exc.code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

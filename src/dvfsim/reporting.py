@@ -13,7 +13,6 @@ import math
 import os
 import stat
 from contextlib import contextmanager, suppress
-from itertools import groupby
 from json.encoder import encode_basestring_ascii
 
 from .engine import ComparisonReport, SimReport
@@ -32,48 +31,6 @@ def format_lifetime(value: float, spec: str | None = ".9g"):
     if math.isinf(value):
         return "unbounded"
     return value if spec is None else format(value, spec)
-
-
-def report_to_dict(report: SimReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "energy": {
-            "active_j": report.energy.active_j,
-            "idle_j": report.energy.idle_j,
-            "total_j": report.energy.total_j,
-        },
-        "cost_usd": report.cost_usd,
-        "tasks": [
-            {
-                "id": t.id,
-                "level_index": t.level_index,
-                "start_s": t.start,
-                "finish_s": t.finish,
-                "deadline_met": t.deadline_met,
-                "infeasible": t.infeasible,
-            }
-            for t in report.per_task
-        ],
-        "transitions": {
-            "count": report.transition_count,
-            "total_delta_f_hz": report.total_delta_f_hz,
-        },
-        "time": {
-            "active_s": report.active_s,
-            "idle_s": report.idle_s,
-        },
-        "temperature": {
-            "peak_c": report.peak_temp,
-            "average_c": report.avg_temp,
-        },
-        "wear": {
-            "thermal": report.ledger.thermal_wear,
-            "shock": report.ledger.shock_wear,
-            "total": report.ledger.total,
-            "elapsed_s": report.ledger.elapsed,
-        },
-        "projected_lifetime_s": format_lifetime(report.projected_lifetime, None),
-    }
 
 
 def comparison_to_dict(comparison: ComparisonReport) -> dict:
@@ -132,13 +89,40 @@ def _write_json(doc: dict, path) -> None:
 
 
 def write_report(report: SimReport, path) -> None:
-    """``report_to_dict(report)`` as ``_write_json`` writes it; the task rows are rendered by an f-string, laid out
-    as json.dumps(..., indent=2) lays them out, not built as dicts, and written TASK_BLOCK rows at a time, so
-    only one block's text is in memory whatever the task count."""
-    doc = report_to_dict(report._replace(per_task=()))
+    """The run report as JSON, laid out as ``_write_json`` lays it out. The task rows are rendered by an f-string,
+    laid out as json.dumps(..., indent=2) lays them out, not built as dicts, and written TASK_BLOCK rows at a
+    time, so only one block's text is in memory whatever the task count."""
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "energy": {
+            "active_j": report.energy.active_j,
+            "idle_j": report.energy.idle_j,
+            "total_j": report.energy.total_j,
+        },
+        "cost_usd": report.cost_usd,
+        "tasks": _TASKS_MARKER if report.per_task else [],
+        "transitions": {
+            "count": report.transition_count,
+            "total_delta_f_hz": report.total_delta_f_hz,
+        },
+        "time": {
+            "active_s": report.active_s,
+            "idle_s": report.idle_s,
+        },
+        "temperature": {
+            "peak_c": report.peak_temp,
+            "average_c": report.avg_temp,
+        },
+        "wear": {
+            "thermal": report.ledger.thermal_wear,
+            "shock": report.ledger.shock_wear,
+            "total": report.ledger.total,
+            "elapsed_s": report.ledger.elapsed,
+        },
+        "projected_lifetime_s": format_lifetime(report.projected_lifetime, None),
+    }
     if not report.per_task:
         return _write_json(doc, path)
-    doc["tasks"] = _TASKS_MARKER
     encode = encode_basestring_ascii
     head, tail = json.dumps(doc, indent=2).split(encode(_TASKS_MARKER))
 
@@ -162,43 +146,27 @@ def write_comparison(comparison: ComparisonReport, path) -> None:
     _write_json(comparison_to_dict(comparison), path)
 
 
-def _operating_point(point) -> str:
-    """A trace row's freq and power columns between their commas: what the points of one span share."""
-    return f",{point[1]!r},{point[2]!r},"
-
-
-def _rows(operating_point: str, points) -> str:
-    """The trace rows of points that share one ``_operating_point``: each float as its repr, columns in
-    TRACE_HEADER's order, every row ending in a newline."""
-    return "".join([f"{p[0]!r}{operating_point}{p[3]!r},{p[4]!r}\n" for p in points])
-
-
 @contextmanager
 def trace_writer(path):
     """Open the trace CSV at ``path`` and yield a function that writes a span's TracePoints as rows.
 
     The function takes a non-empty sequence of points that share one freq and
     one power, as ``engine.run_scenario`` hands its sink, and writes their rows,
-    one per point, with one write: freq and power are rendered once.
-    The header is written first and every row ends in a newline. Pass the
-    function to ``run_scenario`` as its sink to stream a run's trace: only the
-    chunk at hand is in memory, and a run that fails leaves no file behind.
+    one per point, with one write: freq and power are rendered once. Each float
+    is its repr, the columns are in TRACE_HEADER's order, the header is written
+    first and every row ends in a newline. Pass the function to ``run_scenario``
+    as its sink to stream a run's trace: only the chunk at hand is in memory,
+    and a run that fails leaves no file behind.
     """
     with _opened(path) as f:
         write = f.write
         write(TRACE_HEADER + "\n")
 
         def write_span(points) -> None:
-            write(_rows(_operating_point(points[0]), points))
+            shared = f",{points[0][1]!r},{points[0][2]!r},"  # the freq and power columns between their commas
+            write("".join([f"{p[0]!r}{shared}{p[3]!r},{p[4]!r}\n" for p in points]))
 
         yield write_span
-
-
-def write_trace(trace, path) -> None:
-    """CSV with one row per trace point, rendered as ``trace_writer`` renders them: the same bytes, point for point."""
-    with _opened(path) as f:
-        f.write(TRACE_HEADER + "\n")
-        f.writelines(_rows(operating_point, span) for operating_point, span in groupby(trace, _operating_point))
 
 
 def format_sweep(runs, by_policy: bool = False) -> str:

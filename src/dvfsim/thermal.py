@@ -21,7 +21,7 @@ expansion in ``1 - u``; otherwise for ``a >= -2`` by the series above, in
 Horner form; otherwise, heating by more than about 29 degC, where the series'
 alternating terms would cancel, as ``E1(|a|*u) - E1(|a|)`` (A&S 5.1.11, and
 the continued fraction 5.1.22).
-``SteadyState(params, power).segment(temp0)`` builds the same Segment from what
+``SteadyState(params, power).segment(temp0)`` builds the Segment from what
 every interval at one power shares, so a run computes that once per power; its
 ``step(temp0, s)`` is ``segment(temp0).advance(s)``, bit for bit, without
 building the Segment, for an interval that no trace samples. ``advance``,
@@ -116,22 +116,19 @@ TracePoint = namedtuple("TracePoint", "time freq power temp cum_wear")  # a span
 class Segment(namedtuple("_SegmentFields", "temp0 t_ss tau d0 a exponent_ss wear_scale")):
     """Exact temperature and wear trajectory of one constant-power interval.
 
-    Built from (params, entry temperature, power); ``s`` is the time in seconds
-    since the interval began. Immutable. The steady-state wear rate is kept as
+    Built by ``SteadyState(params, power).segment(temp0)``; ``s`` is the time in
+    seconds since the interval began. Immutable. The steady-state wear rate is kept as
     its exponent, ``exp(exponent_ss) / l_base``, so that only rates the
     trajectory actually reaches are ever formed.
     """
 
     __slots__ = ()
 
-    def __new__(cls, params: ThermalParams, temp0: float, power: float):
-        return SteadyState(params, power).segment(temp0)
-
     def advance(self, s: float) -> tuple[float, float, float]:
         """(temperature, wear fraction, temperature integral in degC * s) s >= 0 seconds in.
 
         The interval's query, from a single exponential; ``trace`` samples a span's trace. Chain intervals with
-        ``Segment(params, seg.advance(s)[0], power)``. Raises DomainError if the wear overflows.
+        ``SteadyState(params, power).segment(seg.advance(s)[0])``. Raises DomainError if the wear overflows.
         """
         return _advance(*self, s)
 
@@ -289,8 +286,10 @@ def _scaled_e1(z: float, log_z: float) -> float:
             total += t / k
             if abs(t) <= _EPS * abs(total):
                 return math.exp(z) * (-_EULER_GAMMA - log_z - total)
-    # A&S 5.1.22 by the modified Lentz method: 1 / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...))),
-    # which for z > 1 settles to within an ulp in well under a hundred steps.
+    # A&S 5.1.22 by the modified Lentz method: 1 / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...))). Measured for z > 1
+    # against a 50-digit evaluation: it stops within 102 steps (the most just above z = 1; 47 past z = 2) and
+    # reads within 70 ulp of e^z E1(z) on (1, 2], 25 ulp on (2, 10] and 8 ulp beyond. The series above reads
+    # 5.0 ulp high at z = 1, and the fraction 13.2 ulp low at the next float.
     den = z + 1.0
     c = 1.0 / 1e-300
     d = 1.0 / den

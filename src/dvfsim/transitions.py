@@ -59,7 +59,10 @@ def plan_transition(
 
     direct: one hop covering the whole jump, no dwell. stepped: one hop per
     adjacent ladder level, dwelling ``policy.dwell`` seconds after every hop
-    except the last. Same source and target yield no hops.
+    except the last. Same source and target yield no hops. A run plans only
+    between its own ladder's levels under a validated policy, so the
+    UnknownLevelError for a level off ``spec``'s ladder and the DomainError for
+    an unknown kind guard a direct call.
     """
     spec.require_level(from_level)
     spec.require_level(to_level)

@@ -33,7 +33,8 @@ def _required_hz(task: Task, window: float) -> float:
 
 
 def lowest_feasible_level(spec: ProcessorSpec, task: Task, start: float) -> FrequencyLevel:
-    """Slowest ladder level that still meets the deadline from ``start``."""
+    """Slowest ladder level that still meets the deadline from ``start``. A run never starts a task before its
+    arrival, so the DomainError for such a ``start`` guards a direct call."""
     if start < task.arrival:
         raise DomainError(f"start {start} precedes arrival {task.arrival}")
     window = task.deadline - start
@@ -43,19 +44,15 @@ def lowest_feasible_level(spec: ProcessorSpec, task: Task, start: float) -> Freq
     raise InfeasibleError(task.id, _required_hz(task, window))
 
 
-def min_energy_level(spec: ProcessorSpec, task: Task, start: float) -> FrequencyLevel:
-    """Feasible level minimizing energy over the deadline window; ties go low.
+def _min_energy_rule(spec: ProcessorSpec):
+    """The ``min_energy`` rule for ``spec``: the feasible level minimizing energy over the deadline window; ties
+    go low. Its (level, power, freq) table is built once, and it ignores the spec it is called with.
 
     Energy charges active power for the execution time and idle power for the
     remainder of the window, so with nonzero device or idle power racing to a
-    higher level and idling can beat stretching.
+    higher level and idling can beat stretching. The DomainError for a ``start``
+    before the arrival guards a direct call, as in ``lowest_feasible_level``.
     """
-    return _min_energy_rule(spec)(spec, task, start)
-
-
-def _min_energy_rule(spec: ProcessorSpec):
-    """``min_energy_level`` for ``spec``, its (level, power, freq) table built once; the rule ignores the spec it
-    is called with."""
     table = tuple(zip(spec.levels, spec.active_w, [level.freq for level in spec.levels]))
     p_idle = spec.p_idle
 
@@ -82,7 +79,9 @@ def _min_energy_rule(spec: ProcessorSpec):
 
 
 def governor_rule(spec: ProcessorSpec, governor: GovernorPolicy):
-    """The governor's selection rule, called as ``rule(spec, task, start)``; resolved once a run."""
+    """The governor's selection rule, called as ``rule(spec, task, start)``; resolved once a run. A Scenario's
+    governor is valid, so the DomainErrors for a fixed index outside the ladder and for an unknown kind guard a
+    direct call with a GovernorPolicy that no Scenario checked."""
     if governor.kind == "fixed":
         if governor.fixed_index is None or not (0 <= governor.fixed_index < len(spec.levels)):
             raise DomainError(f"fixed governor index {governor.fixed_index} outside ladder")
@@ -94,7 +93,3 @@ def governor_rule(spec: ProcessorSpec, governor: GovernorPolicy):
         return _min_energy_rule(spec)
     raise DomainError(f"unknown governor kind {governor.kind!r}")
 
-
-def select_level(spec: ProcessorSpec, task: Task, start: float, governor: GovernorPolicy) -> FrequencyLevel:
-    """Apply the governor's selection rule. Raises InfeasibleError like the rules do."""
-    return governor_rule(spec, governor)(spec, task, start)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from dvfsim import (
     GovernorPolicy,
     ProcessorSpec,
     Scenario,
-    Segment,
+    SteadyState,
     Task,
     ThermalParams,
     TransitionPolicy,
@@ -22,6 +23,8 @@ from dvfsim import (
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+TRACE_ROW = "%r,%r,%r,%r,%r\n"  # the reference for one trace row: TRACE_ROW % point
 
 TURION_FREQS = (800e6, 1000e6, 1200e6, 1400e6, 1600e6, 1800e6)
 TURION_VDDS = (0.90, 0.96, 1.02, 1.08, 1.14, 1.20)
@@ -52,6 +55,11 @@ def make_thermal(r_th=2.0, c_th=2.5, t_amb=25.0, t_ref=45.0, l_base=3.6e7) -> Th
     return ThermalParams(r_th, c_th, t_amb, t_ref, l_base)
 
 
+def segment(params: ThermalParams, temp0: float, power: float):
+    """The thermal Segment of an interval at ``power`` entered at ``temp0``."""
+    return SteadyState(params, power).segment(temp0)
+
+
 def steady_wear_factors(params: ThermalParams, temp: float) -> tuple[float, float]:
     """The Arrhenius factor 2^((temp - t_ref)/10), as the wear of s seconds held at ``temp`` per s / l_base.
 
@@ -59,7 +67,7 @@ def steady_wear_factors(params: ThermalParams, temp: float) -> tuple[float, floa
     One factor comes from each thermal path: s = tau/50 takes the short-swing
     expansion, s = 2 * tau the series.
     """
-    seg = Segment(params._replace(t_amb=temp), temp, 0.0)
+    seg = segment(params._replace(t_amb=temp), temp, 0.0)
     return tuple(seg.advance(s)[1] / (s / params.l_base) for s in (params.tau / 50.0, 2.0 * params.tau))
 
 
@@ -124,3 +132,48 @@ def trace_probe_scenario() -> Scenario:
     spec = make_spec(thermal=thermal)
     task = make_task(id="long", cycles=1.2806e11, arrival=5.0125, deadline=85.55)
     return make_scenario(spec=spec, tasks=(task,), duration=100.0, trace_dt=thermal.tau / 50.0)
+
+
+def report_to_dict(report) -> dict:
+    """The report document, task rows included, as dicts: ``json.dumps(report_to_dict(report), indent=2)`` and a
+    newline are the bytes ``write_report`` must write."""
+    lifetime = report.projected_lifetime
+    return {
+        "schema_version": 1,
+        "energy": {
+            "active_j": report.energy.active_j,
+            "idle_j": report.energy.idle_j,
+            "total_j": report.energy.total_j,
+        },
+        "cost_usd": report.cost_usd,
+        "tasks": [
+            {
+                "id": t.id,
+                "level_index": t.level_index,
+                "start_s": t.start,
+                "finish_s": t.finish,
+                "deadline_met": t.deadline_met,
+                "infeasible": t.infeasible,
+            }
+            for t in report.per_task
+        ],
+        "transitions": {
+            "count": report.transition_count,
+            "total_delta_f_hz": report.total_delta_f_hz,
+        },
+        "time": {
+            "active_s": report.active_s,
+            "idle_s": report.idle_s,
+        },
+        "temperature": {
+            "peak_c": report.peak_temp,
+            "average_c": report.avg_temp,
+        },
+        "wear": {
+            "thermal": report.ledger.thermal_wear,
+            "shock": report.ledger.shock_wear,
+            "total": report.ledger.total,
+            "elapsed_s": report.ledger.elapsed,
+        },
+        "projected_lifetime_s": "unbounded" if math.isinf(lifetime) else lifetime,
+    }

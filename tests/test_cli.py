@@ -5,11 +5,14 @@ import pty
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from dvfsim import cli, engine, load_scenario, simulate, write_trace
-from helpers import SCENARIO_DIR, run_cli, source_env
+from dvfsim import cli, engine, load_scenario, simulate
+from dvfsim.reporting import TRACE_HEADER
+from helpers import SCENARIO_DIR, TRACE_ROW, run_cli, source_env
+from pinned import REFERENCE
 
 TURION = str(SCENARIO_DIR / "turion6.json")
 STEP_DEMO = str(SCENARIO_DIR / "step_demo.json")
@@ -411,7 +414,7 @@ class TestUnwritableOutput:
 
 
 class TestLazyTrace:
-    """Only simulate --trace samples the trace, and it streams the bytes write_trace writes."""
+    """Only simulate --trace samples the trace, and it streams one row per point of the run's trace."""
 
     @pytest.fixture
     def samples(self, monkeypatch):
@@ -439,23 +442,22 @@ class TestLazyTrace:
         assert samples == []
 
     @pytest.mark.parametrize("scenario", [TURION, STEP_DEMO], ids=["turion6", "step_demo"])
-    def test_the_streamed_trace_has_the_bytes_of_write_trace(self, samples, tmp_path, capsys, scenario):
-        streamed, written = tmp_path / "streamed.csv", tmp_path / "written.csv"
+    def test_the_streamed_trace_has_the_pinned_bytes(self, samples, tmp_path, capsys, scenario):
+        streamed = tmp_path / "streamed.csv"
         assert cli.main(["simulate", "--scenario", scenario, "--trace", str(streamed)]) == 0
         assert samples
-        write_trace(simulate(load_scenario(scenario))[1], written)
-        assert streamed.read_bytes() == written.read_bytes()
+        assert streamed.read_bytes() == (REFERENCE / f"{Path(scenario).stem}.trace.csv").read_bytes()
 
-    def test_a_trace_across_several_chunks_has_the_bytes_of_write_trace(self, tmp_path, capsys):
+    def test_a_trace_across_several_chunks_has_one_row_per_point(self, tmp_path, capsys):
         doc = json.loads(open(TURION).read())
         doc["tasks"] = []  # one idle span of 3 * TRACE_CHUNK + 1 sampling intervals
         doc["sim"].update(duration_s=(3 * engine.TRACE_CHUNK + 1) * 0.5, trace_dt_s=0.5)
         scenario = tmp_path / "one_span.json"
         scenario.write_text(json.dumps(doc))
-        streamed, written = tmp_path / "streamed.csv", tmp_path / "written.csv"
+        streamed = tmp_path / "streamed.csv"
         assert cli.main(["simulate", "--scenario", str(scenario), "--trace", str(streamed)]) == 0
-        write_trace(simulate(load_scenario(scenario))[1], written)
-        assert streamed.read_bytes() == written.read_bytes()
+        trace = simulate(load_scenario(scenario))[1]
+        assert streamed.read_text() == TRACE_HEADER + "\n" + "".join(TRACE_ROW % point for point in trace)
         lines = streamed.read_text().splitlines()
         assert len(lines) == 3 * engine.TRACE_CHUNK + 3
         assert float(lines[-1].split(",")[0]) == doc["sim"]["duration_s"]
@@ -599,9 +601,7 @@ options:
     @pytest.mark.parametrize("verb", HELP, ids=lambda verb: verb or "top")
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help_text(self, capsys, verb, flag):
-        with pytest.raises(SystemExit) as exit_:
-            cli.main([verb, flag] if verb else [flag])
-        assert exit_.value.code == 0
+        assert cli.main([verb, flag] if verb else [flag]) == 0
         assert capsys.readouterr() == (self.HELP[verb], "")
 
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import types
 from dataclasses import replace
 from unittest import mock
 
@@ -33,11 +35,11 @@ from dvfsim import (
     load_scenario,
     plan_transition,
     run_scenario,
-    shock_wear,
     simulate,
 )
 from dvfsim import engine, thermal
 from dvfsim.engine import MAX_TRACE_POINTS, TRACE_CHUNK
+from dvfsim.transitions import shock_wear
 
 from helpers import SCENARIO_DIR, TURION_FREQS, make_scenario, make_spec, make_task, make_thermal, make_wear
 from strategies import specs, workloads
@@ -560,6 +562,30 @@ class TestRecords:
         classes = [name for name, value in vars(dvfsim).items() if isinstance(value, type)]
         assert [name for name in classes if dataclasses.is_dataclass(getattr(dvfsim, name))] == ["Scenario"]
         assert Scenario.__dataclass_params__.frozen
+
+
+README_PYTHON_API = (
+    (SCENARIO_DIR.parent / "README.md").read_text(encoding="utf-8").split("## Python API", 1)[1].split("\n## ", 1)[0]
+)
+
+
+class TestReadmePythonApi:
+    """README's "Python API" section runs as written and names every name ``dvfsim`` exports."""
+
+    def test_the_example_runs_from_the_repository_root(self, monkeypatch, capsys):
+        block = README_PYTHON_API.split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(SCENARIO_DIR.parent)
+        exec(compile(block, "README.md", "exec"), {})
+        report = simulate(load_scenario(SCENARIO_DIR / "turion6.json"))[0]
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == f"{report.energy.total_j} {report.projected_lifetime}"
+        assert float(second) > 0.0  # stepping lengthens the lifetime
+
+    def test_every_export_is_named_in_the_section(self):
+        exported = [name for name, value in vars(dvfsim).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+        assert "simulate" in exported
+        assert [name for name in exported if not re.search(rf"\b{name}\b", README_PYTHON_API)] == []
 
 
 class TestFeasibleWorkloadsNeverMiss:

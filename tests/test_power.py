@@ -10,12 +10,12 @@ from dvfsim import (
     GovernorPolicy,
     InfeasibleError,
     UnknownLevelError,
-    energy_cost,
-    min_energy_level,
+    governor_rule,
     run_scenario,
     simulate,
     validate_spec,
 )
+from dvfsim.power import energy_cost
 
 from helpers import make_scenario, make_spec, make_task, turion_levels
 from strategies import specs
@@ -153,12 +153,13 @@ class TestTaskEnergy:
     def test_negative_time_rejected(self):
         spec = make_spec()
         task = make_task(cycles=1.8e9, deadline=1.0)  # only the top level runs it in its window
+        min_energy = governor_rule(spec, GovernorPolicy("min_energy"))
         # a level that overruns the window would leave a negative idle time, so it is never chosen
-        assert min_energy_level(spec, task, 0.0) == spec.levels[-1]
+        assert min_energy(spec, task, 0.0) == spec.levels[-1]
         with pytest.raises(InfeasibleError):
-            min_energy_level(spec, task, 0.5)
+            min_energy(spec, task, 0.5)
         with pytest.raises(DomainError):
-            min_energy_level(spec, make_task(arrival=1.0), 0.0)  # a start before arrival
+            min_energy(spec, make_task(arrival=1.0), 0.0)  # a start before arrival
 
     @given(specs(), st.floats(1e-3, 1e4), st.floats(0.0, 1e4))
     def test_linear_in_both_times(self, spec, t_active, t_idle):

@@ -17,14 +17,13 @@ from dvfsim import (
     WearLedger,
     simulate,
     write_report,
-    write_trace,
 )
 from dvfsim.engine import TracePoint
 from dvfsim import reporting
-from dvfsim.reporting import TASK_BLOCK, TRACE_HEADER, format_comparison_table, report_to_dict, trace_writer
+from dvfsim.reporting import TASK_BLOCK, TRACE_HEADER, format_comparison_table, trace_writer
 from dvfsim import compare_policies, TransitionPolicy
 
-from helpers import load_json, make_scenario, make_task, trace_probe_scenario
+from helpers import TRACE_ROW, load_json, make_scenario, make_task, report_to_dict, trace_probe_scenario
 from strategies import specs, workloads
 
 
@@ -33,9 +32,16 @@ def run_demo():
     return simulate(sc)
 
 
+def write_trace_csv(trace, path):
+    """Write ``trace`` through ``trace_writer``, each point handed over as a chunk of its own."""
+    with trace_writer(path) as write_span:
+        for point in trace:
+            write_span([point])
+
+
 def assert_rows_are_the_points(trace, path):
     """Write the trace and check that every row parses back to its point's fields, in order."""
-    write_trace(trace, path)
+    write_trace_csv(trace, path)
     text = path.read_bytes().decode("utf-8")
     assert text.endswith("\n") and "\r" not in text
     header, *rows = text[:-1].split("\n")
@@ -196,13 +202,13 @@ class TestStreamedReport:
 class TestWriteTrace:
     def test_empty_trace_is_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_trace((), path)
+        write_trace_csv((), path)
         assert path.read_text() == TRACE_HEADER + "\n"
 
     def test_row_per_point_and_final_newline(self, tmp_path):
         _, trace = run_demo()
         path = tmp_path / "t.csv"
-        write_trace(trace, path)
+        write_trace_csv(trace, path)
         text = path.read_text()
         assert text.endswith("\n")
         lines = text.splitlines()
@@ -213,17 +219,14 @@ class TestWriteTrace:
     def test_byte_identical_on_rewrite(self, tmp_path):
         _, trace = run_demo()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trace(trace, a)
-        write_trace(trace, b)
+        write_trace_csv(trace, a)
+        write_trace_csv(trace, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_rows_parse_back_to_the_points(self, tmp_path):
         _, trace = run_demo()
         assert tuple(trace[1]) == (trace[1].time, trace[1].freq, trace[1].power, trace[1].temp, trace[1].cum_wear)
         assert_rows_are_the_points(trace, tmp_path / "t.csv")
-        from_generator = tmp_path / "g.csv"
-        write_trace((p for p in trace), from_generator)
-        assert from_generator.read_bytes() == (tmp_path / "t.csv").read_bytes()
 
     @given(specs(), st.data())
     @settings(max_examples=5, deadline=None)
@@ -254,8 +257,6 @@ class TestWriteTrace:
         assert errors[1] < errors[0]
 
 
-TRACE_ROW = "%r,%r,%r,%r,%r\n"  # the reference for one trace row: TRACE_ROW % point
-
 # any finite float, with both zeros, the extremes and reprs from one character to seventeen digits
 finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1 / 3, 1e16, 123456789.0]
@@ -277,7 +278,7 @@ def chunked_traces(draw):
 
 class TestTraceWriter:
     @given(chunked_traces())
-    # equal freqs that render apart, in adjacent spans: write_trace must not render one span's for the other's
+    # equal freqs that render apart, in adjacent spans: one span's must not be rendered for the other's
     @example([[TracePoint(0.0, 0.0, 1.0, 2.0, 3.0)], [TracePoint(0.5, -0.0, 1.0, 2.0, 3.0)],
               [TracePoint(1.0, 0, 1.0, 2.0, 3.0)]])
     @settings(max_examples=300, deadline=None)
@@ -288,8 +289,6 @@ class TestTraceWriter:
                 write_span(chunk)
         points = [p for chunk in chunks for p in chunk]
         want = (TRACE_HEADER + "\n" + "".join(TRACE_ROW % p for p in points)).encode()
-        assert path.read_bytes() == want
-        write_trace(points, path)  # the whole trace at once, through the same renderer
         assert path.read_bytes() == want
 
 

@@ -5,17 +5,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from dvfsim import (
-    DomainError,
-    ThermalParams,
-    Segment,
-    SteadyState,
-    WearLedger,
-    project_lifetime,
-    steady_state_temp,
-)
+from dvfsim import DomainError, Segment, SteadyState, ThermalParams, WearLedger
+from dvfsim.thermal import _scaled_e1, project_lifetime, steady_state_temp
 
-from helpers import steady_wear_factors
+from helpers import segment, steady_wear_factors
 
 # the documented transient: tau = 5 s, 20 W from ambient, one time constant
 TRANSIENT = ThermalParams(r_th=0.5, c_th=10.0, t_amb=25.0, t_ref=25.0, l_base=1000.0)
@@ -113,27 +106,27 @@ class TestSteadyState:
 
 class TestThermalStep:
     def test_equilibrium_is_fixed_point(self):
-        assert Segment(TRANSIENT, 25.0, 0.0).advance(7.0)[0] == 25.0
+        assert segment(TRANSIENT, 25.0, 0.0).advance(7.0)[0] == 25.0
 
     def test_one_time_constant_desk_value(self):
-        temp, _, _ = Segment(TRANSIENT, 25.0, 20.0).advance(5.0)
+        temp, _, _ = segment(TRANSIENT, 25.0, 20.0).advance(5.0)
         assert temp == pytest.approx(35.0 - 10.0 * math.exp(-1.0), rel=1e-12)
 
     def test_long_step_reaches_steady_state(self):
-        temp, _, _ = Segment(TRANSIENT, 25.0, 20.0).advance(100.0 * TRANSIENT.tau)
+        temp, _, _ = segment(TRANSIENT, 25.0, 20.0).advance(100.0 * TRANSIENT.tau)
         assert abs(temp - 35.0) < 1e-9
 
     @given(st.floats(0.0, 60.0), st.floats(0.0, 40.0), st.floats(-20.0, 120.0))
     def test_half_steps_compose(self, dt, power, temp0):
-        full = Segment(TRANSIENT, temp0, power).advance(dt)[0]
-        half = Segment(TRANSIENT, temp0, power).advance(dt / 2.0)[0]
-        composed = Segment(TRANSIENT, half, power).advance(dt / 2.0)[0]
+        full = segment(TRANSIENT, temp0, power).advance(dt)[0]
+        half = segment(TRANSIENT, temp0, power).advance(dt / 2.0)[0]
+        composed = segment(TRANSIENT, half, power).advance(dt / 2.0)[0]
         assert math.isclose(composed, full, rel_tol=1e-12, abs_tol=1e-12)
 
     @given(st.floats(0.0, 100.0), st.floats(0.0, 40.0), st.floats(-20.0, 120.0))
     def test_never_overshoots(self, dt, power, temp0):
         t_ss = steady_state_temp(TRANSIENT, power)
-        after, _, _ = Segment(TRANSIENT, temp0, power).advance(dt)
+        after, _, _ = segment(TRANSIENT, temp0, power).advance(dt)
         lo, hi = sorted((temp0, t_ss))
         assert lo - 1e-9 <= after <= hi + 1e-9
 
@@ -142,23 +135,23 @@ class TestIntegrateThermalWear:
     def test_constant_reference_temperature(self):
         # unit wear rate for 100 s against a 1000 s baseline
         params = ThermalParams(r_th=0.5, c_th=10.0, t_amb=50.0, t_ref=50.0, l_base=1000.0)
-        temp, wear, _ = Segment(params, 50.0, 0.0).advance(100.0)
+        temp, wear, _ = segment(params, 50.0, 0.0).advance(100.0)
         assert wear == pytest.approx(0.1, rel=1e-12)
         assert temp == pytest.approx(50.0, abs=1e-12)
 
     def test_constant_ten_above_reference(self):
         params = ThermalParams(r_th=0.5, c_th=10.0, t_amb=60.0, t_ref=50.0, l_base=1000.0)
-        _, wear, _ = Segment(params, 60.0, 0.0).advance(100.0)
+        _, wear, _ = segment(params, 60.0, 0.0).advance(100.0)
         assert wear == pytest.approx(0.2, rel=1e-12)
 
     def test_transient_matches_fine_grid_oracle(self):
-        temp, wear, _ = Segment(TRANSIENT, 25.0, 20.0).advance(5.0)
+        temp, wear, _ = segment(TRANSIENT, 25.0, 20.0).advance(5.0)
         reference = oracle_trapezoid_wear(TRANSIENT, 25.0, 20.0, 5.0, 10**4)
         assert wear == pytest.approx(reference, rel=1e-6)
         assert temp == pytest.approx(35.0 - 10.0 * math.exp(-1.0), rel=1e-12)
 
     def test_end_state_is_the_exact_exponential(self):
-        temp, _, _ = Segment(TRANSIENT, 28.0, 12.0).advance(7.5)
+        temp, _, _ = segment(TRANSIENT, 28.0, 12.0).advance(7.5)
         assert temp == pytest.approx(31.0 - 3.0 * math.exp(-1.5), rel=1e-15)
 
     def test_closed_form_matches_decimal_oracle(self):
@@ -169,18 +162,18 @@ class TestIntegrateThermalWear:
                 temp0 = 45.0 + sign * a * 10.0 / math.log(2.0)  # steady state is 45 degC at 20 W
                 for x in (1e-6, 1e-4, 0.01, 0.05, 0.2, 0.4, 1.0, 3.0, 10.0, 50.0):
                     dt = x * params.tau
-                    _, wear, _ = Segment(params, temp0, 20.0).advance(dt)
+                    _, wear, _ = segment(params, temp0, 20.0).advance(dt)
                     reference = decimal_wear(params, temp0, 20.0, dt)
                     assert wear == pytest.approx(reference, rel=1e-12, abs=0.0), (sign * a, x)
 
     def test_large_swing_at_40_w_matches_oracle(self):
         params = ThermalParams(2.0, 2.5, 25.0, 45.0, 3.6e7)
-        _, wear, _ = Segment(params, 25.0, 40.0).advance(2.0)
+        _, wear, _ = segment(params, 25.0, 40.0).advance(2.0)
         assert wear == pytest.approx(decimal_wear(params, 25.0, 40.0, 2.0), rel=1e-12, abs=0.0)
 
     def test_steady_tail_is_integrated_analytically(self):
         # far beyond the transient the rate is constant; a huge dt must stay cheap and exact
-        _, wear, _ = Segment(TRANSIENT, 25.0, 20.0).advance(1e6)
+        _, wear, _ = segment(TRANSIENT, 25.0, 20.0).advance(1e6)
         tail = (1e6 - 40 * TRANSIENT.tau) * 2.0 ** ((35.0 - 25.0) / 10.0) / 1000.0
         assert wear == pytest.approx(tail, rel=1e-3)
 
@@ -188,17 +181,17 @@ class TestIntegrateThermalWear:
     @settings(max_examples=60)
     def test_monotone_in_duration(self, d1, d2, power):
         lo, hi = sorted((d1, d2))
-        seg = Segment(TRANSIENT, 25.0, power)
+        seg = segment(TRANSIENT, 25.0, power)
         assert seg.advance(lo)[1] <= seg.advance(hi)[1] * (1 + 1e-12)
 
     def test_zero_duration(self):
-        temp, wear, _ = Segment(TRANSIENT, 30.0, 5.0).advance(0.0)
+        temp, wear, _ = segment(TRANSIENT, 30.0, 5.0).advance(0.0)
         assert wear == 0.0
         assert temp == 30.0
 
     def test_negative_duration_rejected(self):
         with pytest.raises(DomainError):
-            Segment(TRANSIENT, 25.0, 5.0).advance(-1.0)
+            segment(TRANSIENT, 25.0, 5.0).advance(-1.0)
 
 
 class TestSegment:
@@ -206,40 +199,40 @@ class TestSegment:
     @settings(max_examples=200)
     def test_wear_is_additive_across_a_split(self, temp0, power, s1, s2):
         # the split point lands in a different evaluation route than the whole more often than not
-        seg = Segment(TRANSIENT, temp0, power)
+        seg = segment(TRANSIENT, temp0, power)
         temp1, wear1, _ = seg.advance(s1)
-        rest = Segment(TRANSIENT, temp1, power)
+        rest = segment(TRANSIENT, temp1, power)
         temp, whole, _ = seg.advance(s1 + s2)
         temp2, wear2, _ = rest.advance(s2)
         assert wear1 + wear2 == pytest.approx(whole, rel=1e-11, abs=1e-300)
         assert temp2 == pytest.approx(temp, rel=1e-12, abs=1e-12)
 
     def test_temperature_integral_matches_simpson(self):
-        seg = Segment(TRANSIENT, 80.0, 3.0)
+        seg = segment(TRANSIENT, 80.0, 3.0)
         reference = simpson(lambda s: seg.advance(s)[0], 12.0, 2000)
         assert seg.advance(12.0)[2] == pytest.approx(reference, rel=1e-12)
 
     def test_starts_at_its_entry_temperature_and_settles_at_steady_state(self):
-        seg = Segment(TRANSIENT, 28.0, 20.0)
+        seg = segment(TRANSIENT, 28.0, 20.0)
         assert seg.advance(0.0)[:2] == (28.0, 0.0)
         assert seg.advance(100.0 * TRANSIENT.tau)[0] == pytest.approx(35.0, rel=1e-12)
 
     def test_overflowing_wear_is_a_domain_error(self):
         hot = ThermalParams(r_th=2000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1.0)
         with pytest.raises(DomainError, match="overflows"):
-            Segment(hot, 20025.0, 10.0).advance(1.0)  # held at 20,025 degC: 2^1998 overflows
+            segment(hot, 20025.0, 10.0).advance(1.0)  # held at 20,025 degC: 2^1998 overflows
         edge = ThermalParams(r_th=1.0, c_th=1.0, t_amb=10045.0, t_ref=45.0, l_base=1.0)
         with pytest.raises(DomainError, match="overflows"):
-            Segment(edge, 10045.0, 0.0).advance(1e10)  # rate 2^1000 per s is finite; its integral is not
+            segment(edge, 10045.0, 0.0).advance(1e10)  # rate 2^1000 per s is finite; its integral is not
         with pytest.raises(DomainError, match="beyond float range"):
-            Segment(TRANSIENT, 1.1e4, 0.0).advance(10.0)  # cooling from 11,000 degC: e^760 terms
+            segment(TRANSIENT, 1.1e4, 0.0).advance(10.0)  # cooling from 11,000 degC: e^760 terms
         with pytest.raises(DomainError, match="not finite"):
-            Segment(TRANSIENT, 25.0, math.inf)
+            segment(TRANSIENT, 25.0, math.inf)
 
     def test_unreached_hot_steady_state_does_not_overflow(self):
         # heading for 100,025 degC but only 1 ms into a 5,000 s time constant
         slow = ThermalParams(r_th=5000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1000.0)
-        seg = Segment(slow, 25.0, 20.0)
+        seg = segment(slow, 25.0, 20.0)
         reference = simpson(wear_rate_on_trajectory(slow, 25.0, 20.0), 1e-3, 1000)
         temp, wear, _ = seg.advance(1e-3)
         assert wear == pytest.approx(reference, rel=1e-12, abs=0.0)
@@ -247,7 +240,7 @@ class TestSegment:
 
 
 class TestSteadyStateRecord:
-    """One SteadyState per power serves every interval at that power, as Segment(params, temp0, power) would."""
+    """One SteadyState per power serves every interval at that power, as a fresh record per interval would."""
 
     # (entry temperature, power, duration): short swing, series, and E1 for heating by more than about 29 degC
     ROUTES = {"short": (40.0, 10.0, 0.1), "series": (60.0, 10.0, 8.0), "e1": (25.0, 120.0, 20.0)}
@@ -255,7 +248,7 @@ class TestSteadyStateRecord:
     @pytest.mark.parametrize("route", ROUTES)
     def test_each_route_is_taken(self, route):
         temp0, power, s = self.ROUTES[route]
-        seg = Segment(TRANSIENT, temp0, power)
+        seg = segment(TRANSIENT, temp0, power)
         g = -math.expm1(-s / seg.tau)
         short = abs(seg.a) * g <= 1.0 and (g <= 1.0 / 16.0 or seg.a < -2.0)
         assert (short, not short and seg.a >= -2.0, not short and seg.a < -2.0) == (
@@ -276,14 +269,12 @@ class TestSteadyStateRecord:
         power *= 0.5 / r_th  # the same rise over ambient whatever r_th, so the route's swing is kept
         steady = SteadyState(params, power)
         seg = steady.segment(temp0)
-        direct = Segment(params, temp0, power)
-        assert type(seg) is Segment and seg == direct
+        assert type(seg) is Segment
         t_ss = 25.0 + power * r_th
         assert steady == (t_ss, r_th * c_th, math.log(2.0) / 10.0 * (t_ss - t_ref), r_th * c_th / l_base)
         d0 = temp0 - t_ss
         assert seg == (temp0, t_ss, r_th * c_th, d0, math.log(2.0) / 10.0 * d0, steady.exponent_ss, steady.wear_scale)
         duration = s * seg.tau / 5.0 * scale  # the routes are set for tau = 5 s
-        assert seg.advance(duration) == direct.advance(duration)
         # the step of an interval no trace samples is the Segment's advance, bit for bit
         assert steady.step(temp0, duration) == seg.advance(duration)
         assert steady.step(temp0, 0.0) == seg.advance(0.0)
@@ -311,7 +302,7 @@ class TestSteadyStateRecord:
     @settings(max_examples=150)
     def test_the_span_trace_query_is_advance_at_each_point(self, route, t0, reach, n):
         temp0, power, length = self.ROUTES[route]
-        seg = Segment(TRANSIENT, temp0, power)
+        seg = segment(TRANSIENT, temp0, power)
         dt = reach * length / n  # the offsets reach up to half a length past the span's end, where they clamp
         k = math.ceil(t0 / dt)
         while k * dt < t0:
@@ -325,15 +316,15 @@ class TestSteadyStateRecord:
     def test_the_span_trace_query_fails_as_advance_does(self):
         hot = ThermalParams(r_th=2000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1.0)
         edge = ThermalParams(r_th=1.0, c_th=1.0, t_amb=10045.0, t_ref=45.0, l_base=1.0)
-        for seg, s in ((Segment(hot, 20025.0, 10.0), 1.0), (Segment(edge, 10045.0, 0.0), 1e10),
-                       (Segment(TRANSIENT, 1.1e4, 0.0), 10.0)):
+        for seg, s in ((segment(hot, 20025.0, 10.0), 1.0), (segment(edge, 10045.0, 0.0), 1e10),
+                       (segment(TRANSIENT, 1.1e4, 0.0), 10.0)):
             with pytest.raises(DomainError) as want:
                 seg.advance(s)
             with pytest.raises(DomainError) as got:
                 seg.trace(0.0, s, s, 1, 2, 8e8, 0.0, 0.0)
             assert str(got.value) == str(want.value)
         slow = ThermalParams(r_th=5000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1000.0)
-        seg = Segment(slow, 25.0, 20.0)  # a hot steady state that the span does not reach: no overflow
+        seg = segment(slow, 25.0, 20.0)  # a hot steady state that the span does not reach: no overflow
         assert seg.trace(0.0, 1e-3, 1e-3, 1, 2, 8e8, 20.0, 0.0)[0][3:] == seg.advance(1e-3)[:2]
         with pytest.raises(DomainError, match="precedes"):
             seg.trace(1.0, 1e-3, 0.5, 1, 2, 8e8, 20.0, 0.0)
@@ -341,9 +332,67 @@ class TestSteadyStateRecord:
     def test_one_record_serves_many_entry_temperatures(self):
         steady = SteadyState(TRANSIENT, 20.0)
         for temp0 in (25.0, 35.0, 80.0, 400.0):
-            assert steady.segment(temp0).advance(3.0) == Segment(TRANSIENT, temp0, 20.0).advance(3.0)
+            assert steady.segment(temp0).advance(3.0) == segment(TRANSIENT, temp0, 20.0).advance(3.0)
         with pytest.raises(DomainError, match="not finite"):
             steady.segment(math.inf)
+
+
+GOMPERTZ = Decimal("0.5963473623231940743410784993692793760742")  # e * E1(1), OEIS A073003
+
+
+def scaled_e1_near_one(z: float) -> Decimal:
+    """e^z E1(z) by its Taylor series about z = 1, in decimal, for 1 <= z < 1.5.
+
+    With f = e^z E1(z), f' = f - 1/z, so f^(n)(1) = f^(n-1)(1) + (-1)^n (n-1)!
+    and f(1) is the Gompertz constant.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 45
+        d = Decimal(z) - 1
+        derivative, total, power, n = GOMPERTZ, GOMPERTZ, Decimal(1), 0
+        while True:
+            n += 1
+            derivative += (-1) ** n * math.factorial(n - 1)
+            power = power * d / n
+            term = derivative * power
+            total += term
+            if abs(term) < Decimal(10) ** -42:
+                return total
+
+
+def scaled_e1_by_fraction(z: float) -> Decimal:
+    """e^z E1(z) from A&S 5.1.22 evaluated from the tail up, 3000 levels deep, in 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        tail = Decimal(0)
+        for i in range(3000, 0, -1):
+            tail = Decimal(i * i) / (Decimal(z) + 2 * i + 1 - tail)
+        return 1 / (Decimal(z) + 1 - tail)
+
+
+def ulps_off(z: float, reference: Decimal) -> float:
+    """How many units in the last place ``_scaled_e1(z)`` reads from ``reference``."""
+    return float((Decimal(_scaled_e1(z, math.log(z))) - reference) / Decimal(math.ulp(float(reference))))
+
+
+class TestScaledE1:
+    """``_scaled_e1`` reads within the ulp bounds its comment states."""
+
+    def test_at_one_and_the_float_after_it(self):
+        assert abs(ulps_off(1.0, GOMPERTZ)) <= 6.0  # the series
+        after = math.nextafter(1.0, 2.0)  # the continued fraction's slowest region
+        assert abs(ulps_off(after, scaled_e1_near_one(after))) <= 70.0
+
+    @given(st.floats(-16.0, -0.5))
+    @settings(max_examples=200)
+    def test_the_fraction_just_above_one(self, exponent):
+        z = 1.0 + 10.0**exponent
+        assert abs(ulps_off(z, scaled_e1_near_one(z))) <= 70.0
+
+    @given(st.floats(2.0, 709.0))
+    @settings(max_examples=30, deadline=None)
+    def test_the_fraction_beyond_two(self, z):
+        assert abs(ulps_off(z, scaled_e1_by_fraction(z))) <= (25.0 if z <= 10.0 else 8.0)
 
 
 class TestProjectLifetime:
@@ -364,8 +413,8 @@ class TestProjectLifetime:
     def test_ten_degrees_cooler_doubles_projection(self):
         hot = ThermalParams(r_th=0.5, c_th=10.0, t_amb=50.0, t_ref=50.0, l_base=1000.0)
         cool = ThermalParams(r_th=0.5, c_th=10.0, t_amb=40.0, t_ref=50.0, l_base=1000.0)
-        _, wear_hot, _ = Segment(hot, 50.0, 0.0).advance(200.0)
-        _, wear_cool, _ = Segment(cool, 40.0, 0.0).advance(200.0)
+        _, wear_hot, _ = segment(hot, 50.0, 0.0).advance(200.0)
+        _, wear_cool, _ = segment(cool, 40.0, 0.0).advance(200.0)
         ratio = project_lifetime(WearLedger(wear_cool, 0.0, 200.0)) / project_lifetime(
             WearLedger(wear_hot, 0.0, 200.0)
         )

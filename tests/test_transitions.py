@@ -10,10 +10,9 @@ from dvfsim import (
     TransitionPolicy,
     UnknownLevelError,
     WearParams,
-    full_span,
     plan_transition,
-    shock_wear,
 )
+from dvfsim.transitions import full_span, shock_wear
 
 from helpers import make_spec, make_wear
 from strategies import specs

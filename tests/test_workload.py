@@ -13,9 +13,7 @@ from dvfsim import (
     Task,
     governor_rule,
     lowest_feasible_level,
-    min_energy_level,
     run_scenario,
-    select_level,
 )
 
 from helpers import make_scenario, make_spec, make_thermal, make_wear
@@ -106,37 +104,30 @@ def min_energy_rule(spec, task, start):
     return governor_rule(spec, GovernorPolicy("min_energy"))(spec, task, start)
 
 
-# the governor's two entry points: the module function and the rule a run resolves once
-MIN_ENERGY = pytest.mark.parametrize("min_energy", [min_energy_level, min_energy_rule], ids=["level", "rule"])
-
-
 class TestMinEnergy:
     def test_stretching_wins_without_static_power(self):
         spec = two_level_spec(coeff_a=1e-9, coeff_b=0.0, p_device=0.0, p_idle=0.0)
         task = Task("t", 1e9, 0.0, 2.0)
         # 1 GHz: 1 W for 1 s = 1 J; 2 GHz: 3.92 W for 0.5 s = 1.96 J
-        assert min_energy_level(spec, task, 0.0).freq == 1.0e9
+        assert min_energy_rule(spec, task, 0.0).freq == 1.0e9
 
-    @MIN_ENERGY
-    def test_race_to_idle_wins_with_static_power(self, min_energy):
+    def test_race_to_idle_wins_with_static_power(self):
         spec = two_level_spec(coeff_a=1e-9, coeff_b=0.0, p_device=5.0, p_idle=0.5)
         task = Task("t", 1e9, 0.0, 2.0)
         # 1 GHz: 6 W * 1 s + 0.5 W * 1 s = 6.5 J; 2 GHz: 8.92 * 0.5 + 0.5 * 1.5 = 5.21 J
-        assert min_energy(spec, task, 0.0).freq == 2.0e9
+        assert min_energy_rule(spec, task, 0.0).freq == 2.0e9
 
-    @MIN_ENERGY
-    def test_tie_breaks_toward_lower_index(self, min_energy):
+    def test_tie_breaks_toward_lower_index(self):
         # with only the supply-linear term, energy = b*vdd*cycles/f is equal here
         levels = [FrequencyLevel(0, 1.0e9, 1.0), FrequencyLevel(1, 2.0e9, 2.0)]
         spec = make_spec(levels=levels, coeff_a=0.0, coeff_b=1.0, p_device=0.0, p_idle=0.0)
         task = Task("t", 1e9, 0.0, 2.0)
-        assert min_energy(spec, task, 0.0).index == 0
+        assert min_energy_rule(spec, task, 0.0).index == 0
 
-    @MIN_ENERGY
-    def test_infeasible_raises(self, min_energy):
+    def test_infeasible_raises(self):
         spec = two_level_spec()
         with pytest.raises(InfeasibleError):
-            min_energy(spec, Task("t", 4.1e9, 0.0, 2.0), 0.0)
+            min_energy_rule(spec, Task("t", 4.1e9, 0.0, 2.0), 0.0)
 
     @given(specs(), st.data())
     @settings(max_examples=120)
@@ -157,16 +148,16 @@ class TestMinEnergy:
 
         if best_index is None:
             with pytest.raises(InfeasibleError):
-                min_energy_level(spec, task, task.arrival)
+                min_energy_rule(spec, task, task.arrival)
         else:
-            assert min_energy_level(spec, task, task.arrival).index == best_index
+            assert min_energy_rule(spec, task, task.arrival).index == best_index
 
     @given(specs(zero_static=True), st.data())
     @settings(max_examples=60)
     def test_equals_lowest_feasible_without_static_power(self, spec, data):
         # slack floor stays above 1 so float noise in arrival+window cannot flip feasibility
         task = data.draw(tasks_for(spec, slack_min=1.05, slack_max=8.0))
-        assert min_energy_level(spec, task, task.arrival) == lowest_feasible_level(spec, task, task.arrival)
+        assert min_energy_rule(spec, task, task.arrival) == lowest_feasible_level(spec, task, task.arrival)
 
 
 @st.composite
@@ -227,41 +218,31 @@ class TestGovernorsAgainstBruteForce:
         expected = brute_force(spec, task, start)
         if expected is None:
             window = task.deadline - start
-            for governor in (lowest_feasible_level, min_energy_level):
+            for governor in (lowest_feasible_level, min_energy_rule):
                 with pytest.raises(InfeasibleError) as err:
                     governor(spec, task, start)
                 assert err.value.required_hz == (task.cycles / window if window > 0 else math.inf)
             return
         lowest, cheapest = expected
         assert lowest_feasible_level(spec, task, start).index == lowest
-        assert min_energy_level(spec, task, start).index == cheapest
+        assert min_energy_rule(spec, task, start).index == cheapest
         if ties:  # every feasible level ties, and the tie goes to the lowest of them
             assert cheapest == lowest
-
-
-def _outcome(call):
-    """What ``call()`` returns, or the type and message of the InfeasibleError or DomainError it raises."""
-    try:
-        return call()
-    except (InfeasibleError, DomainError) as exc:
-        return type(exc), str(exc)
 
 
 class TestGovernorRule:
     @given(governor_cases(), st.integers(-2, 9))
     @settings(max_examples=200)
-    def test_the_resolved_rule_agrees_with_select_level(self, case, index):
+    def test_each_kind_resolves_to_its_rule(self, case, index):
         spec, task, start, _ = case
-        named = {"lowest_feasible": lowest_feasible_level, "min_energy": min_energy_level}
-        for governor in (GovernorPolicy("lowest_feasible"), GovernorPolicy("min_energy"), GovernorPolicy("fixed", index)):
-            got = _outcome(lambda: governor_rule(spec, governor)(spec, task, start))
-            assert got == _outcome(lambda: select_level(spec, task, start, governor))
-            if governor.kind in named:
-                assert got == _outcome(lambda: named[governor.kind](spec, task, start))
-            elif 0 <= index < len(spec.levels):
-                assert got is spec.levels[index]  # whether or not the task fits
-            else:
-                assert got == (DomainError, f"fixed governor index {index} outside ladder")
+        assert governor_rule(spec, GovernorPolicy("lowest_feasible")) is lowest_feasible_level
+        # the min_energy rule is checked against a brute-force search in TestGovernorsAgainstBruteForce
+        governor = GovernorPolicy("fixed", index)
+        if 0 <= index < len(spec.levels):
+            assert governor_rule(spec, governor)(spec, task, start) is spec.levels[index]  # whether or not it fits
+        else:
+            with pytest.raises(DomainError, match=f"fixed governor index {index} outside ladder"):
+                governor_rule(spec, governor)
 
     def test_a_bad_governor_is_refused_when_it_is_resolved(self):
         spec = make_spec()
@@ -278,10 +259,11 @@ class TestSelectLevel:
     def test_fixed_governor_returns_requested_level(self):
         spec = make_spec()
         task = Task("t", 1e9, 0.0, 10.0)
-        assert select_level(spec, task, 0.0, GovernorPolicy("fixed", 3)) == spec.levels[3]
+        assert governor_rule(spec, GovernorPolicy("fixed", 3))(spec, task, 0.0) == spec.levels[3]
 
     def test_start_before_arrival_rejected(self):
         spec = make_spec()
         task = Task("t", 1e9, 5.0, 10.0)
-        with pytest.raises(ValueError):
-            lowest_feasible_level(spec, task, 0.0)
+        for rule in (lowest_feasible_level, min_energy_rule):
+            with pytest.raises(DomainError, match="start 0.0 precedes arrival 5.0"):
+                rule(spec, task, 0.0)
