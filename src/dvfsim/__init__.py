@@ -37,7 +37,6 @@ from .reporting import (
     write_report,
 )
 from .thermal import (
-    Segment,
     SteadyState,
     ThermalParams,
     WearLedger,

@@ -3,14 +3,12 @@
 One processor serves tasks FIFO in arrival order. The timeline is a chain of
 piecewise-constant-power intervals delimited by arrivals, hops, dwell ends, and
 completions; temperature advances by the exact closed form on each interval, so
-there is no global timestep. The run is one pass. Without a sink, each interval
-is one thermal step, ``SteadyState.step``, and no Segment is built.
-``run_scenario`` samples the trace only when it is given a sink: each interval
-then builds its thermal Segment, which ``Segment.advance`` steps over the whole
-interval, bit for bit as ``step`` does, and whose span trace query,
-``Segment.trace``, gives the trace points that fall in it; they go to the sink
-as lists of at most TRACE_CHUNK points of one span, so sampling is purely
-observational.
+there is no global timestep. The run is one pass, and each interval is one
+thermal step, its power's ``SteadyState.step``, traced or not.
+``run_scenario`` samples the trace only when it is given a sink: the same
+record's span trace query, ``SteadyState.trace``, then gives the trace points
+that fall in the interval; they go to the sink as lists of at most TRACE_CHUNK
+points of one span, so sampling is purely observational.
 ``simulate`` collects them. A run resolves its governor's rule, each power's
 thermal SteadyState and each level pair's hops with their shock once, and
 makes no span of zero length.
@@ -176,13 +174,11 @@ def _validate_policy(p: TransitionPolicy) -> list[Violation]:
 class _Timeline:
     """Mutable run state: clock, temperature, wear, energy, and transition log.
 
-    A span's power follows from its level and whether the processor is busy.
-    With no sink nothing is sampled: that power's ``SteadyState.step`` gives the
-    ledger the span's end state, and no Segment is built. Given a ``sink``, the
-    span's Segment starts from that SteadyState; ``Segment.advance`` gives the
-    same end state, and ``Segment.trace`` gives the trace points that fall in
-    the span, handed over as lists of at most TRACE_CHUNK consecutive points
-    that share the span's freq and power.
+    A span's power follows from its level and whether the processor is busy,
+    and that power's ``SteadyState.step`` gives the ledger the span's end state.
+    Given a ``sink``, the same record's ``trace`` gives the trace points that
+    fall in the span, from its entry temperature, handed over as lists of at
+    most TRACE_CHUNK consecutive points that share the span's freq and power.
     """
 
     def __init__(self, spec: ProcessorSpec, trace_dt: float, sink):
@@ -203,7 +199,7 @@ class _Timeline:
         self.log: list[TransitionEvent] = []
         self.sink = sink
         self.samples = 0  # trace points passed to the sink so far
-        self.span = None  # (t0, length, freq, power, Segment, thermal wear at t0) of the latest span, if sampled
+        self.span = None  # (t0, length, freq, power, SteadyState, temp0, thermal wear at t0) of a sampled span
 
     def run(self, length: float, level: FrequencyLevel, active: bool, until: float | None = None):
         """Hold ``level`` for ``length`` seconds, busy or idle; ``until`` pins the end to an event time."""
@@ -213,12 +209,9 @@ class _Timeline:
         end = self.now + length if until is None else until
         if end > self.end_cap:
             raise DomainError(f"the run reaches {end:g} s, beyond {MAX_TRACE_POINTS} trace points of sim.trace_dt")
-        if self.sink is None:
-            end_temp, wear, temp_integral = steady.step(self.temp, length)
-        else:
-            seg = steady.segment(self.temp)
-            end_temp, wear, temp_integral = seg.advance(length)
-            self.span = (self.now, length, level.freq, power, seg, self.thermal_acc)
+        end_temp, wear, temp_integral = steady.step(self.temp, length)
+        if self.sink is not None:
+            self.span = (self.now, length, level.freq, power, steady, self.temp, self.thermal_acc)
             self.sample(end)
         self.temp_integral += temp_integral
         if end_temp > self.peak:  # the span's entry temperature is the previous span's end, counted already
@@ -237,7 +230,7 @@ class _Timeline:
         """Trace the latest span at each k * trace_dt before ``until``, so a sample on an
         event time reports the span that starts there; the points go to the sink
         TRACE_CHUNK at a time, the last call holding the rest."""
-        t0, length, freq, power, seg, thermal0 = self.span
+        t0, length, freq, power, steady, temp0, thermal0 = self.span
         # hops fall only between spans, so the closing sample on the run's end also counts those logged there
         wear0 = thermal0 + self.shock_acc
         dt = self.trace_dt
@@ -248,7 +241,7 @@ class _Timeline:
         while m * dt < until:
             m += 1
         for c in range(k, m, TRACE_CHUNK):
-            self.sink(seg.trace(t0, length, dt, c, min(c + TRACE_CHUNK, m), freq, power, wear0))
+            self.sink(steady.trace(temp0, t0, length, dt, c, min(c + TRACE_CHUNK, m), freq, power, wear0))
         self.samples = m
 
     def hop(self, hop: Hop, wear: float) -> None:

@@ -2,7 +2,8 @@
 
 Writers emit byte-identical output for identical inputs: stable key order,
 shortest round-trippable float repr (Python's default), LF newlines, and a
-final newline. Unbounded lifetimes serialize as the string "unbounded".
+final newline. Unbounded lifetimes serialize as the string "unbounded", and a
+lifetime delta of -inf (a bounded run against an unbounded baseline) as "-unbounded".
 Task rows (TASK_BLOCK at a time) and trace rows are streamed, not held whole.
 """
 
@@ -27,9 +28,10 @@ TASK_BLOCK = 512  # task rows rendered per write of a report: about 100 kB of te
 
 
 def format_lifetime(value: float, spec: str | None = ".9g"):
-    """Lifetime text: "unbounded" if infinite, else ``format(value, spec)``; ``spec=None`` keeps the float."""
+    """Lifetime text: "unbounded" for inf, "-unbounded" for -inf (a delta from an unbounded baseline), else
+    ``format(value, spec)``; ``spec=None`` keeps the float."""
     if math.isinf(value):
-        return "unbounded"
+        return "unbounded" if value > 0 else "-unbounded"
     return value if spec is None else format(value, spec)
 
 

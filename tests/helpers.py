@@ -55,20 +55,15 @@ def make_thermal(r_th=2.0, c_th=2.5, t_amb=25.0, t_ref=45.0, l_base=3.6e7) -> Th
     return ThermalParams(r_th, c_th, t_amb, t_ref, l_base)
 
 
-def segment(params: ThermalParams, temp0: float, power: float):
-    """The thermal Segment of an interval at ``power`` entered at ``temp0``."""
-    return SteadyState(params, power).segment(temp0)
-
-
 def steady_wear_factors(params: ThermalParams, temp: float) -> tuple[float, float]:
     """The Arrhenius factor 2^((temp - t_ref)/10), as the wear of s seconds held at ``temp`` per s / l_base.
 
-    The Segment starts at its own steady state (ambient ``temp``, no power).
+    The interval starts at its own steady state (ambient ``temp``, no power).
     One factor comes from each thermal path: s = tau/50 takes the short-swing
     expansion, s = 2 * tau the series.
     """
-    seg = segment(params._replace(t_amb=temp), temp, 0.0)
-    return tuple(seg.advance(s)[1] / (s / params.l_base) for s in (params.tau / 50.0, 2.0 * params.tau))
+    steady = SteadyState(params._replace(t_amb=temp), 0.0)
+    return tuple(steady.step(temp, s)[1] / (s / params.l_base) for s in (params.tau / 50.0, 2.0 * params.tau))
 
 
 def make_wear(k_shock=1e-4, alpha=2.0, f_span=1e9) -> WearParams:

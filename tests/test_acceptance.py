@@ -15,6 +15,7 @@ from dvfsim import (
     FrequencyLevel,
     GovernorPolicy,
     InfeasibleError,
+    SteadyState,
     Task,
     ThermalParams,
     TransitionPolicy,
@@ -38,7 +39,6 @@ from helpers import (
     make_thermal,
     make_wear,
     run_cli,
-    segment,
     steady_wear_factors,
     trace_probe_scenario,
 )
@@ -183,12 +183,13 @@ def test_ac05_governor_matches_exhaustive_enumeration():
 def test_ac06_thermal_correctness():
     params = ThermalParams(r_th=0.5, c_th=10.0, t_amb=25.0, t_ref=25.0, l_base=1000.0)
 
+    steady = SteadyState(params, 20.0)
     for dt in (0.1, 1.0, 5.0, 17.3):
-        full = segment(params, 25.0, 20.0).advance(dt)[0]
-        half = segment(params, segment(params, 25.0, 20.0).advance(dt / 2)[0], 20.0).advance(dt / 2)[0]
+        full = steady.step(25.0, dt)[0]
+        half = steady.step(steady.step(25.0, dt / 2)[0], dt / 2)[0]
         assert math.isclose(half, full, rel_tol=1e-12)
 
-    after, _, _ = segment(params, 25.0, 20.0).advance(10.0 * params.tau)
+    after, _, _ = steady.step(25.0, 10.0 * params.tau)
     target = steady_state_temp(params, 20.0)
     assert abs(after - target) / target < 1e-3
 
@@ -200,7 +201,7 @@ def test_ac06_thermal_correctness():
             total += rate if 0 < k < n else rate / 2.0
         return total * h
 
-    _, wear, _ = segment(params, 25.0, 20.0).advance(5.0)
+    _, wear, _ = steady.step(25.0, 5.0)
     assert math.isclose(wear, oracle(10**4), rel_tol=1e-6)
     print("AC6 PASS: half-step composition 1e-12, 10-tau settle within 0.1%, transient wear within 1e-6 of oracle")
 

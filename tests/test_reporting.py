@@ -21,9 +21,19 @@ from dvfsim import (
 from dvfsim.engine import TracePoint
 from dvfsim import reporting
 from dvfsim.reporting import TASK_BLOCK, TRACE_HEADER, format_comparison_table, trace_writer
-from dvfsim import compare_policies, TransitionPolicy
+from dvfsim import compare_policies, write_comparison, GovernorPolicy, TransitionPolicy
 
-from helpers import TRACE_ROW, load_json, make_scenario, make_task, report_to_dict, trace_probe_scenario
+from helpers import (
+    TRACE_ROW,
+    load_json,
+    make_scenario,
+    make_spec,
+    make_task,
+    make_thermal,
+    make_wear,
+    report_to_dict,
+    trace_probe_scenario,
+)
 from strategies import specs, workloads
 
 
@@ -300,3 +310,25 @@ class TestComparisonTable:
         assert table.splitlines()[0].startswith("policy")
         assert "direct" in table and "stepped:0.5" in table
         assert "newly missed deadlines: t" in table
+
+    def test_a_lifetime_delta_of_minus_infinity_is_minus_unbounded(self, tmp_path):
+        # no thermal wear (t_ref far above any temperature) and no shock for a stepped 200 MHz hop (0.2^500
+        # underflows): stepped's lifetime is unbounded and direct's, with full-span hops, is not
+        spec = make_spec(thermal=make_thermal(t_ref=1e4, l_base=3.6e293), wear=make_wear(alpha=500.0))
+        sc = make_scenario(spec=spec, tasks=(make_task(),), governor=GovernorPolicy("fixed", 5))
+        for policies, delta, text in (
+            (("stepped", "direct"), -math.inf, "-unbounded"),
+            (("direct", "stepped"), math.inf, "unbounded"),
+        ):
+            comparison = compare_policies(sc, [TransitionPolicy(kind) for kind in policies])
+            base, other = comparison.runs
+            assert math.isinf(base.report.projected_lifetime) == (policies[0] == "stepped")
+            assert other.delta_lifetime_s == delta
+            header, _, row = format_comparison_table(comparison).splitlines()
+            assert header.split()[-1] == "d_lifetime_s"
+            assert row.split()[-1] == text
+            path = tmp_path / f"{policies[0]}.json"
+            write_comparison(comparison, path)
+            runs = load_json(path)["policies"]
+            assert [r["delta_lifetime_s"] for r in runs] == [0.0, text]
+            assert [r["projected_lifetime_s"] == "unbounded" for r in runs] == [delta < 0, delta > 0]

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from dvfsim import DomainError, Segment, SteadyState, ThermalParams, WearLedger
+from dvfsim import DomainError, SteadyState, ThermalParams, WearLedger
 from dvfsim.thermal import _scaled_e1, project_lifetime, steady_state_temp
 
-from helpers import segment, steady_wear_factors
+from helpers import steady_wear_factors
 
 # the documented transient: tau = 5 s, 20 W from ambient, one time constant
 TRANSIENT = ThermalParams(r_th=0.5, c_th=10.0, t_amb=25.0, t_ref=25.0, l_base=1000.0)
@@ -53,6 +53,14 @@ def decimal_wear(params, temp0, power, dt):
             total += term
             if k > abs(a) and abs(term) <= tiny:
                 return float(rate_ss * (Decimal(dt) + tau * total))
+
+
+# The wear's bound in ulps of the exact wear, on each route, is WEAR_ULPS[route] + 2 * |a| (the module notes)
+WEAR_ULPS = {"short": 8.0, "series": 8.0, "e1": 160.0}
+
+
+def wear_bound(route: str, a: float) -> float:
+    return WEAR_ULPS[route] + 2.0 * abs(a)
 
 
 def simpson(f, end, n):
@@ -106,27 +114,27 @@ class TestSteadyState:
 
 class TestThermalStep:
     def test_equilibrium_is_fixed_point(self):
-        assert segment(TRANSIENT, 25.0, 0.0).advance(7.0)[0] == 25.0
+        assert SteadyState(TRANSIENT, 0.0).step(25.0, 7.0)[0] == 25.0
 
     def test_one_time_constant_desk_value(self):
-        temp, _, _ = segment(TRANSIENT, 25.0, 20.0).advance(5.0)
+        temp, _, _ = SteadyState(TRANSIENT, 20.0).step(25.0, 5.0)
         assert temp == pytest.approx(35.0 - 10.0 * math.exp(-1.0), rel=1e-12)
 
     def test_long_step_reaches_steady_state(self):
-        temp, _, _ = segment(TRANSIENT, 25.0, 20.0).advance(100.0 * TRANSIENT.tau)
+        temp, _, _ = SteadyState(TRANSIENT, 20.0).step(25.0, 100.0 * TRANSIENT.tau)
         assert abs(temp - 35.0) < 1e-9
 
     @given(st.floats(0.0, 60.0), st.floats(0.0, 40.0), st.floats(-20.0, 120.0))
     def test_half_steps_compose(self, dt, power, temp0):
-        full = segment(TRANSIENT, temp0, power).advance(dt)[0]
-        half = segment(TRANSIENT, temp0, power).advance(dt / 2.0)[0]
-        composed = segment(TRANSIENT, half, power).advance(dt / 2.0)[0]
+        full = SteadyState(TRANSIENT, power).step(temp0, dt)[0]
+        half = SteadyState(TRANSIENT, power).step(temp0, dt / 2.0)[0]
+        composed = SteadyState(TRANSIENT, power).step(half, dt / 2.0)[0]
         assert math.isclose(composed, full, rel_tol=1e-12, abs_tol=1e-12)
 
     @given(st.floats(0.0, 100.0), st.floats(0.0, 40.0), st.floats(-20.0, 120.0))
     def test_never_overshoots(self, dt, power, temp0):
         t_ss = steady_state_temp(TRANSIENT, power)
-        after, _, _ = segment(TRANSIENT, temp0, power).advance(dt)
+        after, _, _ = SteadyState(TRANSIENT, power).step(temp0, dt)
         lo, hi = sorted((temp0, t_ss))
         assert lo - 1e-9 <= after <= hi + 1e-9
 
@@ -135,45 +143,70 @@ class TestIntegrateThermalWear:
     def test_constant_reference_temperature(self):
         # unit wear rate for 100 s against a 1000 s baseline
         params = ThermalParams(r_th=0.5, c_th=10.0, t_amb=50.0, t_ref=50.0, l_base=1000.0)
-        temp, wear, _ = segment(params, 50.0, 0.0).advance(100.0)
+        temp, wear, _ = SteadyState(params, 0.0).step(50.0, 100.0)
         assert wear == pytest.approx(0.1, rel=1e-12)
         assert temp == pytest.approx(50.0, abs=1e-12)
 
     def test_constant_ten_above_reference(self):
         params = ThermalParams(r_th=0.5, c_th=10.0, t_amb=60.0, t_ref=50.0, l_base=1000.0)
-        _, wear, _ = segment(params, 60.0, 0.0).advance(100.0)
+        _, wear, _ = SteadyState(params, 0.0).step(60.0, 100.0)
         assert wear == pytest.approx(0.2, rel=1e-12)
 
     def test_transient_matches_fine_grid_oracle(self):
-        temp, wear, _ = segment(TRANSIENT, 25.0, 20.0).advance(5.0)
+        temp, wear, _ = SteadyState(TRANSIENT, 20.0).step(25.0, 5.0)
         reference = oracle_trapezoid_wear(TRANSIENT, 25.0, 20.0, 5.0, 10**4)
         assert wear == pytest.approx(reference, rel=1e-6)
         assert temp == pytest.approx(35.0 - 10.0 * math.exp(-1.0), rel=1e-12)
 
     def test_end_state_is_the_exact_exponential(self):
-        temp, _, _ = segment(TRANSIENT, 28.0, 12.0).advance(7.5)
+        temp, _, _ = SteadyState(TRANSIENT, 12.0).step(28.0, 7.5)
         assert temp == pytest.approx(31.0 - 3.0 * math.exp(-1.5), rel=1e-15)
 
     def test_closed_form_matches_decimal_oracle(self):
-        # heating and cooling, |a| = ln2/10 * |T0 - T_ss| from 0 to 45, dt/tau from 1e-6 to 50
+        # heating and cooling, |a| = ln2/10 * |T0 - T_ss| from 0 to the 709 limit, dt/tau from 1e-6 to 50, and each
+        # side of the route boundaries: g = 1/16, |a| * g = 1 and a = -2; at a = 2 and g just under 1/16 a short-swing
+        # sum that stopped at its first tiny term read 4e11 ulp off
         params = ThermalParams(r_th=1.0, c_th=5.0, t_amb=25.0, t_ref=45.0, l_base=1000.0)
-        for a in (0.0, 1e-3, 0.5, 1.0, 1.9, 2.1, 3.0, 5.545, 10.0, 20.0, 30.0, 40.0, 45.0):
+        steady = SteadyState(params, 20.0)
+        g16 = -math.log1p(-1.0 / 16.0)  # x where g = 1/16
+        routes = set()
+        sizes = (0.0, 1e-3, 0.5, 1.0, 1.9, 1.999999999, 2.0, 2.000000001, 2.1, 3.0, 5.545, 10.0, 16.0, 20.0, 30.0,
+                 40.0, 45.0, 100.0, 300.0, 708.99)
+        for size in sizes:
+            # x where |a| * g = 1, and where g = 1/16 while that can bound the short swing; the oracle's cost grows
+            # as |a|^2, so the largest swings take fewer points
+            edges = (-math.log1p(-1.0 / size),) if size > 1.0 else ()
+            edges += (g16,) if size <= 16.0 else ()
+            grid = (1e-6, 1e-4, 0.01, 0.05, 0.2, 0.4, 1.0, 3.0, 10.0, 50.0) if size < 100.0 else (1e-6, 1.0, 50.0)
+            xs = (*grid, *(y for x in edges for y in (math.nextafter(x, 0.0), x, math.nextafter(x, 1.0))))
             for sign in (1.0, -1.0):
-                temp0 = 45.0 + sign * a * 10.0 / math.log(2.0)  # steady state is 45 degC at 20 W
-                for x in (1e-6, 1e-4, 0.01, 0.05, 0.2, 0.4, 1.0, 3.0, 10.0, 50.0):
-                    dt = x * params.tau
-                    _, wear, _ = segment(params, temp0, 20.0).advance(dt)
-                    reference = decimal_wear(params, temp0, 20.0, dt)
-                    assert wear == pytest.approx(reference, rel=1e-12, abs=0.0), (sign * a, x)
+                temp0 = 45.0 + sign * size * 10.0 / math.log(2.0)  # steady state is 45 degC at 20 W
+                for x in xs:
+                    routes.add(self.assert_within_bound(steady, params, temp0, x * params.tau))
+        assert routes == {"short", "series", "e1"}
+        # the worst point seen on the E1 route: z = 1 + 6e-9, where the continued fraction is least accurate
+        assert self.assert_within_bound(steady, params, 45.0 - 2.1017405842277257 * 10.0 / math.log(2.0),
+                                        0.7427658450269158 * params.tau) == "e1"
+
+    @staticmethod
+    def assert_within_bound(steady, params, temp0, dt):
+        """Assert that ``steady.step(temp0, dt)``'s wear is within its route's bound of ``decimal_wear``'s.
+
+        Returns the route the wear took."""
+        a = swing(steady, temp0)
+        route = route_of(a, dt / steady.tau)
+        _, wear, _ = steady.step(temp0, dt)
+        reference = decimal_wear(params, temp0, (steady.t_ss - params.t_amb) / params.r_th, dt)
+        assert abs(wear - reference) <= wear_bound(route, a) * math.ulp(reference), (a, dt / steady.tau, route)
+        return route
 
     def test_large_swing_at_40_w_matches_oracle(self):
         params = ThermalParams(2.0, 2.5, 25.0, 45.0, 3.6e7)
-        _, wear, _ = segment(params, 25.0, 40.0).advance(2.0)
-        assert wear == pytest.approx(decimal_wear(params, 25.0, 40.0, 2.0), rel=1e-12, abs=0.0)
+        assert self.assert_within_bound(SteadyState(params, 40.0), params, 25.0, 2.0) == "e1"
 
     def test_steady_tail_is_integrated_analytically(self):
         # far beyond the transient the rate is constant; a huge dt must stay cheap and exact
-        _, wear, _ = segment(TRANSIENT, 25.0, 20.0).advance(1e6)
+        _, wear, _ = SteadyState(TRANSIENT, 20.0).step(25.0, 1e6)
         tail = (1e6 - 40 * TRANSIENT.tau) * 2.0 ** ((35.0 - 25.0) / 10.0) / 1000.0
         assert wear == pytest.approx(tail, rel=1e-3)
 
@@ -181,62 +214,75 @@ class TestIntegrateThermalWear:
     @settings(max_examples=60)
     def test_monotone_in_duration(self, d1, d2, power):
         lo, hi = sorted((d1, d2))
-        seg = segment(TRANSIENT, 25.0, power)
-        assert seg.advance(lo)[1] <= seg.advance(hi)[1] * (1 + 1e-12)
+        steady = SteadyState(TRANSIENT, power)
+        assert steady.step(25.0, lo)[1] <= steady.step(25.0, hi)[1] * (1 + 1e-12)
 
     def test_zero_duration(self):
-        temp, wear, _ = segment(TRANSIENT, 30.0, 5.0).advance(0.0)
+        temp, wear, _ = SteadyState(TRANSIENT, 5.0).step(30.0, 0.0)
         assert wear == 0.0
         assert temp == 30.0
 
     def test_negative_duration_rejected(self):
         with pytest.raises(DomainError):
-            segment(TRANSIENT, 25.0, 5.0).advance(-1.0)
+            SteadyState(TRANSIENT, 5.0).step(25.0, -1.0)
 
 
 class TestSegment:
+    """One constant-power interval of the timeline, stepped by its power's SteadyState."""
+
     @given(st.floats(-50.0, 300.0), st.floats(0.0, 150.0), st.floats(0.0, 60.0), st.floats(0.0, 60.0))
     @settings(max_examples=200)
     def test_wear_is_additive_across_a_split(self, temp0, power, s1, s2):
         # the split point lands in a different evaluation route than the whole more often than not
-        seg = segment(TRANSIENT, temp0, power)
-        temp1, wear1, _ = seg.advance(s1)
-        rest = segment(TRANSIENT, temp1, power)
-        temp, whole, _ = seg.advance(s1 + s2)
-        temp2, wear2, _ = rest.advance(s2)
+        steady = SteadyState(TRANSIENT, power)
+        temp1, wear1, _ = steady.step(temp0, s1)
+        temp, whole, _ = steady.step(temp0, s1 + s2)
+        temp2, wear2, _ = steady.step(temp1, s2)
         assert wear1 + wear2 == pytest.approx(whole, rel=1e-11, abs=1e-300)
         assert temp2 == pytest.approx(temp, rel=1e-12, abs=1e-12)
 
     def test_temperature_integral_matches_simpson(self):
-        seg = segment(TRANSIENT, 80.0, 3.0)
-        reference = simpson(lambda s: seg.advance(s)[0], 12.0, 2000)
-        assert seg.advance(12.0)[2] == pytest.approx(reference, rel=1e-12)
+        steady = SteadyState(TRANSIENT, 3.0)
+        reference = simpson(lambda s: steady.step(80.0, s)[0], 12.0, 2000)
+        assert steady.step(80.0, 12.0)[2] == pytest.approx(reference, rel=1e-12)
 
     def test_starts_at_its_entry_temperature_and_settles_at_steady_state(self):
-        seg = segment(TRANSIENT, 28.0, 20.0)
-        assert seg.advance(0.0)[:2] == (28.0, 0.0)
-        assert seg.advance(100.0 * TRANSIENT.tau)[0] == pytest.approx(35.0, rel=1e-12)
+        steady = SteadyState(TRANSIENT, 20.0)
+        assert steady.step(28.0, 0.0)[:2] == (28.0, 0.0)
+        assert steady.step(28.0, 100.0 * TRANSIENT.tau)[0] == pytest.approx(35.0, rel=1e-12)
 
     def test_overflowing_wear_is_a_domain_error(self):
         hot = ThermalParams(r_th=2000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1.0)
         with pytest.raises(DomainError, match="overflows"):
-            segment(hot, 20025.0, 10.0).advance(1.0)  # held at 20,025 degC: 2^1998 overflows
+            SteadyState(hot, 10.0).step(20025.0, 1.0)  # held at 20,025 degC: 2^1998 overflows
         edge = ThermalParams(r_th=1.0, c_th=1.0, t_amb=10045.0, t_ref=45.0, l_base=1.0)
         with pytest.raises(DomainError, match="overflows"):
-            segment(edge, 10045.0, 0.0).advance(1e10)  # rate 2^1000 per s is finite; its integral is not
+            SteadyState(edge, 0.0).step(10045.0, 1e10)  # rate 2^1000 per s is finite; its integral is not
         with pytest.raises(DomainError, match="beyond float range"):
-            segment(TRANSIENT, 1.1e4, 0.0).advance(10.0)  # cooling from 11,000 degC: e^760 terms
+            SteadyState(TRANSIENT, 0.0).step(1.1e4, 10.0)  # cooling from 11,000 degC: e^760 terms
         with pytest.raises(DomainError, match="not finite"):
-            segment(TRANSIENT, 25.0, math.inf)
+            SteadyState(TRANSIENT, math.inf).step(25.0, 1.0)
 
     def test_unreached_hot_steady_state_does_not_overflow(self):
         # heading for 100,025 degC but only 1 ms into a 5,000 s time constant
         slow = ThermalParams(r_th=5000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1000.0)
-        seg = segment(slow, 25.0, 20.0)
         reference = simpson(wear_rate_on_trajectory(slow, 25.0, 20.0), 1e-3, 1000)
-        temp, wear, _ = seg.advance(1e-3)
+        temp, wear, _ = SteadyState(slow, 20.0).step(25.0, 1e-3)
         assert wear == pytest.approx(reference, rel=1e-12, abs=0.0)
         assert temp == pytest.approx(25.0 + 20.0 * 1e-3, rel=1e-9)
+
+
+def swing(steady: SteadyState, temp0: float) -> float:
+    """a = ln2/10 * (temp0 - T_ss), the wear rate's log-swing over an interval entered at ``temp0``."""
+    return math.log(2.0) / 10.0 * (temp0 - steady.t_ss)
+
+
+def route_of(a: float, x: float) -> str:
+    """The route the wear of an interval with swing ``a``, ``x = s / tau`` into it, takes (module notes)."""
+    g = -math.expm1(-x)
+    if abs(a) * g <= 1.0 and (g <= 1.0 / 16.0 or a < -2.0):
+        return "short"
+    return "series" if a >= -2.0 else "e1"
 
 
 class TestSteadyStateRecord:
@@ -248,11 +294,8 @@ class TestSteadyStateRecord:
     @pytest.mark.parametrize("route", ROUTES)
     def test_each_route_is_taken(self, route):
         temp0, power, s = self.ROUTES[route]
-        seg = segment(TRANSIENT, temp0, power)
-        g = -math.expm1(-s / seg.tau)
-        short = abs(seg.a) * g <= 1.0 and (g <= 1.0 / 16.0 or seg.a < -2.0)
-        assert (short, not short and seg.a >= -2.0, not short and seg.a < -2.0) == (
-            route == "short", route == "series", route == "e1")
+        steady = SteadyState(TRANSIENT, power)
+        assert route_of(swing(steady, temp0), s / steady.tau) == route
 
     @given(
         st.sampled_from(sorted(ROUTES)),
@@ -263,78 +306,90 @@ class TestSteadyStateRecord:
         st.floats(1e3, 1e9),
     )
     @settings(max_examples=150)
-    def test_a_segment_from_the_record_is_the_segment(self, route, r_th, c_th, scale, t_ref, l_base):
+    def test_the_record_steps_an_interval_from_its_fields(self, route, r_th, c_th, scale, t_ref, l_base):
         temp0, power, s = self.ROUTES[route]
         params = ThermalParams(r_th, c_th, 25.0, t_ref, l_base)
         power *= 0.5 / r_th  # the same rise over ambient whatever r_th, so the route's swing is kept
         steady = SteadyState(params, power)
-        seg = steady.segment(temp0)
-        assert type(seg) is Segment
         t_ss = 25.0 + power * r_th
         assert steady == (t_ss, r_th * c_th, math.log(2.0) / 10.0 * (t_ss - t_ref), r_th * c_th / l_base)
+        duration = s * steady.tau / 5.0 * scale  # the routes are set for tau = 5 s
+        assert route_of(swing(steady, temp0), duration / steady.tau) == route
+        temp, wear, integral = steady.step(temp0, duration)
+        g = -math.expm1(-duration / steady.tau)
         d0 = temp0 - t_ss
-        assert seg == (temp0, t_ss, r_th * c_th, d0, math.log(2.0) / 10.0 * d0, steady.exponent_ss, steady.wear_scale)
-        duration = s * seg.tau / 5.0 * scale  # the routes are set for tau = 5 s
-        # the step of an interval no trace samples is the Segment's advance, bit for bit
-        assert steady.step(temp0, duration) == seg.advance(duration)
-        assert steady.step(temp0, 0.0) == seg.advance(0.0)
+        assert (temp, integral) == (temp0 - d0 * g, t_ss * duration + d0 * steady.tau * g)
+        reference = decimal_wear(params, temp0, power, duration)
+        assert abs(wear - reference) <= wear_bound(route, swing(steady, temp0)) * math.ulp(reference)
+        assert steady.step(temp0, 0.0) == (temp0, 0.0, 0.0)
 
     def test_the_step_fails_as_advance_does(self):
         hot = ThermalParams(r_th=2000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1.0)
         edge = ThermalParams(r_th=1.0, c_th=1.0, t_amb=10045.0, t_ref=45.0, l_base=1.0)
         cases = (
-            (SteadyState(TRANSIENT, 20.0), math.inf, 1.0, "not finite"),
-            (SteadyState(TRANSIENT, 20.0), math.nan, 1.0, "not finite"),
-            (SteadyState(TRANSIENT, math.inf), 25.0, 1.0, "not finite"),
-            (SteadyState(TRANSIENT, 20.0), 30.0, -1.0, "must be >= 0"),
-            (SteadyState(hot, 10.0), 20025.0, 1.0, "overflows"),  # held at 20,025 degC: 2^1998 overflows
-            (SteadyState(edge, 0.0), 10045.0, 1e10, "overflows"),  # a finite rate whose integral is not
-            (SteadyState(TRANSIENT, 0.0), 1.1e4, 10.0, "beyond float range"),  # cooling with a > 709
+            (SteadyState(TRANSIENT, 20.0), math.inf, 1.0, "temperature inf degC or steady state 35 degC is not finite"),
+            (SteadyState(TRANSIENT, 20.0), math.nan, 1.0, "temperature nan degC or steady state 35 degC is not finite"),
+            (SteadyState(TRANSIENT, math.inf), 25.0, 1.0, "temperature 25 degC or steady state inf degC is not finite"),
+            (SteadyState(TRANSIENT, 20.0), 30.0, -1.0, "duration must be >= 0 (got -1.0)"),
+            # held at 20,025 degC: 2^1998 overflows
+            (SteadyState(hot, 10.0), 20025.0, 1.0, "thermal wear from 20025 degC toward 20025 degC overflows"),
+            # a finite rate whose integral is not
+            (SteadyState(edge, 0.0), 10045.0, 1e10, "thermal wear from 10045 degC toward 10045 degC overflows"),
+            # cooling with a > 709
+            (SteadyState(TRANSIENT, 0.0), 1.1e4, 10.0, "cooling from 11000 degC toward 25 degC is beyond float range"),
         )
-        for steady, temp0, s, kind in cases:
-            with pytest.raises(DomainError, match=kind) as want:
-                steady.segment(temp0).advance(s)
+        for steady, temp0, s, message in cases:
             with pytest.raises(DomainError) as got:
                 steady.step(temp0, s)
-            assert str(got.value) == str(want.value)
+            assert str(got.value) == message
 
     @given(st.sampled_from(sorted(ROUTES)), st.floats(0.0, 100.0), st.floats(0.5, 1.5), st.integers(1, 60))
     @settings(max_examples=150)
     def test_the_span_trace_query_is_advance_at_each_point(self, route, t0, reach, n):
         temp0, power, length = self.ROUTES[route]
-        seg = segment(TRANSIENT, temp0, power)
+        steady = SteadyState(TRANSIENT, power)
         dt = reach * length / n  # the offsets reach up to half a length past the span's end, where they clamp
         k = math.ceil(t0 / dt)
         while k * dt < t0:
             k += 1
-        points = seg.trace(t0, length, dt, k, k + n + 1, 8e8, power, 0.25)
+        points = steady.trace(temp0, t0, length, dt, k, k + n + 1, 8e8, power, 0.25)
         assert [p[:3] for p in points] == [(i * dt, 8e8, power) for i in range(k, k + n + 1)]
         for p in points:
-            temp, wear = seg.advance(min(p.time - t0, length))[:2]
+            temp, wear = steady.step(temp0, min(p.time - t0, length))[:2]
             assert (p.temp, p.cum_wear) == (temp, 0.25 + wear)
 
     def test_the_span_trace_query_fails_as_advance_does(self):
         hot = ThermalParams(r_th=2000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1.0)
         edge = ThermalParams(r_th=1.0, c_th=1.0, t_amb=10045.0, t_ref=45.0, l_base=1.0)
-        for seg, s in ((segment(hot, 20025.0, 10.0), 1.0), (segment(edge, 10045.0, 0.0), 1e10),
-                       (segment(TRANSIENT, 1.1e4, 0.0), 10.0)):
+        # (record, entry temperature, s, the first trace index): the query traces the points at 0 (if k is 0) and s
+        cases = (
+            (SteadyState(hot, 10.0), 20025.0, 1.0, 1),
+            (SteadyState(edge, 0.0), 10045.0, 1e10, 1),
+            (SteadyState(TRANSIENT, 0.0), 1.1e4, 10.0, 1),
+            # the trace query has no swing check of its own: every route's fallback is the step's, from s = 0 on
+            *((SteadyState(TRANSIENT, 20.0), t, 1.0, k) for t in (math.inf, -math.inf, math.nan) for k in (0, 1)),
+            *((SteadyState(TRANSIENT, math.inf), 25.0, 1.0, k) for k in (0, 1)),
+        )
+        for steady, temp0, s, k in cases:
             with pytest.raises(DomainError) as want:
-                seg.advance(s)
+                steady.step(temp0, s)
             with pytest.raises(DomainError) as got:
-                seg.trace(0.0, s, s, 1, 2, 8e8, 0.0, 0.0)
+                steady.trace(temp0, 0.0, s, s, k, 2, 8e8, 0.0, 0.0)
             assert str(got.value) == str(want.value)
         slow = ThermalParams(r_th=5000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1000.0)
-        seg = segment(slow, 25.0, 20.0)  # a hot steady state that the span does not reach: no overflow
-        assert seg.trace(0.0, 1e-3, 1e-3, 1, 2, 8e8, 20.0, 0.0)[0][3:] == seg.advance(1e-3)[:2]
+        steady = SteadyState(slow, 20.0)  # a hot steady state that the span does not reach: no overflow
+        assert steady.trace(25.0, 0.0, 1e-3, 1e-3, 1, 2, 8e8, 20.0, 0.0)[0][3:] == steady.step(25.0, 1e-3)[:2]
         with pytest.raises(DomainError, match="precedes"):
-            seg.trace(1.0, 1e-3, 0.5, 1, 2, 8e8, 20.0, 0.0)
+            steady.trace(25.0, 1.0, 1e-3, 0.5, 1, 2, 8e8, 20.0, 0.0)
 
     def test_one_record_serves_many_entry_temperatures(self):
         steady = SteadyState(TRANSIENT, 20.0)
-        for temp0 in (25.0, 35.0, 80.0, 400.0):
-            assert steady.segment(temp0).advance(3.0) == segment(TRANSIENT, temp0, 20.0).advance(3.0)
+        for temp0 in (25.0, 35.0, 80.0, 400.0, 25.0):
+            assert steady.step(temp0, 3.0) == SteadyState(TRANSIENT, 20.0).step(temp0, 3.0)
+            assert steady.trace(temp0, 0.0, 3.0, 1.0, 0, 4, 8e8, 20.0, 0.0) == SteadyState(TRANSIENT, 20.0).trace(
+                temp0, 0.0, 3.0, 1.0, 0, 4, 8e8, 20.0, 0.0)
         with pytest.raises(DomainError, match="not finite"):
-            steady.segment(math.inf)
+            steady.step(math.inf, 3.0)
 
 
 GOMPERTZ = Decimal("0.5963473623231940743410784993692793760742")  # e * E1(1), OEIS A073003
@@ -413,8 +468,8 @@ class TestProjectLifetime:
     def test_ten_degrees_cooler_doubles_projection(self):
         hot = ThermalParams(r_th=0.5, c_th=10.0, t_amb=50.0, t_ref=50.0, l_base=1000.0)
         cool = ThermalParams(r_th=0.5, c_th=10.0, t_amb=40.0, t_ref=50.0, l_base=1000.0)
-        _, wear_hot, _ = segment(hot, 50.0, 0.0).advance(200.0)
-        _, wear_cool, _ = segment(cool, 40.0, 0.0).advance(200.0)
+        _, wear_hot, _ = SteadyState(hot, 0.0).step(50.0, 200.0)
+        _, wear_cool, _ = SteadyState(cool, 0.0).step(40.0, 200.0)
         ratio = project_lifetime(WearLedger(wear_cool, 0.0, 200.0)) / project_lifetime(
             WearLedger(wear_hot, 0.0, 200.0)
         )
