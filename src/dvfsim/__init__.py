@@ -51,7 +51,6 @@ from .workload import (
     GovernorPolicy,
     Task,
     governor_rule,
-    lowest_feasible_level,
 )
 
 __version__ = "0.1.0"

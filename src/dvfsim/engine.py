@@ -27,6 +27,8 @@ from .power import (
     FrequencyLevel,
     ProcessorSpec,
     Violation,
+    _finite,
+    _real,
     energy_cost,
     validate_spec,
 )
@@ -115,24 +117,31 @@ def _validate_scenario(scenario: Scenario) -> list[Violation]:
 
     seen_ids: set[str] = set()
     prev_arrival = -math.inf
-    for i, t in enumerate(scenario.tasks):
-        arrival = t.arrival
+    for i, (tid, cycles, arrival, deadline) in enumerate(scenario.tasks):
         # a clean task passes every rule below at once (NaN fails each comparison); only a broken one is spelled out
-        if not (0.0 < t.cycles < math.inf and prev_arrival <= arrival < t.deadline < math.inf and arrival >= 0.0
-                and t.id not in seen_ids):
+        try:
+            clean = (0.0 < cycles < math.inf and prev_arrival <= arrival < deadline < math.inf and arrival >= 0.0
+                     and type(tid) is str and tid not in seen_ids)
+        except TypeError:  # a non-number where a number belongs
+            clean = False
+        if not clean:
             where = f"tasks[{i}]"
-            if not (math.isfinite(t.cycles) and t.cycles > 0):
+            arrival = _real(arrival)
+            if not (_finite(cycles) and cycles > 0):
                 v.append(Violation(f"{where}.cycles", "must be finite and > 0"))
-            if not (math.isfinite(arrival) and arrival >= 0):
+            if not (_finite(arrival) and arrival >= 0):
                 v.append(Violation(f"{where}.arrival", "must be finite and >= 0"))
-            if not (math.isfinite(t.deadline) and t.deadline > arrival):
+            if not (_finite(deadline) and deadline > arrival):
                 v.append(Violation(f"{where}.deadline", "must be finite and > arrival"))
             if arrival < prev_arrival:
                 v.append(Violation(f"{where}.arrival", "tasks must be sorted by arrival"))
-            if t.id in seen_ids:
-                v.append(Violation(f"{where}.id", f"duplicate task id {t.id!r}"))
+            if not isinstance(tid, str):
+                v.append(Violation(f"{where}.id", "must be a string"))
+                tid = None  # hashable, and equal to no string id
+            elif tid in seen_ids:
+                v.append(Violation(f"{where}.id", f"duplicate task id {tid!r}"))
         prev_arrival = arrival
-        seen_ids.add(t.id)
+        seen_ids.add(tid)
 
     g = scenario.governor
     if g.kind not in GOVERNOR_KINDS:
@@ -140,6 +149,8 @@ def _validate_scenario(scenario: Scenario) -> list[Violation]:
     elif g.kind == "fixed":
         if g.fixed_index is None:
             v.append(Violation("governor.fixed_index", "required for the fixed governor"))
+        elif type(g.fixed_index) is not int:  # a bool is no index either, as in the schema
+            v.append(Violation("governor.fixed_index", "must be an integer"))
         elif not (0 <= g.fixed_index < n_levels):
             v.append(Violation("governor.fixed_index", f"outside ladder bounds 0..{n_levels - 1}"))
     elif g.fixed_index is not None:
@@ -147,17 +158,20 @@ def _validate_scenario(scenario: Scenario) -> list[Violation]:
 
     v += _validate_policy(scenario.policy)
 
-    if not (math.isfinite(scenario.duration) and scenario.duration > 0):
+    if not (_finite(scenario.duration) and scenario.duration > 0):
         v.append(Violation("sim.duration", "must be finite and > 0"))
     elif scenario.tasks:
-        horizon = max(t.deadline for t in scenario.tasks)
+        try:
+            horizon = _real(max(t.deadline for t in scenario.tasks))
+        except TypeError:  # some deadline is not a number; its own line is listed above
+            horizon = max(_real(t.deadline) for t in scenario.tasks)
         if scenario.duration < horizon:
             v.append(Violation("sim.duration", f"must cover the latest deadline ({horizon:g} s)"))
-    if not (math.isfinite(scenario.trace_dt) and scenario.trace_dt > 0):
+    if not (_finite(scenario.trace_dt) and scenario.trace_dt > 0):
         v.append(Violation("sim.trace_dt", "must be finite and > 0"))
-    elif scenario.duration > MAX_TRACE_POINTS * scenario.trace_dt:  # the bound _Timeline.run enforces
+    elif _real(scenario.duration) > MAX_TRACE_POINTS * scenario.trace_dt:  # the bound _Timeline.run enforces
         v.append(Violation("sim.trace_dt", f"gives more than {MAX_TRACE_POINTS} trace points over sim.duration"))
-    if not (math.isfinite(scenario.cost_rate) and scenario.cost_rate >= 0):
+    if not (_finite(scenario.cost_rate) and scenario.cost_rate >= 0):
         v.append(Violation("sim.cost_rate", "must be finite and >= 0"))
     return v
 
@@ -166,7 +180,7 @@ def _validate_policy(p: TransitionPolicy) -> list[Violation]:
     v = []
     if p.kind not in POLICY_KINDS:
         v.append(Violation("policy.kind", f"unknown kind {p.kind!r}"))
-    if not (math.isfinite(p.dwell) and p.dwell >= 0):
+    if not (_finite(p.dwell) and p.dwell >= 0):
         v.append(Violation("policy.dwell", "must be finite and >= 0"))
     return v
 
@@ -305,7 +319,7 @@ def _run(scenario: Scenario, policy: TransitionPolicy, sink) -> SimReport:
             tl.run(task.arrival - tl.now, level, active=False, until=task.arrival)
         start = tl.now
         try:
-            target, infeasible = rule(spec, task, start), False
+            target, infeasible = rule(task, start), False
         except InfeasibleError:  # no level meets the deadline: run at the top and flag it
             target, infeasible = spec.levels[-1], True
         cycles_left = task.cycles

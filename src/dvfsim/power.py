@@ -65,8 +65,13 @@ class Violation(namedtuple("_ViolationFields", "field rule")):
         return f"{self.field}: {self.rule}"
 
 
+def _real(x):
+    """``x`` if it is a number, else NaN, so that a non-number fails every comparison, as NaN does."""
+    return x if isinstance(x, (int, float)) else math.nan
+
+
 def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    return math.isfinite(_real(x))
 
 
 def validate_spec(spec: ProcessorSpec) -> tuple[Violation, ...]:
@@ -88,11 +93,11 @@ def validate_spec(spec: ProcessorSpec) -> tuple[Violation, ...]:
             v.append(Violation(f"levels[{i}].vdd", "voltage must be finite and > 0"))
     for i in range(1, len(spec.levels)):
         lo, hi = spec.levels[i - 1], spec.levels[i]
-        if hi.freq == lo.freq:
+        if _real(hi.freq) == _real(lo.freq):  # a non-number breaks no order rule: its own line flags it
             v.append(Violation(f"levels[{i}].freq", "duplicate frequency"))
-        elif hi.freq < lo.freq:
+        elif _real(hi.freq) < _real(lo.freq):
             v.append(Violation(f"levels[{i}].freq", "ladder not strictly increasing in frequency"))
-        if hi.vdd <= lo.vdd:
+        if _real(hi.vdd) <= _real(lo.vdd):
             v.append(Violation(f"levels[{i}].vdd", "ladder not strictly increasing in voltage"))
 
     for name in ("coeff_a", "coeff_b", "p_device", "p_idle"):

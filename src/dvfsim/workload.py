@@ -2,7 +2,9 @@
 
 Work is measured in processor cycles, so execution time is cycles/frequency and
 lowering the frequency stretches a task into its slack. The governor picks one
-level per task at its start; there is no mid-task re-selection.
+level per task at its start; there is no mid-task re-selection. ``min_energy``
+weighs stretching against racing at a higher level and idling out the window,
+which wins when device or idle power is high; ties go low.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, InfeasibleError
-from .power import FrequencyLevel, ProcessorSpec
+from .power import ProcessorSpec
 
 GOVERNOR_KINDS = ("lowest_feasible", "min_energy", "fixed")
 
@@ -28,35 +30,29 @@ class GovernorPolicy(namedtuple("_GovernorPolicyFields", "kind fixed_index", def
     __slots__ = ()
 
 
-def _required_hz(task: Task, window: float) -> float:
-    return task.cycles / window if window > 0 else math.inf
+def governor_rule(spec: ProcessorSpec, governor: GovernorPolicy):
+    """The governor's rule for ``spec``, called as ``rule(task, start)``; resolved once a run.
 
-
-def lowest_feasible_level(spec: ProcessorSpec, task: Task, start: float) -> FrequencyLevel:
-    """Slowest ladder level that still meets the deadline from ``start``. A run never starts a task before its
-    arrival, so the DomainError for such a ``start`` guards a direct call."""
-    if start < task.arrival:
-        raise DomainError(f"start {start} precedes arrival {task.arrival}")
-    window = task.deadline - start
-    for level in spec.levels:
-        if task.cycles / level.freq <= window:
-            return level
-    raise InfeasibleError(task.id, _required_hz(task, window))
-
-
-def _min_energy_rule(spec: ProcessorSpec):
-    """The ``min_energy`` rule for ``spec``: the feasible level minimizing energy over the deadline window; ties
-    go low. Its (level, power, freq) table is built once, and it ignores the spec it is called with.
-
-    Energy charges active power for the execution time and idle power for the
-    remainder of the window, so with nonzero device or idle power racing to a
-    higher level and idling can beat stretching. The DomainError for a ``start``
-    before the arrival guards a direct call, as in ``lowest_feasible_level``.
+    ``min_energy`` gives the feasible level of least energy over the window from ``start`` to the deadline, active
+    power while the task runs and idle power after, ties going low; ``lowest_feasible`` is the same scan with every
+    level costing nothing, so the slowest feasible level; ``fixed`` gives its level, feasible or not. The scan raises
+    InfeasibleError, with the frequency the deadline needs, when no level fits. A run never starts a task before
+    its arrival and a Scenario's governor is valid, so the DomainErrors for such a ``start``, for a fixed index that
+    is not an int in the ladder and for an unknown kind guard a direct call.
     """
-    table = tuple(zip(spec.levels, spec.active_w, [level.freq for level in spec.levels]))
-    p_idle = spec.p_idle
+    if governor.kind not in GOVERNOR_KINDS:
+        raise DomainError(f"unknown governor kind {governor.kind!r}")
+    if governor.kind == "fixed":
+        if not (type(governor.fixed_index) is int and 0 <= governor.fixed_index < len(spec.levels)):
+            raise DomainError(f"fixed governor index {governor.fixed_index} outside ladder")
+        level = spec.levels[governor.fixed_index]
+        return lambda task, start: level
+    costed = governor.kind == "min_energy"
+    powers = spec.active_w if costed else [0.0] * len(spec.levels)
+    table = tuple(zip(spec.levels, powers, [level.freq for level in spec.levels]))  # built once, read per task
+    p_idle = spec.p_idle if costed else 0.0
 
-    def rule(_spec, task: Task, start: float) -> FrequencyLevel:
+    def rule(task: Task, start: float):
         if start < task.arrival:
             raise DomainError(f"start {start} precedes arrival {task.arrival}")
         window = task.deadline - start
@@ -72,24 +68,7 @@ def _min_energy_rule(spec: ProcessorSpec):
                 best = level
                 best_energy = energy
         if best is None:
-            raise InfeasibleError(task.id, _required_hz(task, window))
+            raise InfeasibleError(task.id, cycles / window if window > 0 else math.inf)
         return best
 
     return rule
-
-
-def governor_rule(spec: ProcessorSpec, governor: GovernorPolicy):
-    """The governor's selection rule, called as ``rule(spec, task, start)``; resolved once a run. A Scenario's
-    governor is valid, so the DomainErrors for a fixed index outside the ladder and for an unknown kind guard a
-    direct call with a GovernorPolicy that no Scenario checked."""
-    if governor.kind == "fixed":
-        if governor.fixed_index is None or not (0 <= governor.fixed_index < len(spec.levels)):
-            raise DomainError(f"fixed governor index {governor.fixed_index} outside ladder")
-        level = spec.levels[governor.fixed_index]
-        return lambda spec, task, start: level
-    if governor.kind == "lowest_feasible":
-        return lowest_feasible_level
-    if governor.kind == "min_energy":
-        return _min_energy_rule(spec)
-    raise DomainError(f"unknown governor kind {governor.kind!r}")
-

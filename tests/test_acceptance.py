@@ -160,24 +160,28 @@ def test_ac05_governor_matches_exhaustive_enumeration():
         window = cycles / spec.levels[-1].freq * rng.uniform(0.5, 8.0)
         task = Task("t", cycles, arrival, arrival + window)
 
-        best_index, best_energy = None, math.inf
+        feasible, best_index, best_energy = [], None, math.inf
         for level in spec.levels:
             t_run = cycles / level.freq
             if t_run > window:
                 continue
+            feasible.append(level.index)
             p_active = spec.coeff_a * level.freq * level.vdd**2 + spec.coeff_b * level.vdd + spec.p_device
             energy = p_active * t_run + spec.p_idle * (window - t_run)
             if energy < best_energy:
                 best_index, best_energy = level.index, energy
 
         min_energy = governor_rule(spec, GovernorPolicy("min_energy"))
+        lowest_feasible = governor_rule(spec, GovernorPolicy("lowest_feasible"))
         if best_index is None:
-            with pytest.raises(InfeasibleError):
-                min_energy(spec, task, arrival)
+            for rule in (min_energy, lowest_feasible):
+                with pytest.raises(InfeasibleError):
+                    rule(task, arrival)
         else:
-            assert min_energy(spec, task, arrival).index == best_index
+            assert min_energy(task, arrival).index == best_index
+            assert lowest_feasible(task, arrival).index == feasible[0]
             checked += 1
-    print("AC5 PASS: min-energy governor matches exhaustive enumeration on 100 feasible instances")
+    print("AC5 PASS: min-energy and lowest-feasible governors match exhaustive enumeration on 100 feasible instances")
 
 
 def test_ac06_thermal_correctness():

@@ -130,6 +130,31 @@ class TestValidation:
         assert err.value.kind == "validation"
         assert err.value.problems == ("sim.duration: must cover the latest deadline (10 s)",)
 
+    @pytest.mark.parametrize("change, line", [
+        ({"duration": "5"}, "sim.duration: must be finite and > 0"),
+        ({"trace_dt": None}, "sim.trace_dt: must be finite and > 0"),
+        ({"cost_rate": "1"}, "sim.cost_rate: must be finite and >= 0"),
+        ({"policy": TransitionPolicy("stepped", "x")}, "policy.dwell: must be finite and >= 0"),
+        ({"tasks": (Task("t", "x", 0.0, 10.0),)}, "tasks[0].cycles: must be finite and > 0"),
+        ({"tasks": (Task("t", 1e9, None, 10.0),)}, "tasks[0].arrival: must be finite and >= 0"),
+        ({"tasks": (Task("t", 1e9, 0.0, "x"),)}, "tasks[0].deadline: must be finite and > arrival"),
+        ({"tasks": (Task(7, 1e9, 0.0, 10.0),)}, "tasks[0].id: must be a string"),
+        ({"tasks": (Task(["t"], 1e9, 0.0, 10.0), Task("u", 1e9, 1.0, 10.0))}, "tasks[0].id: must be a string"),
+        ({"governor": GovernorPolicy("fixed", 2.0)}, "governor.fixed_index: must be an integer"),
+        ({"governor": GovernorPolicy("fixed", True)}, "governor.fixed_index: must be an integer"),
+        ({"spec": make_spec(levels=[FrequencyLevel(0, 8e8, 0.9), FrequencyLevel(1, "1e9", 1.0)])},
+         "levels[1].freq: frequency must be finite and > 0"),
+        ({"spec": make_spec(levels=[FrequencyLevel(0, 8e8, None), FrequencyLevel(1, 1e9, 1.0)])},
+         "levels[0].vdd: voltage must be finite and > 0"),
+    ])
+    def test_a_value_of_the_wrong_type_is_a_validation_error(self, change, line):
+        # a value of a type the schema refuses gets its field's line, not a TypeError later in the run or the report
+        sc = make_scenario(tasks=(make_task(),))
+        with pytest.raises(ScenarioError) as err:
+            replace(sc, **change)
+        assert err.value.kind == "validation"
+        assert line in err.value.problems
+
 
     # every task rule broken after clean tasks, and a clean task after broken ones
     CLEAN = [Task(f"c{i}", 1e9, float(i), i + 5.0) for i in range(4)]

@@ -155,11 +155,11 @@ class TestTaskEnergy:
         task = make_task(cycles=1.8e9, deadline=1.0)  # only the top level runs it in its window
         min_energy = governor_rule(spec, GovernorPolicy("min_energy"))
         # a level that overruns the window would leave a negative idle time, so it is never chosen
-        assert min_energy(spec, task, 0.0) == spec.levels[-1]
+        assert min_energy(task, 0.0) == spec.levels[-1]
         with pytest.raises(InfeasibleError):
-            min_energy(spec, task, 0.5)
+            min_energy(task, 0.5)
         with pytest.raises(DomainError):
-            min_energy(spec, make_task(arrival=1.0), 0.0)  # a start before arrival
+            min_energy(make_task(arrival=1.0), 0.0)  # a start before arrival
 
     @given(specs(), st.floats(1e-3, 1e4), st.floats(0.0, 1e4))
     def test_linear_in_both_times(self, spec, t_active, t_idle):

@@ -12,12 +12,15 @@ from dvfsim import (
     ProcessorSpec,
     Task,
     governor_rule,
-    lowest_feasible_level,
     run_scenario,
 )
 
 from helpers import make_scenario, make_spec, make_thermal, make_wear
 from strategies import specs, tasks_for
+
+
+LOWEST = GovernorPolicy("lowest_feasible")
+MIN_ENERGY = GovernorPolicy("min_energy")
 
 
 def two_level_spec(**kw):
@@ -39,13 +42,13 @@ class TestExecutionTime:
         spec = make_spec()
         task = Task("t", 1.8e9, 0.0, 1.0)
         assert run_time(spec, task, spec.levels[5]) == 1.0
-        assert lowest_feasible_level(spec, task, 0.0) == spec.levels[5]
+        assert governor_rule(spec, LOWEST)(task, 0.0) == spec.levels[5]
 
     def test_desk_division(self):
         spec = make_spec()
         task = Task("t", 9e8, 0.0, 1.125)
         assert run_time(spec, task, spec.levels[0]) == 1.125
-        assert lowest_feasible_level(spec, task, 0.0) == spec.levels[0]
+        assert governor_rule(spec, LOWEST)(task, 0.0) == spec.levels[0]
 
     def test_doubling_frequency_halves_execution(self):
         levels = [FrequencyLevel(0, 1.0e9, 1.0), FrequencyLevel(1, 2.0e9, 1.2)]
@@ -60,48 +63,43 @@ class TestExecutionTime:
             # a window of exactly cycles / freq: the level fits it and the one below does not
             task = Task("t", cycles, 0.0, cycles / level.freq)
             assert math.isclose(run_time(spec, task, level) * level.freq, cycles, rel_tol=1e-12)
-            assert lowest_feasible_level(spec, task, 0.0) == level
+            assert governor_rule(spec, LOWEST)(task, 0.0) == level
 
 
 class TestLowestFeasible:
     def test_needs_one_gigahertz(self):
         spec = make_spec()
         task = Task("t", 1.0e9, 0.0, 1.0)
-        assert lowest_feasible_level(spec, task, 0.0).freq == 1000e6
+        assert governor_rule(spec, LOWEST)(task, 0.0).freq == 1000e6
 
     def test_abundant_slack_picks_bottom(self):
         spec = make_spec()
         task = Task("t", 1.0e9, 0.0, 1e6)
-        assert lowest_feasible_level(spec, task, 0.0).index == 0
+        assert governor_rule(spec, LOWEST)(task, 0.0).index == 0
 
     def test_infeasible_reports_required_frequency(self):
         spec = make_spec()
         task = Task("t", 1.0e9, 0.0, 0.5)
         with pytest.raises(InfeasibleError) as err:
-            lowest_feasible_level(spec, task, 0.0)
+            governor_rule(spec, LOWEST)(task, 0.0)
         assert err.value.required_hz == pytest.approx(2e9, rel=1e-12)
 
     def test_closed_window_requires_infinite_frequency(self):
         spec = make_spec()
         task = Task("t", 1.0e9, 0.0, 1.0)
         with pytest.raises(InfeasibleError) as err:
-            lowest_feasible_level(spec, task, 2.0)
+            governor_rule(spec, LOWEST)(task, 2.0)
         assert math.isinf(err.value.required_hz)
 
     @given(specs())
     @settings(max_examples=60)
     def test_result_feasible_and_one_below_is_not(self, spec):
         task = Task("t", 2e9, 0.0, 2e9 / spec.levels[-1].freq * 1.7)
-        level = lowest_feasible_level(spec, task, 0.0)
+        level = governor_rule(spec, LOWEST)(task, 0.0)
         window = task.deadline
         assert task.cycles / level.freq <= window
         if level.index > 0:
             assert task.cycles / spec.levels[level.index - 1].freq > window
-
-
-def min_energy_rule(spec, task, start):
-    """``governor_rule(spec, GovernorPolicy("min_energy"))`` resolved for ``spec`` and called."""
-    return governor_rule(spec, GovernorPolicy("min_energy"))(spec, task, start)
 
 
 class TestMinEnergy:
@@ -109,25 +107,25 @@ class TestMinEnergy:
         spec = two_level_spec(coeff_a=1e-9, coeff_b=0.0, p_device=0.0, p_idle=0.0)
         task = Task("t", 1e9, 0.0, 2.0)
         # 1 GHz: 1 W for 1 s = 1 J; 2 GHz: 3.92 W for 0.5 s = 1.96 J
-        assert min_energy_rule(spec, task, 0.0).freq == 1.0e9
+        assert governor_rule(spec, MIN_ENERGY)(task, 0.0).freq == 1.0e9
 
     def test_race_to_idle_wins_with_static_power(self):
         spec = two_level_spec(coeff_a=1e-9, coeff_b=0.0, p_device=5.0, p_idle=0.5)
         task = Task("t", 1e9, 0.0, 2.0)
         # 1 GHz: 6 W * 1 s + 0.5 W * 1 s = 6.5 J; 2 GHz: 8.92 * 0.5 + 0.5 * 1.5 = 5.21 J
-        assert min_energy_rule(spec, task, 0.0).freq == 2.0e9
+        assert governor_rule(spec, MIN_ENERGY)(task, 0.0).freq == 2.0e9
 
     def test_tie_breaks_toward_lower_index(self):
         # with only the supply-linear term, energy = b*vdd*cycles/f is equal here
         levels = [FrequencyLevel(0, 1.0e9, 1.0), FrequencyLevel(1, 2.0e9, 2.0)]
         spec = make_spec(levels=levels, coeff_a=0.0, coeff_b=1.0, p_device=0.0, p_idle=0.0)
         task = Task("t", 1e9, 0.0, 2.0)
-        assert min_energy_rule(spec, task, 0.0).index == 0
+        assert governor_rule(spec, MIN_ENERGY)(task, 0.0).index == 0
 
     def test_infeasible_raises(self):
         spec = two_level_spec()
         with pytest.raises(InfeasibleError):
-            min_energy_rule(spec, Task("t", 4.1e9, 0.0, 2.0), 0.0)
+            governor_rule(spec, MIN_ENERGY)(Task("t", 4.1e9, 0.0, 2.0), 0.0)
 
     @given(specs(), st.data())
     @settings(max_examples=120)
@@ -148,16 +146,16 @@ class TestMinEnergy:
 
         if best_index is None:
             with pytest.raises(InfeasibleError):
-                min_energy_rule(spec, task, task.arrival)
+                governor_rule(spec, MIN_ENERGY)(task, task.arrival)
         else:
-            assert min_energy_rule(spec, task, task.arrival).index == best_index
+            assert governor_rule(spec, MIN_ENERGY)(task, task.arrival).index == best_index
 
     @given(specs(zero_static=True), st.data())
     @settings(max_examples=60)
     def test_equals_lowest_feasible_without_static_power(self, spec, data):
         # slack floor stays above 1 so float noise in arrival+window cannot flip feasibility
         task = data.draw(tasks_for(spec, slack_min=1.05, slack_max=8.0))
-        assert min_energy_rule(spec, task, task.arrival) == lowest_feasible_level(spec, task, task.arrival)
+        assert governor_rule(spec, MIN_ENERGY)(task, task.arrival) == governor_rule(spec, LOWEST)(task, task.arrival)
 
 
 @st.composite
@@ -218,14 +216,14 @@ class TestGovernorsAgainstBruteForce:
         expected = brute_force(spec, task, start)
         if expected is None:
             window = task.deadline - start
-            for governor in (lowest_feasible_level, min_energy_rule):
+            for governor in (LOWEST, MIN_ENERGY):
                 with pytest.raises(InfeasibleError) as err:
-                    governor(spec, task, start)
+                    governor_rule(spec, governor)(task, start)
                 assert err.value.required_hz == (task.cycles / window if window > 0 else math.inf)
             return
         lowest, cheapest = expected
-        assert lowest_feasible_level(spec, task, start).index == lowest
-        assert min_energy_rule(spec, task, start).index == cheapest
+        assert governor_rule(spec, LOWEST)(task, start).index == lowest
+        assert governor_rule(spec, MIN_ENERGY)(task, start).index == cheapest
         if ties:  # every feasible level ties, and the tie goes to the lowest of them
             assert cheapest == lowest
 
@@ -235,11 +233,10 @@ class TestGovernorRule:
     @settings(max_examples=200)
     def test_each_kind_resolves_to_its_rule(self, case, index):
         spec, task, start, _ = case
-        assert governor_rule(spec, GovernorPolicy("lowest_feasible")) is lowest_feasible_level
-        # the min_energy rule is checked against a brute-force search in TestGovernorsAgainstBruteForce
+        # the lowest_feasible and min_energy rules are checked against a brute-force search above
         governor = GovernorPolicy("fixed", index)
         if 0 <= index < len(spec.levels):
-            assert governor_rule(spec, governor)(spec, task, start) is spec.levels[index]  # whether or not it fits
+            assert governor_rule(spec, governor)(task, start) is spec.levels[index]  # whether or not it fits
         else:
             with pytest.raises(DomainError, match=f"fixed governor index {index} outside ladder"):
                 governor_rule(spec, governor)
@@ -249,6 +246,8 @@ class TestGovernorRule:
         for governor, message in (
             (GovernorPolicy("fixed"), "fixed governor index None outside ladder"),
             (GovernorPolicy("fixed", len(spec.levels)), "fixed governor index 6 outside ladder"),
+            (GovernorPolicy("fixed", 2.0), "fixed governor index 2.0 outside ladder"),
+            (GovernorPolicy("fixed", True), "fixed governor index True outside ladder"),
             (GovernorPolicy("race"), "unknown governor kind 'race'"),
         ):
             with pytest.raises(DomainError, match=message):
@@ -259,11 +258,11 @@ class TestSelectLevel:
     def test_fixed_governor_returns_requested_level(self):
         spec = make_spec()
         task = Task("t", 1e9, 0.0, 10.0)
-        assert governor_rule(spec, GovernorPolicy("fixed", 3))(spec, task, 0.0) == spec.levels[3]
+        assert governor_rule(spec, GovernorPolicy("fixed", 3))(task, 0.0) == spec.levels[3]
 
     def test_start_before_arrival_rejected(self):
         spec = make_spec()
         task = Task("t", 1e9, 5.0, 10.0)
-        for rule in (lowest_feasible_level, min_energy_rule):
+        for governor in (LOWEST, MIN_ENERGY):
             with pytest.raises(DomainError, match="start 0.0 precedes arrival 5.0"):
-                rule(spec, task, 0.0)
+                governor_rule(spec, governor)(task, 0.0)
