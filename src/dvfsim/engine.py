@@ -11,7 +11,8 @@ that fall in the interval; they go to the sink as lists of at most TRACE_CHUNK
 points of one span, so sampling is purely observational.
 ``simulate`` collects them. A run resolves its governor's rule, each power's
 thermal SteadyState and each level pair's hops with their shock once, and
-makes no span of zero length.
+makes no span of zero length. Validation takes the governor's and the policy's
+rules from ``workload.validate_governor`` and ``transitions.validate_policy``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .power import (
     validate_spec,
 )
 from .thermal import SteadyState, TracePoint, WearLedger, project_lifetime
-from .transitions import POLICY_KINDS, Hop, TransitionPolicy, plan_transition, shock_wear
-from .workload import GOVERNOR_KINDS, GovernorPolicy, Task, governor_rule
+from .transitions import Hop, TransitionPolicy, plan_transition, shock_wear, validate_policy
+from .workload import GovernorPolicy, Task, governor_rule, validate_governor
 
 MAX_TRACE_POINTS = 10**6  # bounds run time and trace size, sampled or not; a run past it is refused, not truncated
 TRACE_CHUNK = 4096  # the most trace points in one sink call, so a long span is never held whole
@@ -96,7 +97,10 @@ class SimReport(
 
     @property
     def total_delta_f_hz(self) -> float:
-        return sum(e.delta_f for e in self.transition_log)
+        total = 0  # a left fold in log order, as the ledger's shock wear: Python 3.12's float sum is compensated
+        for event in self.transition_log:
+            total += event.delta_f
+        return total
 
 
 class PolicyOutcome(
@@ -113,7 +117,6 @@ ComparisonReport = namedtuple("ComparisonReport", "runs")  # one PolicyOutcome p
 def _validate_scenario(scenario: Scenario) -> list[Violation]:
     """Every scenario invariant in one list: spec, tasks, governor, policy, sim."""
     v = list(validate_spec(scenario.spec))
-    n_levels = len(scenario.spec.levels)
 
     seen_ids: set[str] = set()
     prev_arrival = -math.inf
@@ -143,20 +146,8 @@ def _validate_scenario(scenario: Scenario) -> list[Violation]:
         prev_arrival = arrival
         seen_ids.add(tid)
 
-    g = scenario.governor
-    if g.kind not in GOVERNOR_KINDS:
-        v.append(Violation("governor.kind", f"unknown kind {g.kind!r}"))
-    elif g.kind == "fixed":
-        if g.fixed_index is None:
-            v.append(Violation("governor.fixed_index", "required for the fixed governor"))
-        elif type(g.fixed_index) is not int:  # a bool is no index either, as in the schema
-            v.append(Violation("governor.fixed_index", "must be an integer"))
-        elif not (0 <= g.fixed_index < n_levels):
-            v.append(Violation("governor.fixed_index", f"outside ladder bounds 0..{n_levels - 1}"))
-    elif g.fixed_index is not None:
-        v.append(Violation("governor.fixed_index", "only valid for the fixed governor"))
-
-    v += _validate_policy(scenario.policy)
+    v += validate_governor(scenario.governor, len(scenario.spec.levels))
+    v += validate_policy(scenario.policy)
 
     if not (_finite(scenario.duration) and scenario.duration > 0):
         v.append(Violation("sim.duration", "must be finite and > 0"))
@@ -173,15 +164,6 @@ def _validate_scenario(scenario: Scenario) -> list[Violation]:
         v.append(Violation("sim.trace_dt", f"gives more than {MAX_TRACE_POINTS} trace points over sim.duration"))
     if not (_finite(scenario.cost_rate) and scenario.cost_rate >= 0):
         v.append(Violation("sim.cost_rate", "must be finite and >= 0"))
-    return v
-
-
-def _validate_policy(p: TransitionPolicy) -> list[Violation]:
-    v = []
-    if p.kind not in POLICY_KINDS:
-        v.append(Violation("policy.kind", f"unknown kind {p.kind!r}"))
-    if not (_finite(p.dwell) and p.dwell >= 0):
-        v.append(Violation("policy.dwell", "must be finite and >= 0"))
     return v
 
 
@@ -413,7 +395,7 @@ def compare_policies(scenario: Scenario, policies) -> ComparisonReport:
     reports: list[SimReport] = []
     for p in policies:
         try:
-            if violations := _validate_policy(p):  # the rest of the scenario was validated when it was built
+            if violations := validate_policy(p):  # the rest of the scenario was validated when it was built
                 raise ScenarioError("validation", [str(v) for v in violations])
             rep = _run(scenario, p, None)
         except Exception as exc:

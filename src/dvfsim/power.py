@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DomainError, UnknownLevelError
-from .thermal import ThermalParams
-from .transitions import WearParams
+from .errors import UnknownLevelError
 
 DEFAULT_COST_RATE = 100.0  # $/MWh
 
@@ -141,8 +139,6 @@ def validate_spec(spec: ProcessorSpec) -> tuple[Violation, ...]:
 def energy_cost(average_power_mw: float, duration_h: float, rate_usd_per_mwh: float = DEFAULT_COST_RATE) -> float:
     """Operating cost in dollars for a sustained average draw.
 
-    Power is in megawatts, duration in hours, rate in $/MWh.
+    Power is in megawatts, duration in hours, rate in $/MWh; a run passes none below 0.
     """
-    if average_power_mw < 0 or duration_h < 0 or rate_usd_per_mwh < 0:
-        raise DomainError("power, duration, and rate must all be >= 0")
     return average_power_mw * duration_h * rate_usd_per_mwh

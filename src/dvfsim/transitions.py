@@ -4,20 +4,17 @@ A direct transition jumps straight to the target level; a stepped transition
 walks the ladder one adjacent level at a time, optionally dwelling at each
 intermediate level. Each hop shocks the component in proportion to a power of
 the frequency jump, so for a shock exponent above 1 splitting a large jump into
-small steps strictly reduces the total shock wear.
+small steps strictly reduces the total shock wear. ``validate_policy`` holds the
+TransitionPolicy rules that a Scenario, ``compare_policies`` and ``plan_transition``
+check.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    from .power import FrequencyLevel, ProcessorSpec
-
-POLICY_KINDS = ("direct", "stepped")
+from .power import FrequencyLevel, ProcessorSpec, Violation, _finite
 
 
 class TransitionPolicy(namedtuple("_TransitionPolicyFields", "kind dwell", defaults=(0.0,))):
@@ -44,6 +41,16 @@ class WearParams(namedtuple("_WearParamsFields", "k_shock alpha f_span")):
     __slots__ = ()
 
 
+def validate_policy(policy: TransitionPolicy) -> list[Violation]:
+    """Every TransitionPolicy rule, as Violations; empty when it is valid."""
+    v = []
+    if policy.kind not in ("direct", "stepped"):
+        v.append(Violation("policy.kind", f"unknown kind {policy.kind!r}"))
+    if not (_finite(policy.dwell) and policy.dwell >= 0):
+        v.append(Violation("policy.dwell", "must be finite and >= 0"))
+    return v
+
+
 def full_span(levels: tuple[FrequencyLevel, ...]) -> float:
     """Default wear normalization: frequency distance across the whole ladder."""
     return levels[-1].freq - levels[0].freq
@@ -60,10 +67,12 @@ def plan_transition(
     direct: one hop covering the whole jump, no dwell. stepped: one hop per
     adjacent ladder level, dwelling ``policy.dwell`` seconds after every hop
     except the last. Same source and target yield no hops. A run plans only
-    between its own ladder's levels under a validated policy, so the
-    UnknownLevelError for a level off ``spec``'s ladder and the DomainError for
-    an unknown kind guard a direct call.
+    between its own ladder's levels under a valid policy, so the DomainError
+    with ``validate_policy``'s lines and the UnknownLevelError for a level off
+    ``spec``'s ladder guard a direct call.
     """
+    if violations := validate_policy(policy):
+        raise DomainError("; ".join(map(str, violations)))
     spec.require_level(from_level)
     spec.require_level(to_level)
     start, stop = from_level.index, to_level.index  # both on the ladder now, so a level is its index
@@ -71,19 +80,15 @@ def plan_transition(
         return ()
     if policy.kind == "direct":
         return (Hop(from_level, to_level, abs(to_level.freq - from_level.freq), 0.0),)
-    if policy.kind == "stepped":
-        step = 1 if stop > start else -1
-        hops = []
-        for i in range(start, stop, step):
-            a = spec.levels[i]
-            b = spec.levels[i + step]
-            hops.append(Hop(a, b, abs(b.freq - a.freq), 0.0 if i + step == stop else policy.dwell))
-        return tuple(hops)
-    raise DomainError(f"unknown transition policy kind {policy.kind!r}")
+    step = 1 if stop > start else -1
+    hops = []
+    for i in range(start, stop, step):
+        a = spec.levels[i]
+        b = spec.levels[i + step]
+        hops.append(Hop(a, b, abs(b.freq - a.freq), 0.0 if i + step == stop else policy.dwell))
+    return tuple(hops)
 
 
 def shock_wear(params: WearParams, delta_f: float) -> float:
-    """Wear fraction of a single frequency jump of magnitude delta_f (Hz)."""
-    if delta_f < 0:
-        raise DomainError(f"delta_f must be >= 0 (got {delta_f})")
+    """Wear fraction of a single frequency jump of magnitude delta_f >= 0 (Hz), as a Hop's ``delta_f`` is."""
     return params.k_shock * (delta_f / params.f_span) ** params.alpha

@@ -5,6 +5,8 @@ lowering the frequency stretches a task into its slack. The governor picks one
 level per task at its start; there is no mid-task re-selection. ``min_energy``
 weighs stretching against racing at a higher level and idling out the window,
 which wins when device or idle power is high; ties go low.
+``validate_governor`` holds the GovernorPolicy rules that a Scenario and
+``governor_rule`` check.
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError, InfeasibleError
-from .power import ProcessorSpec
-
-GOVERNOR_KINDS = ("lowest_feasible", "min_energy", "fixed")
+from .power import ProcessorSpec, Violation
 
 
 class Task(namedtuple("_TaskFields", "id cycles arrival deadline")):
@@ -30,6 +30,22 @@ class GovernorPolicy(namedtuple("_GovernorPolicyFields", "kind fixed_index", def
     __slots__ = ()
 
 
+def validate_governor(governor: GovernorPolicy, n_levels: int) -> list[Violation]:
+    """Every GovernorPolicy rule on a ladder of ``n_levels`` levels, as Violations; empty when it is valid."""
+    kind, index = governor
+    if kind not in ("lowest_feasible", "min_energy", "fixed"):
+        return [Violation("governor.kind", f"unknown kind {kind!r}")]
+    if kind != "fixed":
+        return [] if index is None else [Violation("governor.fixed_index", "only valid for the fixed governor")]
+    if index is None:
+        return [Violation("governor.fixed_index", "required for the fixed governor")]
+    if type(index) is not int:  # a bool is no index either, as in the schema
+        return [Violation("governor.fixed_index", "must be an integer")]
+    if not 0 <= index < n_levels:
+        return [Violation("governor.fixed_index", f"outside ladder bounds 0..{n_levels - 1}")]
+    return []
+
+
 def governor_rule(spec: ProcessorSpec, governor: GovernorPolicy):
     """The governor's rule for ``spec``, called as ``rule(task, start)``; resolved once a run.
 
@@ -37,14 +53,12 @@ def governor_rule(spec: ProcessorSpec, governor: GovernorPolicy):
     power while the task runs and idle power after, ties going low; ``lowest_feasible`` is the same scan with every
     level costing nothing, so the slowest feasible level; ``fixed`` gives its level, feasible or not. The scan raises
     InfeasibleError, with the frequency the deadline needs, when no level fits. A run never starts a task before
-    its arrival and a Scenario's governor is valid, so the DomainErrors for such a ``start``, for a fixed index that
-    is not an int in the ladder and for an unknown kind guard a direct call.
+    its arrival and a Scenario's governor is valid, so the DomainErrors for such a ``start`` and with
+    ``validate_governor``'s line guard a direct call.
     """
-    if governor.kind not in GOVERNOR_KINDS:
-        raise DomainError(f"unknown governor kind {governor.kind!r}")
+    if violations := validate_governor(governor, len(spec.levels)):
+        raise DomainError("; ".join(map(str, violations)))
     if governor.kind == "fixed":
-        if not (type(governor.fixed_index) is int and 0 <= governor.fixed_index < len(spec.levels)):
-            raise DomainError(f"fixed governor index {governor.fixed_index} outside ladder")
         level = spec.levels[governor.fixed_index]
         return lambda task, start: level
     costed = governor.kind == "min_energy"

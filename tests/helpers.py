@@ -40,6 +40,15 @@ def source_env() -> dict:
     return dict(os.environ, PYTHONPATH=path)
 
 
+def left_sum(values):
+    """``values`` added one at a time from the left, from 0: the order the run adds them in. The built-in ``sum``
+    of floats is a compensated sum from Python 3.12 on, so it can differ in the last bit."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def run_cli(*args):
     """Run ``python -m dvfsim *args`` on this checkout's sources, whether or not the package is installed."""
     return subprocess.run(

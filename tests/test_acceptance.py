@@ -34,6 +34,7 @@ from dvfsim.transitions import full_span, shock_wear
 
 from helpers import (
     SCENARIO_DIR,
+    left_sum,
     make_scenario,
     make_spec,
     make_thermal,
@@ -216,7 +217,7 @@ def test_ac07_conservation_and_consistency():
     sc = load_scenario(SCENARIO_DIR / "turion6.json")
     report, _ = simulate(sc)
     assert abs(report.active_s + report.idle_s - sc.duration) < 1e-9
-    assert report.ledger.shock_wear == sum(e.wear for e in report.transition_log)
+    assert report.ledger.shock_wear == left_sum(e.wear for e in report.transition_log)
 
     probe = trace_probe_scenario()
     probe_report, trace = simulate(probe)

@@ -41,7 +41,16 @@ from dvfsim import engine, thermal
 from dvfsim.engine import MAX_TRACE_POINTS, TRACE_CHUNK
 from dvfsim.transitions import shock_wear
 
-from helpers import SCENARIO_DIR, TURION_FREQS, make_scenario, make_spec, make_task, make_thermal, make_wear
+from helpers import (
+    SCENARIO_DIR,
+    TURION_FREQS,
+    left_sum,
+    make_scenario,
+    make_spec,
+    make_task,
+    make_thermal,
+    make_wear,
+)
 from strategies import specs, workloads
 
 DIRECT = TransitionPolicy("direct")
@@ -353,7 +362,7 @@ class TestWearAccounting:
     def test_shock_ledger_equals_log_sum_exactly(self):
         sc = make_scenario(tasks=(make_task(cycles=3.6e9, deadline=2.0),), policy=STEPPED, duration=30.0)
         report, _ = simulate(sc)
-        assert report.ledger.shock_wear == sum(e.wear for e in report.transition_log)
+        assert report.ledger.shock_wear == left_sum(e.wear for e in report.transition_log)
         for event in report.transition_log:
             assert event.wear == shock_wear(sc.spec.wear, event.delta_f)
 
@@ -380,7 +389,7 @@ class TestWearAccounting:
     def test_total_delta_f_matches_log(self):
         sc = make_scenario(tasks=(make_task(cycles=3.6e9, deadline=2.0),), duration=30.0)
         report, _ = simulate(sc)
-        assert report.total_delta_f_hz == sum(e.delta_f for e in report.transition_log)
+        assert report.total_delta_f_hz == left_sum(e.delta_f for e in report.transition_log)
         assert report.transition_count == len(report.transition_log)
 
 
@@ -702,7 +711,7 @@ class TestManyTaskInvariants:
             finish = outcome.finish
         assert end == duration if roomy else end >= max(duration, finish)
         assert report.active_s + report.idle_s == pytest.approx(end, rel=1e-12)
-        assert report.ledger.shock_wear == sum(e.wear for e in report.transition_log)
+        assert report.ledger.shock_wear == left_sum(e.wear for e in report.transition_log)
 
         assert len(trace) == int(end / trace_dt) + 1
         assert trace[-1].time == end

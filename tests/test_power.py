@@ -180,7 +180,3 @@ class TestEnergyCost:
 
     def test_default_rate(self):
         assert energy_cost(12.0, 1.0) == 1200.0
-
-    def test_negative_input_rejected(self):
-        with pytest.raises(DomainError):
-            energy_cost(-1.0, 1.0, 100.0)

@@ -331,6 +331,7 @@ class TestSteadyStateRecord:
             (SteadyState(TRANSIENT, 20.0), math.nan, 1.0, "temperature nan degC or steady state 35 degC is not finite"),
             (SteadyState(TRANSIENT, math.inf), 25.0, 1.0, "temperature 25 degC or steady state inf degC is not finite"),
             (SteadyState(TRANSIENT, 20.0), 30.0, -1.0, "duration must be >= 0 (got -1.0)"),
+            (SteadyState(TRANSIENT, 20.0), 30.0, math.nan, "duration must be >= 0 (got nan)"),
             # held at 20,025 degC: 2^1998 overflows
             (SteadyState(hot, 10.0), 20025.0, 1.0, "thermal wear from 20025 degC toward 20025 degC overflows"),
             # a finite rate whose integral is not
@@ -449,6 +450,17 @@ class TestScaledE1:
     def test_the_fraction_beyond_two(self, z):
         assert abs(ulps_off(z, scaled_e1_by_fraction(z))) <= (25.0 if z <= 10.0 else 8.0)
 
+    def test_the_fraction_settles_within_its_step_bound(self, monkeypatch):
+        slowest = 1.0000001666959315  # the most steps found on (1, 709]: 104
+        grid = (math.nextafter(1.0, 2.0), slowest, *(1.0 + 10.0 ** (-j / 4) for j in range(64)),
+                *(709.0 ** (j / 64) for j in range(1, 65)))
+        assert grid[-1] == 709.0
+        for z in grid:  # a z the fraction cannot settle on raises DomainError
+            assert 1.0 / (z + 1.0) < _scaled_e1(z, math.log(z)) <= 1.0 / z  # A&S 5.1.19
+        monkeypatch.setattr("dvfsim.thermal._E1_STEPS", 103)
+        with pytest.raises(DomainError, match="did not settle in 103 steps"):
+            _scaled_e1(slowest, math.log(slowest))
+
 
 class TestProjectLifetime:
     def test_linear_extrapolation(self):
@@ -456,10 +468,6 @@ class TestProjectLifetime:
 
     def test_no_wear_is_unbounded(self):
         assert math.isinf(project_lifetime(WearLedger(0.0, 0.0, 100.0)))
-
-    def test_zero_elapsed_rejected(self):
-        with pytest.raises(DomainError):
-            project_lifetime(WearLedger(0.1, 0.0, 0.0))
 
     def test_shock_and_thermal_wear_both_count(self):
         combined = project_lifetime(WearLedger(0.05, 0.05, 100.0))

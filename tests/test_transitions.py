@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from dvfsim import (
     DomainError,
     FrequencyLevel,
+    ScenarioError,
     TransitionPolicy,
     UnknownLevelError,
     WearParams,
@@ -14,7 +15,7 @@ from dvfsim import (
 )
 from dvfsim.transitions import full_span, shock_wear
 
-from helpers import make_spec, make_wear
+from helpers import make_scenario, make_spec, make_wear
 from strategies import specs
 
 DIRECT = TransitionPolicy("direct")
@@ -84,8 +85,22 @@ class TestPlanTransition:
 
     def test_unknown_policy_kind_rejected(self):
         spec = make_spec()
-        with pytest.raises(DomainError):
-            plan_transition(spec, spec.levels[0], spec.levels[1], TransitionPolicy("teleport"))
+        kind = "policy.kind: unknown kind 'teleport'"
+        dwell = "policy.dwell: must be finite and >= 0"
+        for policy, a, b, message in (
+            (TransitionPolicy("teleport"), 0, 1, kind),
+            (TransitionPolicy("teleport"), 2, 2, kind),  # refused even where no hop is planned
+            (TransitionPolicy("stepped", -1.0), 0, 3, dwell),
+            (TransitionPolicy("stepped", math.nan), 0, 3, dwell),
+            (TransitionPolicy("stepped", "x"), 3, 0, dwell),
+            (TransitionPolicy("teleport", -1.0), 0, 1, f"{kind}; {dwell}"),
+        ):  # refused with the lines a Scenario's validation gives
+            with pytest.raises(DomainError) as err:
+                plan_transition(spec, spec.levels[a], spec.levels[b], policy)
+            assert str(err.value) == message
+            with pytest.raises(ScenarioError) as err:
+                make_scenario(spec=spec, policy=policy)
+            assert "; ".join(err.value.problems) == message
 
     @given(specs(), st.data())
     @settings(max_examples=100)
@@ -112,10 +127,6 @@ class TestShockWear:
 
     def test_linear_exponent_desk_value(self):
         assert shock_wear(make_wear(k_shock=1e-4, alpha=1.0), 2e8) == pytest.approx(2e-5, rel=1e-12)
-
-    def test_negative_delta_rejected(self):
-        with pytest.raises(DomainError):
-            shock_wear(make_wear(), -1.0)
 
     @given(st.floats(1.0, 4.0), st.floats(0.0, 1e9), st.floats(0.0, 2.0))
     def test_power_law_scaling(self, alpha, delta_f, scale):

@@ -10,6 +10,7 @@ from dvfsim import (
     GovernorPolicy,
     InfeasibleError,
     ProcessorSpec,
+    ScenarioError,
     Task,
     governor_rule,
     run_scenario,
@@ -237,21 +238,31 @@ class TestGovernorRule:
         governor = GovernorPolicy("fixed", index)
         if 0 <= index < len(spec.levels):
             assert governor_rule(spec, governor)(task, start) is spec.levels[index]  # whether or not it fits
-        else:
-            with pytest.raises(DomainError, match=f"fixed governor index {index} outside ladder"):
+        else:  # refused with the line a Scenario's validation gives
+            with pytest.raises(DomainError) as err:
                 governor_rule(spec, governor)
+            assert str(err.value) == f"governor.fixed_index: outside ladder bounds 0..{len(spec.levels) - 1}"
+        for kind in ("lowest_feasible", "min_energy"):  # an index belongs to the fixed governor alone
+            with pytest.raises(DomainError) as err:
+                governor_rule(spec, GovernorPolicy(kind, index))
+            assert str(err.value) == "governor.fixed_index: only valid for the fixed governor"
 
     def test_a_bad_governor_is_refused_when_it_is_resolved(self):
         spec = make_spec()
         for governor, message in (
-            (GovernorPolicy("fixed"), "fixed governor index None outside ladder"),
-            (GovernorPolicy("fixed", len(spec.levels)), "fixed governor index 6 outside ladder"),
-            (GovernorPolicy("fixed", 2.0), "fixed governor index 2.0 outside ladder"),
-            (GovernorPolicy("fixed", True), "fixed governor index True outside ladder"),
-            (GovernorPolicy("race"), "unknown governor kind 'race'"),
+            (GovernorPolicy("fixed"), "governor.fixed_index: required for the fixed governor"),
+            (GovernorPolicy("fixed", len(spec.levels)), "governor.fixed_index: outside ladder bounds 0..5"),
+            (GovernorPolicy("fixed", 2.0), "governor.fixed_index: must be an integer"),
+            (GovernorPolicy("fixed", True), "governor.fixed_index: must be an integer"),
+            (GovernorPolicy("min_energy", 3), "governor.fixed_index: only valid for the fixed governor"),
+            (GovernorPolicy("race"), "governor.kind: unknown kind 'race'"),
         ):
-            with pytest.raises(DomainError, match=message):
+            with pytest.raises(DomainError) as err:
                 governor_rule(spec, governor)
+            assert str(err.value) == message
+            with pytest.raises(ScenarioError) as err:  # the same line as validation gives
+                make_scenario(spec=spec, governor=governor)
+            assert err.value.problems == (message,)
 
 
 class TestSelectLevel:
