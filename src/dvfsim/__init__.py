@@ -24,12 +24,12 @@ from .errors import (
     PolicyRunError,
     ScenarioError,
     UnknownLevelError,
+    Violation,
 )
 from .power import (
     EnergyBreakdown,
     FrequencyLevel,
     ProcessorSpec,
-    Violation,
     validate_spec,
 )
 from .reporting import (

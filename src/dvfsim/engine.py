@@ -21,15 +21,12 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .errors import DomainError, InfeasibleError, PolicyRunError, ScenarioError
+from .errors import DomainError, InfeasibleError, PolicyRunError, ScenarioError, Violation, _finite, _real
 from .power import (
     DEFAULT_COST_RATE,
     EnergyBreakdown,
     FrequencyLevel,
     ProcessorSpec,
-    Violation,
-    _finite,
-    _real,
     energy_cost,
     validate_spec,
 )
@@ -273,7 +270,8 @@ def run_scenario(scenario: Scenario, sink=None) -> SimReport:
         flagged; misses are recorded, never fatal;
       * the trace's closing sample, at the run's end, shows the last span's
         freq, power and temperature; its cum_wear also counts every hop logged
-        at that end, so it equals the ledger total.
+        at that end, so it equals the ledger total up to rounding (the two add
+        the same parts in different orders; within a relative 1e-12).
     """
     return _run(scenario, scenario.policy, sink)
 

@@ -1,6 +1,9 @@
-"""Exception types shared across the simulator."""
+"""Exception types and the validation line shared across the simulator."""
 
 from __future__ import annotations
+
+import math
+from collections import namedtuple
 
 
 class DomainError(ValueError):
@@ -43,3 +46,19 @@ class PolicyRunError(RuntimeError):
     def __init__(self, policy_label: str, cause: Exception):
         self.policy_label = policy_label
         super().__init__(f"simulation failed for policy '{policy_label}': {cause}")
+
+
+class Violation(namedtuple("_ViolationFields", "field rule")):
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return f"{self.field}: {self.rule}"
+
+
+def _real(x):
+    """``x`` if it is a number, else NaN, so that a non-number fails every comparison, as NaN does."""
+    return x if isinstance(x, (int, float)) else math.nan
+
+
+def _finite(x) -> bool:
+    return math.isfinite(_real(x))

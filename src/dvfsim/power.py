@@ -8,10 +8,10 @@ active power per level; idle power is a single level-independent constant.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
-from .errors import UnknownLevelError
+from .errors import UnknownLevelError, Violation, _finite, _real
+from .thermal import validate_thermal
 
 DEFAULT_COST_RATE = 100.0  # $/MWh
 
@@ -56,22 +56,6 @@ class EnergyBreakdown(namedtuple("_EnergyBreakdownFields", "active_j idle_j")):
         return self.active_j + self.idle_j
 
 
-class Violation(namedtuple("_ViolationFields", "field rule")):
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return f"{self.field}: {self.rule}"
-
-
-def _real(x):
-    """``x`` if it is a number, else NaN, so that a non-number fails every comparison, as NaN does."""
-    return x if isinstance(x, (int, float)) else math.nan
-
-
-def _finite(x) -> bool:
-    return math.isfinite(_real(x))
-
-
 def validate_spec(spec: ProcessorSpec) -> tuple[Violation, ...]:
     """Check every ProcessorSpec invariant, returning all violations found.
 
@@ -113,17 +97,7 @@ def validate_spec(spec: ProcessorSpec) -> tuple[Violation, ...]:
                 v.append(Violation("levels", "active power not strictly increasing across levels"))
                 break
 
-    th = spec.thermal
-    if not _finite(th.r_th) or th.r_th <= 0:
-        v.append(Violation("thermal.r_th", "must be finite and > 0"))
-    if not _finite(th.c_th) or th.c_th <= 0:
-        v.append(Violation("thermal.c_th", "must be finite and > 0"))
-    if not _finite(th.t_amb):
-        v.append(Violation("thermal.t_amb", "must be a finite number"))
-    if not _finite(th.t_ref):
-        v.append(Violation("thermal.t_ref", "must be a finite number"))
-    if not _finite(th.l_base) or th.l_base <= 0:
-        v.append(Violation("thermal.l_base", "must be finite and > 0"))
+    v.extend(validate_thermal(spec.thermal))
 
     w = spec.wear
     if not _finite(w.k_shock) or w.k_shock < 0:

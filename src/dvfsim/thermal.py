@@ -21,14 +21,15 @@ and ``1 - u <= 1/16`` unless ``a < -2``) by an expansion in ``1 - u``;
 otherwise for ``a >= -2`` by the series above, in Horner form; otherwise,
 heating by more than about 29 degC, where the series' alternating terms would
 cancel, as ``E1(|a|*u) - E1(|a|)`` (A&S 5.1.11, and the continued fraction
-5.1.22). Against a decimal evaluation of the exact integral for the float
-temperatures and duration given (37,000 points, |a| up to 709 and s/tau from
-1e-6 to 50, 31,000 of them on the E1 route), the wear read within 3 + 2|a| ulp
-on the short-swing route, 3.5 + 2|a| on the series and 125 + 2|a| on E1, whose
-worst, 129 ulp at a = -2.10, is the continued fraction's for |a|*u just above 1.
+5.1.22 from its tail). Against a decimal evaluation of the exact integral for
+the float temperatures and duration given (the tests' grid, which reaches
+|a| = 709 and both sides of each route boundary, and 22,500 random points, |a|
+up to 709, s/tau from 1e-6 to 50, 7,500 on E1), the wear read within 4 + 2|a|
+ulp on the short-swing and E1 routes and 14 + 2|a| on the series, whose worst,
+18 ulp at a = -1.96 and s/tau = 0.079, is where its alternating terms cancel.
 The part that grows with |a| comes from rounding a, s/tau and the exponents,
-each of which moves exp(a*u) by |a| times its relative error. The tests hold the
-wear to 8 + 2|a|, 8 + 2|a| and 160 + 2|a| ulp. ``step`` is the one place the
+each of which moves exp(a*u) by |a| times its relative error. The tests hold
+every route to 8 + 2|a| ulp on their grid. ``step`` is the one place the
 swing is checked and the E1 route is taken; ``trace`` repeats the other two
 routes, bit for bit, with their constants hoisted, and calls ``step`` for E1
 and for any failure.
@@ -41,7 +42,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import DomainError
+from .errors import DomainError, Violation, _finite
 
 _LN2_OVER_10 = math.log(2.0) / 10.0
 _EULER_GAMMA = 0.5772156649015329
@@ -49,7 +50,6 @@ _EPS = 2.0**-56  # relative truncation of every series
 _SERIES_MIN_A = -2.0  # below this the plain series loses digits to cancellation
 _SHORT_G = 1.0 / 16.0  # up to this rise the short-swing expansion needs few terms
 _MAX_A = 709.0  # the series' terms reach e^a / sqrt(2*pi*a), which overflows beyond this
-_E1_STEPS = 128  # the most steps _scaled_e1's continued fraction may take before it is refused
 
 
 class ThermalParams(namedtuple("_ThermalParamsFields", "r_th c_th t_amb t_ref l_base")):
@@ -65,6 +65,19 @@ class ThermalParams(namedtuple("_ThermalParamsFields", "r_th c_th t_amb t_ref l_
     def tau(self) -> float:
         """Thermal time constant r_th * c_th in seconds."""
         return self.r_th * self.c_th
+
+
+def validate_thermal(params: ThermalParams) -> list[Violation]:
+    """Every ThermalParams rule, as Violations; empty when it is valid. The two temperatures must be finite
+    numbers and the other fields finite and > 0."""
+    v = []
+    for name, value in zip(params._fields, params):
+        if name in ("t_amb", "t_ref"):
+            if not _finite(value):
+                v.append(Violation(f"thermal.{name}", "must be a finite number"))
+        elif not _finite(value) or value <= 0:
+            v.append(Violation(f"thermal.{name}", "must be finite and > 0"))
+    return v
 
 
 class WearLedger(namedtuple("_WearLedgerFields", "thermal_wear shock_wear elapsed", defaults=(0.0, 0.0, 0.0))):
@@ -99,6 +112,8 @@ class SteadyState(namedtuple("_SteadyStateFields", "t_ss tau exponent_ss wear_sc
     __slots__ = ()
 
     def __new__(cls, params: ThermalParams, power: float):
+        if violations := validate_thermal(params):
+            raise DomainError("; ".join(map(str, violations)))
         t_ss = steady_state_temp(params, power)
         tau = params.tau
         return tuple.__new__(cls, (t_ss, tau, _LN2_OVER_10 * (t_ss - params.t_ref), tau / params.l_base))
@@ -135,12 +150,13 @@ class SteadyState(namedtuple("_SteadyStateFields", "t_ss tau exponent_ss wear_sc
             exponent = exponent_ss
             integral = x + g * q
         else:
-            # E1(z) - E1(b) = e^-z * (e^z E1(z) - e^(z-b) * e^b E1(b)), with z = b*u
+            # E1(z) - E1(b) = e^-z * (e^z E1(z) - e^(a*g) * e^b E1(b)), with b = -a and z = b*u = b + a*g; the
+            # exponent takes -z as a - a*g, because z rounded to a float would move the rate by up to |a| ulp
             b = -a
-            z = b * math.exp(-x)
+            ag = a * g
             log_b = math.log(b)
-            exponent = exponent_ss - z  # the rate at the end of the interval
-            integral = _scaled_e1(z, log_b - x) - math.exp(z - b) * _scaled_e1(b, log_b)
+            exponent = exponent_ss + a - ag  # the rate at the end of the interval
+            integral = _scaled_e1(b * math.exp(-x), log_b - x) - math.exp(ag) * _scaled_e1(b, log_b)
         wear = _scale(exponent, wear_scale) * integral
         if not math.isfinite(wear):
             raise DomainError(f"thermal wear from {temp0:g} degC toward {t_ss:g} degC overflows")
@@ -237,10 +253,11 @@ def _short_swing(a: float, x: float, g: float) -> float:
     On heating (a < 0) the terms are all positive and fall at least as fast as
     g + 1/m, and for 0 <= a <= 1 the partial sums of e^-a - 1 lie between -a and
     -a + a^2/2, at least a/2 from 0, so the sum ends at the first term below the
-    tolerance. Beyond, the partial sums cancel by at most e^(2*|a|*g), but one
-    that cancels to near 0 by chance makes one term tiny and the next not (at
-    a = 2, Q_3 is 0), so the sum ends at the second such term in a row; a term
-    below the tolerance is below a quarter ulp of the total and leaves it as it is.
+    tolerance. Beyond, the terms' magnitudes sum to at most e^(2*|a|*g) <= e^2
+    times the total, but a partial sum that cancels to near 0 by chance makes
+    one term tiny and the next not (at a = 2, Q_3 is 0), so the sum ends at the
+    second such term in a row; a term below the tolerance is below a quarter ulp
+    of the total and leaves it as it is.
     """
     ag = -a * g
     r = 1.0  # (-a*g)^(m-1) / (m-1)!
@@ -273,24 +290,14 @@ def _scaled_e1(z: float, log_z: float) -> float:
             total += t / k
             if abs(t) <= _EPS * abs(total):
                 return math.exp(z) * (-_EULER_GAMMA - log_z - total)
-    # A&S 5.1.22 by the modified Lentz method: 1 / (z + 1 - 1/(z + 3 - 4/(z + 5 - ...))). Measured for z > 1
-    # against a 50-digit evaluation: it stops within 104 steps over 700,000 z in (1, 709] (88 at the float after
-    # 1, 3 at 709), 24 under _E1_STEPS, and reads within 70 ulp of e^z E1(z) on (1, 2], 25 ulp on (2, 10] and
-    # 8 ulp beyond. The series above reads 5.0 ulp high at z = 1, and the fraction 13.2 ulp low at the next float.
-    den = z + 1.0
-    c = 1.0 / 1e-300
-    d = 1.0 / den
-    h = d
-    for i in range(1, _E1_STEPS + 1):
-        num = -float(i * i)
-        den += 2.0
-        d = 1.0 / (num * d + den)
-        c = den + num / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) <= 2.0**-52:
-            return h
-    raise DomainError(f"the continued fraction for E1({z!r}) did not settle in {_E1_STEPS} steps")
+    # A&S 5.1.22, 1/(z + 1 - 1/(z + 3 - 4/(z + 5 - ...))), evaluated from its tail 16 + ceil(128/z) levels deep:
+    # there the truncation is below 2^-64 of e^z E1(z) on (1, 709], least at the float after 1 (2^-64.8; 141
+    # levels are the fewest that reach 2^-64 there). That depth gave the float 300 levels give on 14,000 z, and
+    # the result read within 2.3 ulp of a 50-digit evaluation. The series above reads 5.0 ulp high at z = 1.
+    t = 0.0
+    for i in range(16 + math.ceil(128.0 / z), 0, -1):
+        t = i * i / (z + (2 * i + 1) - t)
+    return 1.0 / (z + 1.0 - t)
 
 
 def project_lifetime(ledger: WearLedger) -> float:

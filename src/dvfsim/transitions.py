@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import DomainError
-from .power import FrequencyLevel, ProcessorSpec, Violation, _finite
+from .errors import DomainError, Violation, _finite
+from .power import FrequencyLevel, ProcessorSpec
 
 
 class TransitionPolicy(namedtuple("_TransitionPolicyFields", "kind dwell", defaults=(0.0,))):

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DomainError, InfeasibleError
-from .power import ProcessorSpec, Violation
+from .errors import DomainError, InfeasibleError, Violation
+from .power import ProcessorSpec
 
 
 class Task(namedtuple("_TaskFields", "id cycles arrival deadline")):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from dvfsim import DomainError, SteadyState, ThermalParams, WearLedger
-from dvfsim.thermal import _scaled_e1, project_lifetime, steady_state_temp
+from dvfsim import DomainError, SteadyState, ThermalParams, WearLedger, validate_spec
+from dvfsim.thermal import _scaled_e1, _short_swing, project_lifetime, steady_state_temp, validate_thermal
 
-from helpers import steady_wear_factors
+from helpers import make_spec, make_wear, steady_wear_factors
 
 # the documented transient: tau = 5 s, 20 W from ambient, one time constant
 TRANSIENT = ThermalParams(r_th=0.5, c_th=10.0, t_amb=25.0, t_ref=25.0, l_base=1000.0)
@@ -55,12 +55,9 @@ def decimal_wear(params, temp0, power, dt):
                 return float(rate_ss * (Decimal(dt) + tau * total))
 
 
-# The wear's bound in ulps of the exact wear, on each route, is WEAR_ULPS[route] + 2 * |a| (the module notes)
-WEAR_ULPS = {"short": 8.0, "series": 8.0, "e1": 160.0}
-
-
-def wear_bound(route: str, a: float) -> float:
-    return WEAR_ULPS[route] + 2.0 * abs(a)
+def wear_bound(a: float) -> float:
+    """The wear's bound in ulps of the exact wear, 8 + 2|a| on every route (the module notes)."""
+    return 8.0 + 2.0 * abs(a)
 
 
 def simpson(f, end, n):
@@ -184,20 +181,22 @@ class TestIntegrateThermalWear:
                 for x in xs:
                     routes.add(self.assert_within_bound(steady, params, temp0, x * params.tau))
         assert routes == {"short", "series", "e1"}
-        # the worst point seen on the E1 route: z = 1 + 6e-9, where the continued fraction is least accurate
-        assert self.assert_within_bound(steady, params, 45.0 - 2.1017405842277257 * 10.0 / math.log(2.0),
-                                        0.7427658450269158 * params.tau) == "e1"
+        # z = 1 + 6e-9, where the forward continued fraction read 129 ulp off, and a = -526.36 at s/tau = 0.0031,
+        # where an exponent of exponent_ss - z, with z rounded, read 1,666 ulp off
+        for temp0, x in ((45.0 - 2.1017405842277257 * 10.0 / math.log(2.0), 0.7427658450269158),
+                         (-7548.806357617312, 0.0031146418509276)):
+            assert self.assert_within_bound(steady, params, temp0, x * params.tau) == "e1"
 
     @staticmethod
     def assert_within_bound(steady, params, temp0, dt):
-        """Assert that ``steady.step(temp0, dt)``'s wear is within its route's bound of ``decimal_wear``'s.
+        """Assert that ``steady.step(temp0, dt)``'s wear is within ``wear_bound`` of ``decimal_wear``'s.
 
         Returns the route the wear took."""
         a = swing(steady, temp0)
         route = route_of(a, dt / steady.tau)
         _, wear, _ = steady.step(temp0, dt)
         reference = decimal_wear(params, temp0, (steady.t_ss - params.t_amb) / params.r_th, dt)
-        assert abs(wear - reference) <= wear_bound(route, a) * math.ulp(reference), (a, dt / steady.tau, route)
+        assert abs(wear - reference) <= wear_bound(a) * math.ulp(reference), (a, dt / steady.tau, route)
         return route
 
     def test_large_swing_at_40_w_matches_oracle(self):
@@ -320,7 +319,7 @@ class TestSteadyStateRecord:
         d0 = temp0 - t_ss
         assert (temp, integral) == (temp0 - d0 * g, t_ss * duration + d0 * steady.tau * g)
         reference = decimal_wear(params, temp0, power, duration)
-        assert abs(wear - reference) <= wear_bound(route, swing(steady, temp0)) * math.ulp(reference)
+        assert abs(wear - reference) <= wear_bound(swing(steady, temp0)) * math.ulp(reference)
         assert steady.step(temp0, 0.0) == (temp0, 0.0, 0.0)
 
     def test_the_step_fails_as_advance_does(self):
@@ -426,6 +425,14 @@ def scaled_e1_by_fraction(z: float) -> Decimal:
         return 1 / (Decimal(z) + 1 - tail)
 
 
+def scaled_e1_from_tail(z: float, depth: int) -> float:
+    """e^z E1(z) from A&S 5.1.22 evaluated from the tail up, ``depth`` levels deep, in floats as ``_scaled_e1`` does."""
+    tail = 0.0
+    for i in range(depth, 0, -1):
+        tail = i * i / (z + (2 * i + 1) - tail)
+    return 1.0 / (z + 1.0 - tail)
+
+
 def ulps_off(z: float, reference: Decimal) -> float:
     """How many units in the last place ``_scaled_e1(z)`` reads from ``reference``."""
     return float((Decimal(_scaled_e1(z, math.log(z))) - reference) / Decimal(math.ulp(float(reference))))
@@ -435,31 +442,104 @@ class TestScaledE1:
     """``_scaled_e1`` reads within the ulp bounds its comment states."""
 
     def test_at_one_and_the_float_after_it(self):
-        assert abs(ulps_off(1.0, GOMPERTZ)) <= 6.0  # the series
-        after = math.nextafter(1.0, 2.0)  # the continued fraction's slowest region
-        assert abs(ulps_off(after, scaled_e1_near_one(after))) <= 70.0
+        assert abs(ulps_off(1.0, GOMPERTZ)) <= 6.0  # the series: 5.0 ulp
+        after = math.nextafter(1.0, 2.0)  # the continued fraction's deepest region
+        assert abs(ulps_off(after, scaled_e1_near_one(after))) <= 3.0
 
     @given(st.floats(-16.0, -0.5))
     @settings(max_examples=200)
     def test_the_fraction_just_above_one(self, exponent):
-        z = 1.0 + 10.0**exponent
-        assert abs(ulps_off(z, scaled_e1_near_one(z))) <= 70.0
+        z = 1.0 + 10.0**exponent  # 1.0 itself below about 1e-16, where the series reads 5.0 ulp
+        assert abs(ulps_off(z, scaled_e1_near_one(z))) <= (6.0 if z == 1.0 else 3.0)
 
     @given(st.floats(2.0, 709.0))
     @settings(max_examples=30, deadline=None)
     def test_the_fraction_beyond_two(self, z):
-        assert abs(ulps_off(z, scaled_e1_by_fraction(z))) <= (25.0 if z <= 10.0 else 8.0)
+        assert abs(ulps_off(z, scaled_e1_by_fraction(z))) <= 3.0
 
-    def test_the_fraction_settles_within_its_step_bound(self, monkeypatch):
-        slowest = 1.0000001666959315  # the most steps found on (1, 709]: 104
-        grid = (math.nextafter(1.0, 2.0), slowest, *(1.0 + 10.0 ** (-j / 4) for j in range(64)),
-                *(709.0 ** (j / 64) for j in range(1, 65)))
+    def test_the_fraction_settles_within_its_step_bound(self):
+        # the fraction's depth, 16 + ceil(128/z), gives the float 300 levels give: at the float after 1, at
+        # 1.0000001666959315, where the forward evaluation took the most steps (104), at 1.0006305444336965, where
+        # the least depth that gives 300 levels' float is the greatest found (141), and on a grid up to 709
+        grid = (math.nextafter(1.0, 2.0), 1.0000001666959315, 1.0006305444336965,
+                *(1.0 + 10.0 ** (-j / 4) for j in range(64)), *(709.0 ** (j / 64) for j in range(1, 65)))
         assert grid[-1] == 709.0
-        for z in grid:  # a z the fraction cannot settle on raises DomainError
-            assert 1.0 / (z + 1.0) < _scaled_e1(z, math.log(z)) <= 1.0 / z  # A&S 5.1.19
-        monkeypatch.setattr("dvfsim.thermal._E1_STEPS", 103)
-        with pytest.raises(DomainError, match="did not settle in 103 steps"):
-            _scaled_e1(slowest, math.log(slowest))
+        for z in grid:
+            value = _scaled_e1(z, math.log(z))
+            assert value == scaled_e1_from_tail(z, 300), z
+            assert 1.0 / (z + 1.0) < value <= 1.0 / z  # A&S 5.1.19
+
+
+class TestShortSwing:
+    """The claims of ``_short_swing``'s notes, on the route's edges and inside them, in 60-digit decimals."""
+
+    @staticmethod
+    def points():
+        """(a, g) on the short-swing route: |a| * g <= 1, and g <= 1/16 unless a < -2."""
+        for a in (-709.0, -100.0, -16.0, -2.5, -2.0000001, -2.0, -1.0, -0.3, 0.3, 1.0, 1.5, 2.0, 5.0, 16.0, 709.0):
+            edge = 1.0 / abs(a) if a < -2.0 else min(1.0 / 16.0, 1.0 / abs(a))
+            for g in (edge, edge / 2.0, edge * 1e-3):
+                yield a, g
+
+    @staticmethod
+    def q_terms(a: float, g: float) -> list[Decimal]:
+        """Q_m = sum_{n=1}^{m-1} g^(m-n) (-a*g)^n/n! for m = 2 .. 61, from that sum."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a, g = Decimal(a), Decimal(g)
+            return [sum(g ** (m - n) * (-a * g) ** n / math.factorial(n) for n in range(1, m)) for m in range(2, 62)]
+
+    def test_q_stays_below_e(self):
+        for a, g in self.points():
+            assert max(abs(q) for q in self.q_terms(a, g)) < Decimal(math.e), (a, g)
+
+    def test_on_cooling_the_terms_sum_to_at_most_e_to_the_2_a_g_times_the_total(self):
+        # the integrand, exp(-a * (1 - e^-t)), lies between e^(-|a|g) and 1, while the terms' magnitudes are the
+        # terms of the integral of exp(|a| * (1 - e^-t)), which lies between 1 and e^(|a|g)
+        seen = 0
+        for a, g in self.points():
+            if a > 1.0:
+                x = Decimal(-math.log1p(-g))
+                terms = [q / m for m, q in enumerate(self.q_terms(a, g), 2)]
+                total = x + sum(terms)
+                assert x + sum(map(abs, terms)) <= Decimal(2.0 * a * g).exp() * total, (a, g)
+                assert float(total) == pytest.approx(_short_swing(a, float(x), g), rel=1e-15)
+                seen += 1
+        assert seen == 15
+
+
+class TestValidateThermal:
+    """ThermalParams' rules live in ``validate_thermal``, which ``validate_spec`` and ``SteadyState`` both apply."""
+
+    BAD = ThermalParams(0.0, math.inf, math.nan, "x", -1.0)
+    BAD_LINES = [
+        "thermal.r_th: must be finite and > 0",
+        "thermal.c_th: must be finite and > 0",
+        "thermal.t_amb: must be a finite number",
+        "thermal.t_ref: must be a finite number",
+        "thermal.l_base: must be finite and > 0",
+    ]
+
+    def test_every_rule_is_a_line(self):
+        assert [str(v) for v in validate_thermal(self.BAD)] == self.BAD_LINES
+        assert validate_thermal(TRANSIENT) == []
+
+    def test_validate_spec_lists_them_between_the_power_and_the_wear_lines(self):
+        spec = make_spec(p_idle=-1.0, thermal=self.BAD, wear=make_wear(alpha=0.5))
+        assert [str(v) for v in validate_spec(spec)] == [
+            "p_idle: negative coefficient", *self.BAD_LINES, "wear.alpha: must be finite and >= 1"]
+
+    def test_a_steady_state_refuses_what_validation_refuses(self):
+        # l_base = 0 divided tau by 0 as the record was built, and c_th = 0 divided s by tau = 0 in its step
+        cases = (
+            (ThermalParams(1.0, 1.0, 25.0, 45.0, 0.0), "thermal.l_base: must be finite and > 0"),
+            (ThermalParams(1.0, 0.0, 25.0, 45.0, 1.0), "thermal.c_th: must be finite and > 0"),
+            (self.BAD, "; ".join(self.BAD_LINES)),
+        )
+        for params, message in cases:
+            with pytest.raises(DomainError) as got:
+                SteadyState(params, 5.0).step(30.0, 1.0)
+            assert str(got.value) == message
 
 
 class TestProjectLifetime:
