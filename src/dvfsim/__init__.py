@@ -20,7 +20,6 @@ from .engine import (
 from .config import load_scenario, parse_scenario
 from .errors import (
     DomainError,
-    InfeasibleError,
     PolicyRunError,
     ScenarioError,
     UnknownLevelError,

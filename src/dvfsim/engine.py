@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .errors import DomainError, InfeasibleError, PolicyRunError, ScenarioError, Violation, _finite, _real
+from .errors import DomainError, PolicyRunError, ScenarioError, Violation, _finite, _real
 from .power import (
     DEFAULT_COST_RATE,
     EnergyBreakdown,
@@ -298,9 +298,8 @@ def _run(scenario: Scenario, policy: TransitionPolicy, sink) -> SimReport:
         if task.arrival > tl.now:
             tl.run(task.arrival - tl.now, level, active=False, until=task.arrival)
         start = tl.now
-        try:
-            target, infeasible = rule(task, start), False
-        except InfeasibleError:  # no level meets the deadline: run at the top and flag it
+        target, infeasible = rule(task, start), False
+        if target is None:  # no level meets the deadline: run at the top and flag it
             target, infeasible = spec.levels[-1], True
         cycles_left = task.cycles
         for hop, wear in plan(level, target):

@@ -14,19 +14,6 @@ class UnknownLevelError(DomainError):
     """A frequency level does not belong to the processor spec it was used with."""
 
 
-class InfeasibleError(Exception):
-    """No frequency level can meet the task's deadline from the given start time.
-
-    ``required_hz`` is the minimum frequency that would have met the deadline
-    (``inf`` when the window is already closed).
-    """
-
-    def __init__(self, task_id: str, required_hz: float):
-        self.task_id = task_id
-        self.required_hz = required_hz
-        super().__init__(f"task {task_id!r} infeasible: needs >= {required_hz:g} Hz")
-
-
 class ScenarioError(Exception):
     """A scenario failed parsing, schema checking, or semantic validation.
 

