@@ -6,9 +6,9 @@ overflowing a float, or a run carried past the trace cap of
 engine.MAX_TRACE_POINTS samples), 2 invalid scenario (parse/schema/validation,
 including NaN, Infinity, out-of-range numbers, a file that is not UTF-8 or is
 nested too deeply to decode, and a sim.trace_dt finer than the cap allows), 64
-usage error (including simulate's --report and --trace naming one file). Output
-is plain text. ``main`` returns the exit code on every path, ``-h``/``--help``
-(0) included, and never raises SystemExit.
+usage error (including an empty path and simulate's --report and --trace naming
+one file). Output is plain text. ``main`` returns the exit code on every path,
+``-h``/``--help`` (0) included, and never raises SystemExit.
 
 ``main`` builds the parser of the subcommand its first argument names, and no
 other; any other first argument (none, ``-h``, an unknown word) gets all four,
@@ -49,6 +49,12 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); the contract wants 64
         raise _UsageError(message)
+
+
+def _path(text: str) -> str:
+    if not text:  # open("") fails, and "" would read as "no file given"
+        raise argparse.ArgumentTypeError("empty path")
+    return text
 
 
 def _parse_policies(text: str) -> list[TransitionPolicy]:
@@ -155,6 +161,8 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+_PATH_FLAGS = ("--scenario", "--report", "--trace", "--out")
+
 # Each subcommand: its help line, its handler, and its options as (flag, required, help), in help order.
 _COMMANDS = {
     "validate": ("check a scenario file, listing every violation", cmd_validate, (("--scenario", True, None),)),
@@ -186,7 +194,7 @@ def build_parser(commands=_COMMANDS) -> _Parser:
         help_line, func, options = _COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
         for flag, required, help_text in options:
-            p.add_argument(flag, required=required, help=help_text)
+            p.add_argument(flag, required=required, help=help_text, type=_path if flag in _PATH_FLAGS else None)
         p.set_defaults(func=func)
     return parser
 

@@ -369,8 +369,11 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
 
 
 def policy_label(policy: TransitionPolicy) -> str:
+    """The policy as ``--policies`` spells it: the dwell as ``:g`` where that reads back as the same float, else as
+    its ``repr``, so no two policies share a label."""
     if policy.kind == "stepped" and policy.dwell > 0:
-        return f"stepped:{policy.dwell:g}"
+        dwell = f"{policy.dwell:g}"
+        return f"stepped:{dwell if float(dwell) == policy.dwell else repr(policy.dwell)}"
     return policy.kind
 
 

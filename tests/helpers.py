@@ -1,12 +1,16 @@
-"""Shared builders for test scenarios; defaults mirror the shipped demo config."""
+"""Shared builders for test scenarios, with defaults that mirror the shipped demo config, and the two ways tests
+drive the CLI: in-process (`call_cli`) and as a process (`run_cli`)."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 from dvfsim import (
@@ -20,6 +24,7 @@ from dvfsim import (
     TransitionPolicy,
     WearParams,
 )
+from dvfsim import cli
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -49,11 +54,28 @@ def left_sum(values):
     return total
 
 
-def run_cli(*args):
-    """Run ``python -m dvfsim *args`` on this checkout's sources, whether or not the package is installed."""
-    return subprocess.run(
-        [sys.executable, "-m", "dvfsim", *args], capture_output=True, text=True, timeout=120, env=source_env()
-    )
+CliRun = namedtuple("CliRun", "returncode stdout stderr")
+
+
+def call_cli(*args) -> CliRun:
+    """``cli.main(args)`` in this process: the exit code it returns and the text it prints to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return CliRun(code, out.getvalue(), err.getvalue())
+
+
+def run_cli(*args, **options):
+    """Run ``python -m dvfsim *args`` as a process on this checkout's sources, whether or not the package is
+    installed; ``options`` go to ``subprocess.run``, over capturing stdout and stderr as text."""
+    options = {"capture_output": True, "text": True, "timeout": 120, "env": source_env(), **options}
+    return subprocess.run([sys.executable, "-m", "dvfsim", *args], **options)
+
+
+def active_power(spec, level) -> float:
+    """The reference active power ``coeff_a*f*vdd**2 + coeff_b*vdd + p_device`` of ``level``, from the spec's raw
+    coefficients, not read from its table."""
+    return spec.coeff_a * level.freq * level.vdd**2 + spec.coeff_b * level.vdd + spec.p_device
 
 
 def load_json(path):

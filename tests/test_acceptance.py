@@ -33,6 +33,7 @@ from dvfsim.transitions import full_span, shock_wear
 
 from helpers import (
     SCENARIO_DIR,
+    active_power,
     left_sum,
     make_scenario,
     make_spec,
@@ -109,8 +110,7 @@ def test_ac03_simulated_energy_matches_closed_form():
             trace_dt=duration / 10.0,
         )
         report, _ = simulate(sc)
-        p_active = spec.coeff_a * level.freq * level.vdd**2 + spec.coeff_b * level.vdd + spec.p_device
-        expected = p_active * t_active + spec.p_idle * (duration - t_active)
+        expected = active_power(spec, level) * t_active + spec.p_idle * (duration - t_active)
         assert math.isclose(report.energy.total_j, expected, rel_tol=1e-9)
     print("AC3 PASS: 100 randomized single-task runs match the closed-form energy within 1e-9")
 
@@ -166,8 +166,7 @@ def test_ac05_governor_matches_exhaustive_enumeration():
             if t_run > window:
                 continue
             feasible.append(level.index)
-            p_active = spec.coeff_a * level.freq * level.vdd**2 + spec.coeff_b * level.vdd + spec.p_device
-            energy = p_active * t_run + spec.p_idle * (window - t_run)
+            energy = active_power(spec, level) * t_run + spec.p_idle * (window - t_run)
             if energy < best_energy:
                 best_index, best_energy = level.index, energy
 

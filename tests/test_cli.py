@@ -4,14 +4,15 @@ import os
 import pty
 import resource
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+import hypothesis.strategies as st
 
-from dvfsim import cli, engine, load_scenario, simulate, thermal
+from dvfsim import TransitionPolicy, cli, engine, load_scenario, simulate, thermal
 from dvfsim.reporting import TRACE_HEADER
-from helpers import SCENARIO_DIR, TRACE_ROW, load_json, run_cli, source_env
+from helpers import SCENARIO_DIR, TRACE_ROW, call_cli, load_json, run_cli, source_env
 from pinned import REFERENCE, VARIANTS, variant_document
 
 TURION = str(SCENARIO_DIR / "turion6.json")
@@ -38,25 +39,19 @@ def table_rows(stdout):
 
 
 class TestValidate:
-    def test_shipped_scenarios_are_valid(self):
-        for path in (TURION, STEP_DEMO):
-            result = run_cli("validate", "--scenario", path)
-            assert result.returncode == 0, result.stderr
-            assert "OK" in result.stdout
-
     def test_invalid_scenario_exits_2_and_lists_violations(self, tmp_path):
         doc = json.loads(open(TURION).read())
         doc["processor"]["levels"].reverse()
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        result = run_cli("validate", "--scenario", str(bad))
+        result = call_cli("validate", "--scenario", str(bad))
         assert result.returncode == 2
         assert "not strictly increasing" in result.stderr
 
     def test_parse_error_exits_2(self, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{nope")
-        result = run_cli("validate", "--scenario", str(bad))
+        result = call_cli("validate", "--scenario", str(bad))
         assert result.returncode == 2
         assert "line" in result.stderr
 
@@ -65,19 +60,18 @@ class TestValidate:
         doc["tasks"] = [{k: v if k == "id" else math.ceil(v) for k, v in t.items()} for t in doc["tasks"]]
         path = tmp_path / "int.json"
         path.write_text(json.dumps(doc))
-        assert run_cli("validate", "--scenario", str(path)).returncode == 0
+        assert call_cli("validate", "--scenario", str(path)).returncode == 0
         doc["tasks"][0]["cycles"] = True
         path.write_text(json.dumps(doc))
-        result = run_cli("validate", "--scenario", str(path))
-        assert result.returncode == 2
-        assert result.stderr == "invalid scenario (schema): tasks[0].cycles: expected a number\n"
+        result = call_cli("validate", "--scenario", str(path))
+        assert result == (2, "", "invalid scenario (schema): tasks[0].cycles: expected a number\n")
 
 
 class TestSimulate:
     def test_writes_report_and_trace(self, tmp_path):
         report = tmp_path / "report.json"
         trace = tmp_path / "trace.csv"
-        result = run_cli("simulate", "--scenario", TURION, "--report", str(report), "--trace", str(trace))
+        result = call_cli("simulate", "--scenario", TURION, "--report", str(report), "--trace", str(trace))
         assert result.returncode == 0, result.stderr
         assert "energy_total_j" in result.stdout
         doc = json.loads(report.read_text())
@@ -91,7 +85,7 @@ class TestSimulate:
         [("turion6", 1202, "120.0"), ("step_demo", 302, "30.0"), (E1, 1202, "120.0")],
         ids=["turion6", "step_demo", E1],
     )
-    def test_every_verb_runs_and_a_trace_changes_no_other_output(self, tmp_path, monkeypatch, capsys, name, rows, end):
+    def test_every_verb_runs_and_a_trace_changes_no_other_output(self, tmp_path, monkeypatch, name, rows, end):
         e1_calls = []
         scaled_e1 = thermal._scaled_e1
         monkeypatch.setattr(thermal, "_scaled_e1", lambda *args: e1_calls.append(args) or scaled_e1(*args))
@@ -103,56 +97,51 @@ class TestSimulate:
             ["sweep", "--param", "wear.alpha", "--values", "1,2"],
             ["sweep", "--param", "wear.alpha", "--values", "1,2", "--policies", "direct,stepped"],
         ):
-            assert cli.main([argv[0], "--scenario", scenario, *argv[1:]]) == 0
+            assert call_cli(argv[0], "--scenario", scenario, *argv[1:]).returncode == 0
         untraced, traced, trace = (tmp_path / file for file in ("untraced.json", "traced.json", "trace.csv"))
-        capsys.readouterr()
-        assert cli.main(["simulate", "--scenario", scenario, "--report", str(untraced)]) == 0
-        summary = capsys.readouterr()
-        assert cli.main(["simulate", "--scenario", scenario, "--report", str(traced), "--trace", str(trace)]) == 0
-        assert capsys.readouterr() == summary
+        summary = call_cli("simulate", "--scenario", scenario, "--report", str(untraced))
+        assert summary.returncode == 0
+        assert call_cli("simulate", "--scenario", scenario, "--report", str(traced), "--trace", str(trace)) == summary
         assert traced.read_bytes() == untraced.read_bytes()
         lines = trace.read_text().splitlines()
         assert (lines[0], len(lines), lines[-1].split(",")[0]) == (TRACE_HEADER, rows, end)
         assert bool(e1_calls) == (name == E1)  # neither shipped scenario takes the E1 route
 
-    def test_missing_scenario_exits_1(self, tmp_path):
-        result = run_cli("simulate", "--scenario", str(tmp_path / "absent.json"))
-        assert result.returncode == 1
-
     @pytest.mark.parametrize("scenario", [TURION, "missing.json"], ids=["shipped", "missing"])
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-    def test_one_file_for_report_and_trace_is_a_usage_error(self, tmp_path, monkeypatch, capsys, scenario, existing):
+    def test_one_file_for_report_and_trace_is_a_usage_error(self, tmp_path, monkeypatch, scenario, existing):
         monkeypatch.chdir(tmp_path)  # refused before the scenario file is read, and the file is left as it was
         target = tmp_path / "x.json"
         if existing:
             target.write_text("kept")
-        assert cli.main(["simulate", "--scenario", scenario, "--report", "x.json", "--trace", "./x.json"]) == 64
-        assert capsys.readouterr() == ("", "usage error: --report and --trace both name 'x.json'\n")
+        result = call_cli("simulate", "--scenario", scenario, "--report", "x.json", "--trace", "./x.json")
+        assert result == (64, "", "usage error: --report and --trace both name 'x.json'\n")
         if existing:
             assert target.read_text() == "kept"
         else:
             assert not target.exists()
 
     @pytest.mark.parametrize("scenario", [TURION, "missing.json"], ids=["shipped", "missing"])
-    def test_a_hard_link_for_report_and_trace_is_a_usage_error(self, tmp_path, monkeypatch, capsys, scenario):
+    def test_a_hard_link_for_report_and_trace_is_a_usage_error(self, tmp_path, monkeypatch, scenario):
         monkeypatch.chdir(tmp_path)  # two names, one file: the paths differ even once resolved
         target = tmp_path / "a.json"
         target.write_text("kept")
         os.link(target, tmp_path / "b.json")
-        assert cli.main(["simulate", "--scenario", scenario, "--report", "a.json", "--trace", "b.json"]) == 64
-        assert capsys.readouterr() == ("", "usage error: --report and --trace both name 'a.json'\n")
+        result = call_cli("simulate", "--scenario", scenario, "--report", "a.json", "--trace", "b.json")
+        assert result == (64, "", "usage error: --report and --trace both name 'a.json'\n")
         assert target.read_text() == "kept"
 
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs the /dev/null device")
-    def test_a_device_may_take_both_report_and_trace(self, capsys):
-        assert cli.main(["simulate", "--scenario", TURION, "--report", "/dev/null", "--trace", "/dev/null"]) == 0
+    def test_a_device_may_take_both_report_and_trace(self):
+        result = call_cli("simulate", "--scenario", TURION, "--report", "/dev/null", "--trace", "/dev/null")
+        assert result.returncode == 0
 
     def test_invalid_scenario_exits_2(self, tmp_path):
         doc = json.loads(open(TURION).read())
         doc["sim"]["duration_s"] = 1.0  # shorter than the deadlines
         bad = tmp_path / "short.json"
         bad.write_text(json.dumps(doc))
-        result = run_cli("simulate", "--scenario", str(bad))
+        result = call_cli("simulate", "--scenario", str(bad))
         assert result.returncode == 2
         assert "sim.duration" in result.stderr
 
@@ -169,24 +158,23 @@ class TestNonFiniteInput:
 
     def assert_one_line(self, result, code, text):
         assert result.returncode == code
-        assert "Traceback" not in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
         assert text in result.stderr
 
     def test_nan_and_infinity_are_parse_errors(self, tmp_path):
         for literal in ("NaN", "Infinity", "-Infinity"):
-            result = run_cli("validate", "--scenario", self.write_with_cycles(tmp_path, literal))
+            result = call_cli("validate", "--scenario", self.write_with_cycles(tmp_path, literal))
             self.assert_one_line(result, 2, f"invalid scenario (parse): {tmp_path}")
             assert f"non-finite number {literal} is not allowed" in result.stderr
 
     def test_literals_beyond_the_float_range_are_schema_errors(self, tmp_path):
         for literal in ("1e400", "-1e400", "1" + "0" * 400):
-            result = run_cli("validate", "--scenario", self.write_with_cycles(tmp_path, literal))
+            result = call_cli("validate", "--scenario", self.write_with_cycles(tmp_path, literal))
             self.assert_one_line(result, 2, "invalid scenario (schema): tasks[0].cycles: expected a finite number")
 
     def test_sweep_reads_documents_the_same_way(self, tmp_path):
         path = self.write_with_cycles(tmp_path, "NaN")
-        result = run_cli("sweep", "--scenario", path, "--param", "wear.alpha", "--values", "1,2")
+        result = call_cli("sweep", "--scenario", path, "--param", "wear.alpha", "--values", "1,2")
         self.assert_one_line(result, 2, "non-finite number NaN is not allowed")
 
     @pytest.mark.parametrize("verb", ["validate", "sweep"])
@@ -202,7 +190,7 @@ class TestNonFiniteInput:
         path = tmp_path / "unreadable.json"
         path.write_bytes(content)
         args = ("--param", "wear.alpha", "--values", "1,2") if verb == "sweep" else ()
-        result = run_cli(verb, "--scenario", str(path), *args)
+        result = call_cli(verb, "--scenario", str(path), *args)
         self.assert_one_line(result, 2, f"invalid scenario (parse): {path}: ")
         assert text in result.stderr
 
@@ -215,7 +203,7 @@ class TestNonFiniteInput:
         for name, doc in (("hot", hot), ("jolt", jolt)):
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(doc))
-            self.assert_one_line(run_cli("simulate", "--scenario", str(path)), 1, "error: ")
+            self.assert_one_line(call_cli("simulate", "--scenario", str(path)), 1, "error: ")
 
 
 class TestNonFiniteReport:
@@ -239,9 +227,9 @@ class TestNonFiniteReport:
             doc[section].update(values)
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(doc))
-        assert run_cli("validate", "--scenario", str(path)).returncode == 0
+        assert call_cli("validate", "--scenario", str(path)).returncode == 0
         report, trace = tmp_path / "report.json", tmp_path / "trace.csv"
-        result = run_cli("simulate", "--scenario", str(path), "--report", str(report), "--trace", str(trace))
+        result = call_cli("simulate", "--scenario", str(path), "--report", str(report), "--trace", str(trace))
         assert result.returncode == 1
         assert result.stderr.splitlines() == [result.stderr.strip()]
         assert result.stderr.startswith(f"error: {name} is ")
@@ -266,7 +254,7 @@ class TestTraceCap:
         doc["sim"]["trace_dt_s"] = trace_dt
         path = tmp_path / "fine.json"
         path.write_text(json.dumps(doc))
-        result = run_cli(verb, "--scenario", str(path), *self.VERB_ARGS[verb])
+        result = call_cli(verb, "--scenario", str(path), *self.VERB_ARGS[verb])
         assert result.returncode == 2
         assert result.stderr.strip().splitlines() == [
             "invalid scenario (validation): sim.trace_dt: gives more than 1000000 trace points over sim.duration"
@@ -281,10 +269,10 @@ class TestTraceCap:
         doc["sim"].update(duration_s=10.0, trace_dt_s=1.0)
         path = tmp_path / "overrun.json"
         path.write_text(json.dumps(doc))
-        assert run_cli("validate", "--scenario", str(path)).returncode == 0
+        assert call_cli("validate", "--scenario", str(path)).returncode == 0
         trace = tmp_path / "trace.csv"
         for args in ((), ("--trace", str(trace))):
-            result = run_cli("simulate", "--scenario", str(path), *args)
+            result = call_cli("simulate", "--scenario", str(path), *args)
             assert result.returncode == 1
             assert len(result.stderr.strip().splitlines()) == 1
             assert "trace points" in result.stderr
@@ -292,17 +280,9 @@ class TestTraceCap:
 
 
 class TestCompare:
-    def test_full_span_stepping_cuts_shock_wear_to_a_fifth(self):
-        result = run_cli("compare", "--scenario", STEP_DEMO, "--policies", "direct,stepped")
-        assert result.returncode == 0, result.stderr
-        rows = table_rows(result.stdout)
-        direct = float(rows["direct"][4])
-        stepped = float(rows["stepped"][4])
-        assert math.isclose(stepped, direct / 5.0, rel_tol=1e-9)
-
     def test_comparison_report_file(self, tmp_path):
         out = tmp_path / "cmp.json"
-        result = run_cli(
+        result = call_cli(
             "compare", "--scenario", TURION, "--policies", "direct,stepped:0.5", "--report", str(out)
         )
         assert result.returncode == 0
@@ -316,8 +296,8 @@ class TestCompare:
         env = source_env()
         env.pop("NO_COLOR", None)
         master, slave = pty.openpty()
-        argv = [sys.executable, "-m", "dvfsim", "compare", "--scenario", TURION, "--policies", "direct,stepped"]
-        proc = subprocess.run(argv, stdout=slave, stderr=subprocess.PIPE, env=env, timeout=120)
+        args = ("compare", "--scenario", TURION, "--policies", "direct,stepped")
+        proc = run_cli(*args, capture_output=False, stdout=slave, stderr=subprocess.PIPE, env=env)
         os.close(slave)
         out = b""
         try:
@@ -332,24 +312,37 @@ class TestCompare:
         assert b"\x1b[" not in out
 
     def test_single_policy_is_a_usage_error(self):
-        assert run_cli("compare", "--scenario", STEP_DEMO, "--policies", "direct").returncode == 64
+        assert call_cli("compare", "--scenario", STEP_DEMO, "--policies", "direct").returncode == 64
 
     def test_dwell_on_direct_is_a_usage_error(self):
-        result = run_cli("compare", "--scenario", STEP_DEMO, "--policies", "direct:0.5,stepped")
+        result = call_cli("compare", "--scenario", STEP_DEMO, "--policies", "direct:0.5,stepped")
         assert result.returncode == 64
 
     @pytest.mark.parametrize("dwell", ["nan", "inf", "1e400"])
     def test_a_non_finite_dwell_is_a_usage_error(self, tmp_path, dwell):
         for scenario in (STEP_DEMO, str(tmp_path / "missing.json")):  # refused before the file is read
-            result = run_cli("compare", "--scenario", scenario, "--policies", f"direct,stepped:{dwell}")
-            assert (result.returncode, result.stdout) == (64, "")
-            assert result.stderr == f"usage error: dwell '{dwell}' in --policies must be finite and >= 0\n"
+            result = call_cli("compare", "--scenario", scenario, "--policies", f"direct,stepped:{dwell}")
+            assert result == (64, "", f"usage error: dwell '{dwell}' in --policies must be finite and >= 0\n")
+
+    @given(st.floats(min_value=0.0, allow_infinity=False))
+    def test_a_label_reads_back_as_its_policy(self, dwell):
+        policy = TransitionPolicy("stepped", dwell)
+        assert cli._parse_policies(f"direct,{engine.policy_label(policy)}")[1] == policy
+
+    def test_dwells_that_print_alike_get_distinct_labels(self, tmp_path):
+        out = tmp_path / "cmp.json"
+        result = call_cli("compare", "--scenario", TURION, "--policies", "stepped:0.1234567,stepped:0.1234568",
+                          "--report", str(out))
+        assert result.returncode == 0, result.stderr
+        labels = ["stepped:0.1234567", "stepped:0.1234568"]
+        assert list(table_rows(result.stdout)) == labels
+        assert [p["label"] for p in load_json(out)["policies"]] == labels
 
 
 class TestSweep:
     def test_alpha_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        result = run_cli(
+        result = call_cli(
             "sweep", "--scenario", STEP_DEMO, "--param", "wear.alpha", "--values", "1,2", "--out", str(out)
         )
         assert result.returncode == 0, result.stderr
@@ -359,7 +352,7 @@ class TestSweep:
 
     def test_linear_alpha_equalizes_policies(self):
         # run the same sweep under each transition policy; alpha=1 rows must agree
-        result = run_cli(
+        result = call_cli(
             "sweep", "--scenario", STEP_DEMO, "--param", "wear.alpha", "--values", "1,2", "--policies", "direct,stepped"
         )
         assert result.returncode == 0, result.stderr
@@ -371,7 +364,7 @@ class TestSweep:
         assert shocks["stepped"][2.0] < shocks["direct"][2.0]
 
     def test_unknown_parameter_exits_2(self):
-        result = run_cli("sweep", "--scenario", STEP_DEMO, "--param", "wear.bogus", "--values", "1")
+        result = call_cli("sweep", "--scenario", STEP_DEMO, "--param", "wear.bogus", "--values", "1")
         assert result.returncode == 2
 
     @pytest.mark.parametrize(
@@ -383,9 +376,8 @@ class TestSweep:
         ],
     )
     def test_sweep_key_rules_exit_2_in_one_line(self, param, values, message):
-        result = run_cli("sweep", "--scenario", TURION, "--param", param, "--values", values)
-        assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr == f"invalid scenario (schema): {message}\n"
+        result = call_cli("sweep", "--scenario", TURION, "--param", param, "--values", values)
+        assert result == (2, "", f"invalid scenario (schema): {message}\n")
 
     @pytest.mark.parametrize(
         "param, kind",
@@ -393,16 +385,15 @@ class TestSweep:
     )
     def test_a_non_number_key_exits_64_before_reading(self, tmp_path, param, kind):
         for scenario in (TURION, str(tmp_path / "missing.json")):
-            result = run_cli("sweep", "--scenario", scenario, "--param", param, "--values", "1")
-            assert (result.returncode, result.stdout) == (64, "")
-            assert result.stderr == f"usage error: --param {param} holds a JSON {kind}, not a number\n"
+            result = call_cli("sweep", "--scenario", scenario, "--param", param, "--values", "1")
+            assert result == (64, "", f"usage error: --param {param} holds a JSON {kind}, not a number\n")
 
     def test_integer_values_sweep_the_fixed_index(self, tmp_path):
         doc = json.loads(open(TURION).read())
         doc["governor"] = {"kind": "fixed", "fixed_index": 5}
         path = tmp_path / "fixed.json"
         path.write_text(json.dumps(doc))
-        result = run_cli("sweep", "--scenario", str(path), "--param", "governor.fixed_index", "--values", "0,1")
+        result = call_cli("sweep", "--scenario", str(path), "--param", "governor.fixed_index", "--values", "0,1")
         assert result.returncode == 0, result.stderr
         assert [row.split(",")[0] for row in result.stdout.splitlines()[1:]] == ["0.0", "1.0"]
 
@@ -411,7 +402,7 @@ class TestSweep:
         doc["sim"] = 5
         path = tmp_path / "flat.json"
         path.write_text(json.dumps(doc))
-        result = run_cli("sweep", "--scenario", str(path), "--param", "sim.duration_s", "--values", "60")
+        result = call_cli("sweep", "--scenario", str(path), "--param", "sim.duration_s", "--values", "60")
         assert result.returncode == 2
         assert result.stderr.strip() == "invalid scenario (schema): sim: expected an object"
 
@@ -428,37 +419,35 @@ class TestUnwritableOutput:
     )
     def test_unwritable_out_is_a_one_line_runtime_error(self, tmp_path, args):
         out = tmp_path / "missing-dir" / "out"
-        result = run_cli(args[0], "--scenario", STEP_DEMO, *args[1:], str(out))
+        result = call_cli(args[0], "--scenario", STEP_DEMO, *args[1:], str(out))
         assert result.returncode == 1
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")
 
-    def test_an_unwritable_trace_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+    def test_an_unwritable_trace_fails_before_the_run(self, tmp_path, monkeypatch):
         runs = []
         monkeypatch.setattr(cli, "run_scenario", lambda *args: runs.append(args))
         report, trace = tmp_path / "report.json", tmp_path / "missing-dir" / "trace.csv"
-        assert cli.main(["simulate", "--scenario", STEP_DEMO, "--report", str(report), "--trace", str(trace)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: cannot write {trace}: ")
+        result = call_cli("simulate", "--scenario", STEP_DEMO, "--report", str(report), "--trace", str(trace))
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: cannot write {trace}: ")
         assert runs == []
         assert not report.exists()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
     def test_a_failed_row_write_on_a_device_leaves_the_device(self):
-        result = run_cli("simulate", "--scenario", TURION, "--trace", "/dev/full")
+        result = call_cli("simulate", "--scenario", TURION, "--trace", "/dev/full")
         assert result.returncode == 1
         assert result.stderr.splitlines() == ["error: cannot write /dev/full: [Errno 28] No space left on device"]
         assert os.path.exists("/dev/full")
 
     def test_a_failed_row_write_removes_the_partial_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"
-        argv = [sys.executable, "-m", "dvfsim", "simulate", "--scenario", TURION, "--trace", str(trace)]
 
         def limit_file_size():  # the full trace is about 80 kB
             resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
 
-        result = subprocess.run(
-            argv, capture_output=True, text=True, timeout=120, env=source_env(), preexec_fn=limit_file_size
-        )
+        result = run_cli("simulate", "--scenario", TURION, "--trace", str(trace), preexec_fn=limit_file_size)
         assert result.returncode == 1
         assert result.stderr.splitlines() == [f"error: cannot write {trace}: [Errno 27] File too large"]
         assert not trace.exists()
@@ -488,25 +477,25 @@ class TestLazyTrace:
         ],
         ids=["simulate", "compare", "sweep"],
     )
-    def test_verbs_without_a_trace_sample_nothing(self, samples, capsys, argv):
-        assert cli.main(argv) == 0
+    def test_verbs_without_a_trace_sample_nothing(self, samples, argv):
+        assert call_cli(*argv).returncode == 0
         assert samples == []
 
     @pytest.mark.parametrize("scenario", [TURION, STEP_DEMO], ids=["turion6", "step_demo"])
-    def test_the_streamed_trace_has_the_pinned_bytes(self, samples, tmp_path, capsys, scenario):
+    def test_the_streamed_trace_has_the_pinned_bytes(self, samples, tmp_path, scenario):
         streamed = tmp_path / "streamed.csv"
-        assert cli.main(["simulate", "--scenario", scenario, "--trace", str(streamed)]) == 0
+        assert call_cli("simulate", "--scenario", scenario, "--trace", str(streamed)).returncode == 0
         assert samples
         assert streamed.read_bytes() == (REFERENCE / f"{Path(scenario).stem}.trace.csv").read_bytes()
 
-    def test_a_trace_across_several_chunks_has_one_row_per_point(self, tmp_path, capsys):
+    def test_a_trace_across_several_chunks_has_one_row_per_point(self, tmp_path):
         doc = json.loads(open(TURION).read())
         doc["tasks"] = []  # one idle span of 3 * TRACE_CHUNK + 1 sampling intervals
         doc["sim"].update(duration_s=(3 * engine.TRACE_CHUNK + 1) * 0.5, trace_dt_s=0.5)
         scenario = tmp_path / "one_span.json"
         scenario.write_text(json.dumps(doc))
         streamed = tmp_path / "streamed.csv"
-        assert cli.main(["simulate", "--scenario", str(scenario), "--trace", str(streamed)]) == 0
+        assert call_cli("simulate", "--scenario", str(scenario), "--trace", str(streamed)).returncode == 0
         trace = simulate(load_scenario(scenario))[1]
         assert streamed.read_text() == TRACE_HEADER + "\n" + "".join(TRACE_ROW % point for point in trace)
         lines = streamed.read_text().splitlines()
@@ -544,23 +533,23 @@ class TestOneValidationPerScenario:
         ],
         ids=["validate", "simulate", "sweep", "compare", "sweep-policies"],
     )
-    def test_each_verb_validates_once_per_scenario(self, validated, capsys, argv, calls):
-        assert cli.main(argv) == 0
+    def test_each_verb_validates_once_per_scenario(self, validated, argv, calls):
+        assert call_cli(*argv).returncode == 0
         assert len(validated) == calls
 
 
 class TestUsage:
     def test_unknown_subcommand_exits_64(self):
-        result = run_cli("launch", "--scenario", TURION)
+        result = call_cli("launch", "--scenario", TURION)
         assert result.returncode == 64
         assert "usage" in result.stderr.lower()
 
     def test_unknown_flag_exits_64(self):
-        result = run_cli("simulate", "--scenario", TURION, "--turbo")
+        result = call_cli("simulate", "--scenario", TURION, "--turbo")
         assert result.returncode == 64
 
     def test_no_subcommand_exits_64(self):
-        assert run_cli().returncode == 64
+        assert call_cli().returncode == 64
 
     @pytest.mark.parametrize(
         "args, message",
@@ -581,10 +570,7 @@ class TestUsage:
     )
     def test_sweep_usage_errors_exit_64_in_one_line(self, tmp_path, args, message):
         for scenario in (TURION, str(tmp_path / "missing.json")):  # refused before the file is read
-            result = run_cli("sweep", "--scenario", scenario, *args)
-            assert result.returncode == 64
-            assert result.stderr == f"usage error: {message}\n"
-            assert result.stdout == ""
+            assert call_cli("sweep", "--scenario", scenario, *args) == (64, "", f"usage error: {message}\n")
 
 
 class TestParser:
@@ -651,9 +637,8 @@ options:
 
     @pytest.mark.parametrize("verb", HELP, ids=lambda verb: verb or "top")
     @pytest.mark.parametrize("flag", ["-h", "--help"])
-    def test_help_text(self, capsys, verb, flag):
-        assert cli.main([verb, flag] if verb else [flag]) == 0
-        assert capsys.readouterr() == (self.HELP[verb], "")
+    def test_help_text(self, verb, flag):
+        assert call_cli(*([verb, flag] if verb else [flag])) == (0, self.HELP[verb], "")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -672,22 +657,33 @@ options:
                 ["sweep", "--scenario", TURION, "--p", "wear.alpha", "--values", "1"],
                 "ambiguous option: --p could match --param, --policies",
             ),
+            # an empty path is refused before the scenario file (here a missing one) is read
+            (["validate", "--scenario", ""], "argument --scenario: empty path"),
+            (["simulate", "--scenario", "missing.json", "--report", ""], "argument --report: empty path"),
+            (["simulate", "--scenario", "missing.json", "--trace", ""], "argument --trace: empty path"),
+            (
+                ["compare", "--scenario", "missing.json", "--policies", "direct,stepped", "--report", ""],
+                "argument --report: empty path",
+            ),
+            (
+                ["sweep", "--scenario", "missing.json", "--param", "wear.alpha", "--values", "1", "--out", ""],
+                "argument --out: empty path",
+            ),
         ],
         ids=[
             "no-argument", "unknown-subcommand", "abbreviated-subcommand", "unknown-option-before",
             "unknown-option-after", "missing-required", "missing-second-required", "second-subcommand",
             "option-without-value", "abbreviated-option-first", "ambiguous-abbreviation",
+            "empty-scenario", "empty-report", "empty-trace", "empty-compare-report", "empty-out",
         ],
     )
-    def test_usage_errors(self, capsys, argv, message):
-        assert cli.main(argv) == 64
-        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+    def test_usage_errors(self, argv, message):
+        assert call_cli(*argv) == (64, "", f"usage error: {message}\n")
 
-    def test_an_abbreviated_option_is_taken(self, capsys):
-        assert cli.main(["validate", "--scen", TURION]) == 0
-        assert capsys.readouterr() == (f"{TURION}: OK (6 levels, 4 tasks)\n", "")
+    def test_an_abbreviated_option_is_taken(self):
+        assert call_cli("validate", "--scen", TURION) == (0, f"{TURION}: OK (6 levels, 4 tasks)\n", "")
 
-    def test_a_named_subcommand_gets_its_parser_alone(self, monkeypatch, capsys):
+    def test_a_named_subcommand_gets_its_parser_alone(self, monkeypatch):
         built = []
         build = cli.build_parser
 
@@ -696,8 +692,8 @@ options:
             return build(commands)
 
         monkeypatch.setattr(cli, "build_parser", spy)
-        cli.main(["validate", "--scenario", TURION])
-        cli.main(["bogus"])
+        call_cli("validate", "--scenario", TURION)
+        call_cli("bogus")
         assert built == [["validate"], ["validate", "simulate", "compare", "sweep"]]
 
 
@@ -707,7 +703,7 @@ class TestSweepPolicies:
     ARGS = ("sweep", "--scenario", TURION, "--param", "wear.alpha", "--policies", "direct,stepped")
 
     def test_shock_exponent_sweep_runs_on_the_shipped_scenario(self):
-        result = run_cli(*self.ARGS, "--values", "1,1.5,2,3")
+        result = call_cli(*self.ARGS, "--values", "1,1.5,2,3")
         assert result.returncode == 0, result.stderr
         header, *lines = result.stdout.splitlines()
         assert header == "value,policy,energy_j,shock_wear,thermal_wear,projected_lifetime_s"
@@ -732,7 +728,4 @@ class TestSweepPolicies:
         ids=["1,x", "1,nan", "0.5"],
     )
     def test_shock_exponent_sweep_rejects_bad_alphas_in_one_line(self, alphas, code, message):
-        result = run_cli(*self.ARGS, "--values", alphas)
-        assert result.returncode == code
-        assert result.stderr == message + "\n"
-        assert result.stdout == ""
+        assert call_cli(*self.ARGS, "--values", alphas) == (code, "", message + "\n")

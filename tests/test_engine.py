@@ -44,6 +44,7 @@ from dvfsim.transitions import shock_wear
 from helpers import (
     SCENARIO_DIR,
     TURION_FREQS,
+    active_power,
     left_sum,
     make_scenario,
     make_spec,
@@ -55,10 +56,6 @@ from strategies import specs, workloads
 
 DIRECT = TransitionPolicy("direct")
 STEPPED = TransitionPolicy("stepped")
-
-
-def active_power_inline(spec, level):
-    return spec.coeff_a * level.freq * level.vdd**2 + spec.coeff_b * level.vdd + spec.p_device
 
 
 def fields(err) -> list[str]:
@@ -229,7 +226,7 @@ class TestSingleTaskEnergy:
         report, _ = simulate(sc)
 
         t_active = 2.7e9 / 1200e6
-        expected = active_power_inline(spec, spec.levels[2]) * t_active + spec.p_idle * (60.0 - t_active)
+        expected = active_power(spec, spec.levels[2]) * t_active + spec.p_idle * (60.0 - t_active)
         assert report.energy.total_j == pytest.approx(expected, rel=1e-9)
         assert report.active_s == pytest.approx(t_active, rel=1e-12)
         assert report.per_task[0].deadline_met

@@ -155,17 +155,6 @@ class TestPlanWear:
         assert direct == pytest.approx(1e-4, rel=1e-12)
         assert stepped == pytest.approx(2e-5, rel=1e-12)
 
-    def test_linear_exponent_makes_stepping_neutral(self):
-        spec = make_spec()
-        params = make_wear(k_shock=1e-4, alpha=1.0, f_span=1e9)
-        direct = sum(
-            shock_wear(params, h.delta_f) for h in plan_transition(spec, spec.levels[0], spec.levels[5], DIRECT)
-        )
-        stepped = sum(
-            shock_wear(params, h.delta_f) for h in plan_transition(spec, spec.levels[0], spec.levels[5], STEPPED)
-        )
-        assert math.isclose(direct, stepped, rel_tol=1e-12)
-
     def test_empty_plan_has_no_wear(self):
         spec = make_spec()
         hops = plan_transition(spec, spec.levels[1], spec.levels[1], DIRECT)

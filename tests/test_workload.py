@@ -15,7 +15,7 @@ from dvfsim import (
     run_scenario,
 )
 
-from helpers import make_scenario, make_spec, make_thermal, make_wear
+from helpers import active_power, make_scenario, make_spec, make_thermal, make_wear
 from strategies import specs, tasks_for
 
 
@@ -122,28 +122,6 @@ class TestMinEnergy:
         spec = two_level_spec()
         assert governor_rule(spec, MIN_ENERGY)(Task("t", 4.1e9, 0.0, 2.0), 0.0) is None
 
-    @given(specs(), st.data())
-    @settings(max_examples=120)
-    def test_matches_exhaustive_enumeration(self, spec, data):
-        task = data.draw(tasks_for(spec, slack_min=0.5, slack_max=8.0))
-        window = task.deadline - task.arrival
-
-        # independent oracle: inline energy arithmetic over every level
-        best_index, best_energy = None, math.inf
-        for level in spec.levels:
-            t_run = task.cycles / level.freq
-            if t_run > window:
-                continue
-            p_active = spec.coeff_a * level.freq * level.vdd**2 + spec.coeff_b * level.vdd + spec.p_device
-            energy = p_active * t_run + spec.p_idle * (window - t_run)
-            if energy < best_energy:
-                best_index, best_energy = level.index, energy
-
-        if best_index is None:
-            assert governor_rule(spec, MIN_ENERGY)(task, task.arrival) is None
-        else:
-            assert governor_rule(spec, MIN_ENERGY)(task, task.arrival).index == best_index
-
     @given(specs(zero_static=True), st.data())
     @settings(max_examples=60)
     def test_equals_lowest_feasible_without_static_power(self, spec, data):
@@ -182,11 +160,6 @@ def governor_cases(draw):
     return spec, Task("t", cycles, arrival, start + cycles / levels[-1].freq * slack), start, ties
 
 
-def raw_power(spec, lv):
-    """Active power from the raw coefficients, not read from the spec's table."""
-    return spec.coeff_a * lv.freq * lv.vdd**2 + spec.coeff_b * lv.vdd + spec.p_device
-
-
 def brute_force(spec, task, start):
     """(lowest feasible index, least-energy index with ties to the lower index), or None if no level fits."""
     window = task.deadline - start
@@ -194,7 +167,7 @@ def brute_force(spec, task, start):
     for lv in spec.levels:
         t_run = task.cycles / lv.freq
         if t_run <= window:
-            energies[lv.index] = raw_power(spec, lv) * t_run + spec.p_idle * (window - t_run)
+            energies[lv.index] = active_power(spec, lv) * t_run + spec.p_idle * (window - t_run)
     if not energies:
         return None
     return min(energies), min(energies, key=lambda i: (energies[i], i))
@@ -206,7 +179,7 @@ class TestGovernorsAgainstBruteForce:
     def test_both_governors_match_a_brute_force_search(self, case):
         spec, task, start, ties = case
         for level in spec.levels:
-            assert spec.active_w[level.index] == raw_power(spec, level)
+            assert spec.active_w[level.index] == active_power(spec, level)
         expected = brute_force(spec, task, start)
         if expected is None:
             for governor in (LOWEST, MIN_ENERGY):
