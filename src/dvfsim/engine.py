@@ -370,8 +370,8 @@ def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
 
 def policy_label(policy: TransitionPolicy) -> str:
     """The policy as ``--policies`` spells it: the dwell as ``:g`` where that reads back as the same float, else as
-    its ``repr``, so no two policies share a label."""
-    if policy.kind == "stepped" and policy.dwell > 0:
+    its ``repr``, so no two policies share a label. A dwell that is not a finite number is left out."""
+    if policy.kind == "stepped" and _finite(policy.dwell) and policy.dwell > 0:
         dwell = f"{policy.dwell:g}"
         return f"stepped:{dwell if float(dwell) == policy.dwell else repr(policy.dwell)}"
     return policy.kind

@@ -26,6 +26,7 @@ from dvfsim import (
     Task,
     TaskOutcome,
     ThermalParams,
+    TracePoint,
     TransitionEvent,
     TransitionPolicy,
     Violation,
@@ -503,8 +504,9 @@ class TestComparePolicies:
         [
             (TransitionPolicy("bogus"), "policy.kind: unknown kind 'bogus'"),
             (TransitionPolicy("stepped", math.nan), "policy.dwell: must be finite and >= 0"),
+            (TransitionPolicy("stepped", "x"), "policy.dwell: must be finite and >= 0"),
         ],
-        ids=["kind", "dwell"],
+        ids=["kind", "dwell", "non-number-dwell"],
     )
     def test_a_bad_policy_fails_as_a_scenario_built_with_it_would(self, policy, message):
         sc = make_scenario(tasks=(make_task(),), duration=30.0)
@@ -556,6 +558,7 @@ class TestRecords:
             "policy", "label", "report", "delta_energy_j", "delta_lifetime_s", "newly_missed", "newly_met",
         ),
         ComparisonReport: ("runs",),
+        TracePoint: ("time", "freq", "power", "temp", "cum_wear"),
     }
 
     @pytest.mark.parametrize("record", FIELDS, ids=lambda record: record.__name__)

@@ -16,7 +16,7 @@ from dvfsim import (
 )
 from dvfsim.power import energy_cost
 
-from helpers import active_power, make_scenario, make_spec, make_task, turion_levels
+from helpers import make_scenario, make_spec, make_task, turion_levels
 from strategies import specs
 
 
@@ -86,11 +86,6 @@ class TestActivePower:
         for changes in ({"coeff_a": spec.coeff_a * 2}, {"coeff_b": 0.0, "p_device": 7.5}, {"levels": spec.levels[:2]}):
             copy = spec._replace(**changes)
             assert copy.active_w == make_spec(**{**spec._asdict(), **changes}).active_w != before
-
-    @given(specs())
-    def test_matches_independent_reevaluation(self, spec):
-        for level in spec.levels:
-            assert math.isclose(spec.active_w[level.index], active_power(spec, level), rel_tol=1e-12)
 
     @given(specs())
     def test_strictly_increasing_across_ladder(self, spec):

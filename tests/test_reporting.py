@@ -291,6 +291,7 @@ class TestTraceWriter:
     # equal freqs that render apart, in adjacent spans: one span's must not be rendered for the other's
     @example([[TracePoint(0.0, 0.0, 1.0, 2.0, 3.0)], [TracePoint(0.5, -0.0, 1.0, 2.0, 3.0)],
               [TracePoint(1.0, 0, 1.0, 2.0, 3.0)]])
+    @example([])
     @settings(max_examples=300, deadline=None)
     def test_chunks_give_the_bytes_of_one_row_per_point(self, tmp_path_factory, chunks):
         path = tmp_path_factory.mktemp("trace") / "t.csv"

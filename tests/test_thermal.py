@@ -15,19 +15,6 @@ from helpers import make_spec, make_wear, steady_wear_factors
 TRANSIENT = ThermalParams(r_th=0.5, c_th=10.0, t_amb=25.0, t_ref=25.0, l_base=1000.0)
 
 
-def oracle_trapezoid_wear(params, temp0, power, dt, n):
-    """Independent fine-grid trapezoid of the wear rate on the exact trajectory."""
-    tau = params.r_th * params.c_th
-    t_ss = params.t_amb + power * params.r_th
-    h = dt / n
-    total = 0.0
-    for k in range(n + 1):
-        temp = t_ss + (temp0 - t_ss) * math.exp(-(k * h) / tau)
-        rate = 2.0 ** ((temp - params.t_ref) / 10.0) / params.l_base
-        total += rate if 0 < k < n else rate / 2.0
-    return total * h
-
-
 def decimal_wear(params, temp0, power, dt):
     """Wear by the Ei power series (A&S 5.1.10) in decimal arithmetic.
 
@@ -153,12 +140,6 @@ class TestIntegrateThermalWear:
         params = ThermalParams(r_th=0.5, c_th=10.0, t_amb=60.0, t_ref=50.0, l_base=1000.0)
         _, wear, _ = SteadyState(params, 0.0).step(60.0, 100.0)
         assert wear == pytest.approx(0.2, rel=1e-12)
-
-    def test_transient_matches_fine_grid_oracle(self):
-        temp, wear, _ = SteadyState(TRANSIENT, 20.0).step(25.0, 5.0)
-        reference = oracle_trapezoid_wear(TRANSIENT, 25.0, 20.0, 5.0, 10**4)
-        assert wear == pytest.approx(reference, rel=1e-6)
-        assert temp == pytest.approx(35.0 - 10.0 * math.exp(-1.0), rel=1e-12)
 
     def test_end_state_is_the_exact_exponential(self):
         temp, _, _ = SteadyState(TRANSIENT, 12.0).step(28.0, 7.5)
