@@ -9,8 +9,6 @@ import json
 import math
 import random
 
-import pytest
-
 from dvfsim import (
     FrequencyLevel,
     GovernorPolicy,

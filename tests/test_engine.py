@@ -64,29 +64,7 @@ def fields(err) -> list[str]:
     return [p.partition(": ")[0] for p in err.value.problems]
 
 
-def rules(err) -> list[str]:
-    return [p.partition(": ")[2] for p in err.value.problems]
-
-
 class TestValidation:
-    def test_duration_must_cover_deadlines(self):
-        with pytest.raises(ScenarioError) as err:
-            make_scenario(tasks=(make_task(deadline=500.0),), duration=100.0)
-        assert "sim.duration" in fields(err)
-        assert err.value.kind == "validation"
-
-    def test_unsorted_tasks_rejected(self):
-        tasks = (make_task(id="a", arrival=5.0, deadline=10.0), make_task(id="b", arrival=1.0, deadline=8.0))
-        with pytest.raises(ScenarioError) as err:
-            make_scenario(tasks=tasks)
-        assert any("sorted by arrival" in r for r in rules(err))
-
-    def test_duplicate_task_ids_rejected(self):
-        tasks = (make_task(id="x", arrival=0.0), make_task(id="x", arrival=1.0, deadline=11.0))
-        with pytest.raises(ScenarioError) as err:
-            make_scenario(tasks=tasks)
-        assert any("duplicate task id" in r for r in rules(err))
-
     def test_fixed_governor_needs_index_in_bounds(self):
         with pytest.raises(ScenarioError) as err:
             make_scenario(governor=GovernorPolicy("fixed", 17))
@@ -243,11 +221,6 @@ class TestSingleTaskEnergy:
 
 
 class TestTimelineMechanics:
-    def test_time_conservation(self):
-        sc = make_scenario(tasks=(make_task(id="a", deadline=5.0), make_task(id="b", arrival=8.0, deadline=20.0)))
-        report, _ = simulate(sc)
-        assert report.active_s + report.idle_s == pytest.approx(sc.duration, abs=1e-9)
-
     def test_gap_triggers_descent_back_to_bottom(self):
         task = make_task(cycles=3.6e9, deadline=2.0)  # needs the top level
         report, _ = simulate(make_scenario(tasks=(task,), duration=30.0))
@@ -357,13 +330,6 @@ class TestTimelineMechanics:
 
 
 class TestWearAccounting:
-    def test_shock_ledger_equals_log_sum_exactly(self):
-        sc = make_scenario(tasks=(make_task(cycles=3.6e9, deadline=2.0),), policy=STEPPED, duration=30.0)
-        report, _ = simulate(sc)
-        assert report.ledger.shock_wear == left_sum(e.wear for e in report.transition_log)
-        for event in report.transition_log:
-            assert event.wear == shock_wear(sc.spec.wear, event.delta_f)
-
     def test_zero_dwell_stepping_only_changes_shock_wear(self):
         task = make_task(cycles=3.6e9, deadline=2.0)
         direct_report, direct_trace = simulate(make_scenario(tasks=(task,), policy=DIRECT, duration=30.0))
@@ -460,15 +426,6 @@ class TestTrace:
         assert 25.0 <= report.avg_temp <= report.peak_temp
 
 
-class TestDeterminism:
-    def test_identical_scenarios_give_identical_results(self):
-        sc = make_scenario(tasks=(make_task(cycles=3.6e9, deadline=2.0),), policy=TransitionPolicy("stepped", 0.1), duration=30.0)
-        r1, t1 = simulate(sc)
-        r2, t2 = simulate(sc)
-        assert r1 == r2
-        assert t1 == t2
-
-
 class TestComparePolicies:
     def test_needs_two_policies(self):
         with pytest.raises(DomainError):
@@ -492,12 +449,6 @@ class TestComparePolicies:
         assert slow.newly_missed == ("t",)
         assert slow.newly_met == ()
         assert (comparison.runs[0].report.deadline_misses, slow.report.deadline_misses) == (0, 1)
-
-    def test_failures_are_annotated_with_the_policy(self):
-        sc = make_scenario(tasks=(make_task(),), duration=30.0)
-        with pytest.raises(PolicyRunError) as err:
-            compare_policies(sc, [DIRECT, TransitionPolicy("stepped", -1.0)])
-        assert "stepped" in str(err.value)
 
     @pytest.mark.parametrize(
         "policy, message",

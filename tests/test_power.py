@@ -5,11 +5,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from dvfsim import (
-    DomainError,
     FrequencyLevel,
     GovernorPolicy,
     UnknownLevelError,
-    governor_rule,
     run_scenario,
     simulate,
     validate_spec,
@@ -52,10 +50,6 @@ class TestValidateSpec:
         # equal power on every level defeats frequency selection
         result = validate_spec(make_spec(coeff_a=0.0, coeff_b=0.0, p_device=3.0))
         assert any("active power" in v.rule for v in result)
-
-    def test_violations_are_collected_not_raised(self):
-        result = validate_spec(make_spec(coeff_a=-1.0, coeff_b=-2.0))
-        assert len(result) >= 2
 
 
 class TestActivePower:
@@ -142,16 +136,6 @@ class TestTaskEnergy:
         levels = [FrequencyLevel(0, 1e9, 1.0), FrequencyLevel(1, 2e9, 1.1)]
         spec = make_spec(levels=levels, coeff_a=1e-12, coeff_b=0.0, p_device=0.0, p_idle=0.0)
         assert one_task_energy(spec, spec.levels[0], 1.0, 1.0).idle_j == 0.0
-
-    def test_negative_time_rejected(self):
-        spec = make_spec()
-        task = make_task(cycles=1.8e9, deadline=1.0)  # only the top level runs it in its window
-        min_energy = governor_rule(spec, GovernorPolicy("min_energy"))
-        # a level that overruns the window would leave a negative idle time, so it is never chosen
-        assert min_energy(task, 0.0) == spec.levels[-1]
-        assert min_energy(task, 0.5) is None
-        with pytest.raises(DomainError):
-            min_energy(make_task(arrival=1.0), 0.0)  # a start before arrival
 
     @given(specs(), st.floats(1e-3, 1e4), st.floats(0.0, 1e4))
     def test_linear_in_both_times(self, spec, t_active, t_idle):

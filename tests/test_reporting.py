@@ -34,70 +34,10 @@ from helpers import (
     report_to_dict,
     trace_probe_scenario,
 )
-from strategies import specs, workloads
-
-
-def run_demo():
-    sc = make_scenario(tasks=(make_task(cycles=3.6e9, deadline=2.0),), duration=30.0)
-    return simulate(sc)
-
-
-def write_trace_csv(trace, path):
-    """Write ``trace`` through ``trace_writer``, each point handed over as a chunk of its own."""
-    with trace_writer(path) as write_span:
-        for point in trace:
-            write_span([point])
-
-
-def assert_rows_are_the_points(trace, path):
-    """Write the trace and check that every row parses back to its point's fields, in order."""
-    write_trace_csv(trace, path)
-    text = path.read_bytes().decode("utf-8")
-    assert text.endswith("\n") and "\r" not in text
-    header, *rows = text[:-1].split("\n")
-    assert header == TRACE_HEADER
-    assert [tuple(map(float, row.split(","))) for row in rows] == [tuple(p) for p in trace]
 
 
 def trapezoid(xs, ys):
     return sum(0.5 * (ys[i] + ys[i + 1]) * (xs[i + 1] - xs[i]) for i in range(len(xs) - 1))
-
-
-class TestWriteReport:
-    def test_byte_identical_on_rewrite(self, tmp_path):
-        report, _ = run_demo()
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_report(report, a)
-        write_report(report, b)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_unbounded_lifetime_sentinel(self, tmp_path):
-        from dvfsim import WearLedger
-
-        report, _ = run_demo()
-        pristine = report._replace(ledger=WearLedger(0.0, 0.0, 30.0), projected_lifetime=math.inf)
-        path = tmp_path / "r.json"
-        write_report(pristine, path)
-        assert load_json(path)["projected_lifetime_s"] == "unbounded"
-
-    def test_energy_round_trips_exactly(self, tmp_path):
-        report, _ = run_demo()
-        path = tmp_path / "r.json"
-        write_report(report, path)
-        doc = load_json(path)
-        assert doc["energy"]["total_j"] == report.energy.total_j
-        assert doc["energy"]["active_j"] == report.energy.active_j
-        assert doc["wear"]["shock"] == report.ledger.shock_wear
-        assert doc["schema_version"] == 1
-
-    def test_45_92_joules_survives_the_disk(self, tmp_path):
-        # the canonical active 41.92 J + idle 4.0 J breakdown
-        report, _ = run_demo()
-        patched = report.energy.__class__(41.92, 4.0)
-        report = report._replace(energy=patched)
-        path = tmp_path / "r.json"
-        write_report(report, path)
-        assert load_json(path)["energy"]["total_j"] == 45.92
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -209,51 +149,7 @@ class TestStreamedReport:
         assert not path.exists()
 
 
-class TestWriteTrace:
-    def test_empty_trace_is_header_only(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_trace_csv((), path)
-        assert path.read_text() == TRACE_HEADER + "\n"
-
-    def test_row_per_point_and_final_newline(self, tmp_path):
-        _, trace = run_demo()
-        path = tmp_path / "t.csv"
-        write_trace_csv(trace, path)
-        text = path.read_text()
-        assert text.endswith("\n")
-        lines = text.splitlines()
-        assert len(lines) == len(trace) + 1
-        assert lines[0] == "time_s,freq_hz,power_w,temp_c,cum_wear"
-        assert "." in lines[1]  # decimal separator
-
-    def test_byte_identical_on_rewrite(self, tmp_path):
-        _, trace = run_demo()
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trace_csv(trace, a)
-        write_trace_csv(trace, b)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_rows_parse_back_to_the_points(self, tmp_path):
-        _, trace = run_demo()
-        assert tuple(trace[1]) == (trace[1].time, trace[1].freq, trace[1].power, trace[1].temp, trace[1].cum_wear)
-        assert_rows_are_the_points(trace, tmp_path / "t.csv")
-
-    @given(specs(), st.data())
-    @settings(max_examples=5, deadline=None)
-    def test_rows_parse_back_to_the_points_of_a_workload(self, tmp_path_factory, spec, data):
-        tasks = data.draw(workloads(spec, max_tasks=300))
-        duration = max(t.deadline for t in tasks)
-        _, trace = simulate(make_scenario(spec=spec, tasks=tasks, duration=duration, trace_dt=duration / 1000.0))
-        assert_rows_are_the_points(trace, tmp_path_factory.mktemp("trace") / "t.csv")
-
-    def test_trace_power_integral_approximates_report_energy(self):
-        sc = trace_probe_scenario()
-        report, trace = simulate(sc)
-        times = [p.time for p in trace]
-        powers = [p.power for p in trace]
-        integral = trapezoid(times, powers)
-        assert integral == pytest.approx(report.energy.total_j, rel=1e-3)
-
+class TestTracePowerIntegral:
     def test_trace_integral_converges_as_sampling_shrinks(self):
         import dataclasses
 

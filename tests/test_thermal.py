@@ -69,12 +69,6 @@ class TestArrheniusFactor:
     def test_reference_point(self):
         assert steady_wear_factors(TRANSIENT, 25.0) == (1.0, 1.0)
 
-    def test_plus_ten_doubles_wear_rate(self):
-        assert steady_wear_factors(TRANSIENT, 35.0) == pytest.approx((2.0, 2.0), rel=1e-12)
-
-    def test_minus_ten_halves_wear_rate(self):
-        assert steady_wear_factors(TRANSIENT, 15.0) == pytest.approx((0.5, 0.5), rel=1e-12)
-
     def test_fractional_step(self):
         assert steady_wear_factors(TRANSIENT, 40.0) == pytest.approx((2.0**1.5, 2.0**1.5), rel=1e-12)
 
@@ -109,16 +103,9 @@ class TestThermalStep:
         temp, _, _ = SteadyState(TRANSIENT, 20.0).step(25.0, 5.0)
         assert temp == pytest.approx(35.0 - 10.0 * math.exp(-1.0), rel=1e-12)
 
-    def test_long_step_reaches_steady_state(self):
-        temp, _, _ = SteadyState(TRANSIENT, 20.0).step(25.0, 100.0 * TRANSIENT.tau)
-        assert abs(temp - 35.0) < 1e-9
-
-    @given(st.floats(0.0, 60.0), st.floats(0.0, 40.0), st.floats(-20.0, 120.0))
-    def test_half_steps_compose(self, dt, power, temp0):
-        full = SteadyState(TRANSIENT, power).step(temp0, dt)[0]
-        half = SteadyState(TRANSIENT, power).step(temp0, dt / 2.0)[0]
-        composed = SteadyState(TRANSIENT, power).step(half, dt / 2.0)[0]
-        assert math.isclose(composed, full, rel_tol=1e-12, abs_tol=1e-12)
+    def test_end_state_is_the_exact_exponential(self):
+        temp, _, _ = SteadyState(TRANSIENT, 12.0).step(28.0, 7.5)
+        assert temp == pytest.approx(31.0 - 3.0 * math.exp(-1.5), rel=1e-15)
 
     @given(st.floats(0.0, 100.0), st.floats(0.0, 40.0), st.floats(-20.0, 120.0))
     def test_never_overshoots(self, dt, power, temp0):
@@ -128,7 +115,9 @@ class TestThermalStep:
         assert lo - 1e-9 <= after <= hi + 1e-9
 
 
-class TestIntegrateThermalWear:
+class TestStepWear:
+    """The wear that one ``SteadyState.step`` books."""
+
     def test_constant_reference_temperature(self):
         # unit wear rate for 100 s against a 1000 s baseline
         params = ThermalParams(r_th=0.5, c_th=10.0, t_amb=50.0, t_ref=50.0, l_base=1000.0)
@@ -140,10 +129,6 @@ class TestIntegrateThermalWear:
         params = ThermalParams(r_th=0.5, c_th=10.0, t_amb=60.0, t_ref=50.0, l_base=1000.0)
         _, wear, _ = SteadyState(params, 0.0).step(60.0, 100.0)
         assert wear == pytest.approx(0.2, rel=1e-12)
-
-    def test_end_state_is_the_exact_exponential(self):
-        temp, _, _ = SteadyState(TRANSIENT, 12.0).step(28.0, 7.5)
-        assert temp == pytest.approx(31.0 - 3.0 * math.exp(-1.5), rel=1e-15)
 
     def test_closed_form_matches_decimal_oracle(self):
         # heating and cooling, |a| = ln2/10 * |T0 - T_ss| from 0 to the 709 limit, dt/tau from 1e-6 to 50, and each
@@ -213,15 +198,6 @@ class TestIntegrateThermalWear:
         lo, hi = sorted((d1, d2))
         steady = SteadyState(TRANSIENT, power)
         assert steady.step(25.0, lo)[1] <= steady.step(25.0, hi)[1] * (1 + 1e-12)
-
-    def test_zero_duration(self):
-        temp, wear, _ = SteadyState(TRANSIENT, 5.0).step(30.0, 0.0)
-        assert wear == 0.0
-        assert temp == 30.0
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(DomainError):
-            SteadyState(TRANSIENT, 5.0).step(25.0, -1.0)
 
 
 class TestStepChain:
@@ -321,7 +297,7 @@ class TestSteadyStateRecord:
         assert abs(wear - reference) <= wear_bound(swing(steady, temp0)) * math.ulp(reference)
         assert steady.step(temp0, 0.0) == (temp0, 0.0, 0.0)
 
-    def test_the_step_fails_as_advance_does(self):
+    def test_the_step_fails_with_the_message_of_its_cause(self):
         hot = ThermalParams(r_th=2000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1.0)
         edge = ThermalParams(r_th=1.0, c_th=1.0, t_amb=10045.0, t_ref=45.0, l_base=1.0)
         cases = (
@@ -344,7 +320,7 @@ class TestSteadyStateRecord:
 
     @given(st.sampled_from(sorted(ROUTES)), st.floats(0.0, 100.0), st.floats(0.5, 1.5), st.integers(1, 60))
     @settings(max_examples=150)
-    def test_the_span_trace_query_is_advance_at_each_point(self, route, t0, reach, n):
+    def test_the_span_trace_query_is_the_step_at_each_point(self, route, t0, reach, n):
         temp0, power, length = self.ROUTES[route]
         steady = SteadyState(TRANSIENT, power)
         dt = reach * length / n  # the offsets reach up to half a length past the span's end, where they clamp
@@ -357,7 +333,7 @@ class TestSteadyStateRecord:
             temp, wear = steady.step(temp0, min(p.time - t0, length))[:2]
             assert (p.temp, p.cum_wear) == (temp, 0.25 + wear)
 
-    def test_the_span_trace_query_fails_as_advance_does(self):
+    def test_the_span_trace_query_fails_as_the_step_does(self):
         hot = ThermalParams(r_th=2000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1.0)
         edge = ThermalParams(r_th=1.0, c_th=1.0, t_amb=10045.0, t_ref=45.0, l_base=1.0)
         # (record, entry temperature, s, the first trace index): the query traces the points at 0 (if k is 0) and s
@@ -551,13 +527,3 @@ class TestProjectLifetime:
     def test_shock_and_thermal_wear_both_count(self):
         combined = project_lifetime(WearLedger(0.05, 0.05, 100.0))
         assert combined == pytest.approx(1000.0, rel=1e-12)
-
-    def test_ten_degrees_cooler_doubles_projection(self):
-        hot = ThermalParams(r_th=0.5, c_th=10.0, t_amb=50.0, t_ref=50.0, l_base=1000.0)
-        cool = ThermalParams(r_th=0.5, c_th=10.0, t_amb=40.0, t_ref=50.0, l_base=1000.0)
-        _, wear_hot, _ = SteadyState(hot, 0.0).step(50.0, 200.0)
-        _, wear_cool, _ = SteadyState(cool, 0.0).step(40.0, 200.0)
-        ratio = project_lifetime(WearLedger(wear_cool, 0.0, 200.0)) / project_lifetime(
-            WearLedger(wear_hot, 0.0, 200.0)
-        )
-        assert ratio == pytest.approx(2.0, rel=1e-9)

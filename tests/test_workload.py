@@ -87,16 +87,6 @@ class TestLowestFeasible:
         task = Task("t", 1.0e9, 0.0, 1.0)
         assert governor_rule(spec, LOWEST)(task, 2.0) is None
 
-    @given(specs())
-    @settings(max_examples=60)
-    def test_result_feasible_and_one_below_is_not(self, spec):
-        task = Task("t", 2e9, 0.0, 2e9 / spec.levels[-1].freq * 1.7)
-        level = governor_rule(spec, LOWEST)(task, 0.0)
-        window = task.deadline
-        assert task.cycles / level.freq <= window
-        if level.index > 0:
-            assert task.cycles / spec.levels[level.index - 1].freq > window
-
 
 class TestMinEnergy:
     def test_stretching_wins_without_static_power(self):
@@ -226,13 +216,6 @@ class TestGovernorRule:
             with pytest.raises(ScenarioError) as err:  # the same line as validation gives
                 make_scenario(spec=spec, governor=governor)
             assert err.value.problems == (message,)
-
-
-class TestSelectLevel:
-    def test_fixed_governor_returns_requested_level(self):
-        spec = make_spec()
-        task = Task("t", 1e9, 0.0, 10.0)
-        assert governor_rule(spec, GovernorPolicy("fixed", 3))(task, 0.0) == spec.levels[3]
 
     def test_start_before_arrival_rejected(self):
         spec = make_spec()
