@@ -23,7 +23,7 @@ import os
 import sys
 
 from .config import load_scenario, parse_scenario, read_document, set_sweep_param, sweep_kind
-from .engine import compare_policies, run_scenario
+from .engine import compare_policies, run_policies, run_scenario
 from .errors import DomainError, PolicyRunError, ScenarioError
 from .reporting import (
     format_comparison_table,
@@ -149,8 +149,8 @@ def cmd_sweep(args) -> int:
             set_sweep_param(doc, args.param, value)  # each value overwrites the same key
             scenario = parse_scenario(doc)
             if policies:
-                for run in compare_policies(scenario, policies).runs:
-                    yield value, run.label, run.report
+                for label, report in run_policies(scenario, policies):
+                    yield value, label, report
             else:
                 yield value, None, run_scenario(scenario)
 

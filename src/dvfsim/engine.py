@@ -383,34 +383,35 @@ def _lifetime_delta(a: float, b: float) -> float:
     return a - b
 
 
-def compare_policies(scenario: Scenario, policies) -> ComparisonReport:
-    """Simulate the same scenario under each policy; deltas are against the first.
+def run_policies(scenario: Scenario, policies) -> list[tuple[str, SimReport]]:
+    """(label, report) of the scenario run under each policy, each validated first, as the rest of the scenario was
+    when it was built. A failure is re-raised as a PolicyRunError tagged with the policy's label."""
+    runs = []
+    for p in policies:
+        try:
+            if violations := validate_policy(p):
+                raise ScenarioError("validation", [str(v) for v in violations])
+            runs.append((policy_label(p), _run(scenario, p, None)))
+        except Exception as exc:
+            raise PolicyRunError(policy_label(p), exc) from exc
+    return runs
 
-    ``newly_missed``/``newly_met`` flag per-task deadline changes relative to
-    the baseline policy. Run failures are re-raised tagged with the policy.
-    """
+
+def compare_policies(scenario: Scenario, policies) -> ComparisonReport:
+    """``run_policies``, with each run's deltas and ``newly_missed``/``newly_met`` deadline changes against the
+    first, the baseline."""
     policies = tuple(policies)
     if len(policies) < 2:
         raise DomainError("compare_policies needs at least 2 policies")
-    reports: list[SimReport] = []
-    for p in policies:
-        try:
-            if violations := validate_policy(p):  # the rest of the scenario was validated when it was built
-                raise ScenarioError("validation", [str(v) for v in violations])
-            rep = _run(scenario, p, None)
-        except Exception as exc:
-            raise PolicyRunError(policy_label(p), exc) from exc
-        reports.append(rep)
-
-    base = reports[0]
-    base_missed = {t.id for t in base.per_task if not t.deadline_met}
     runs = []
-    for p, rep in zip(policies, reports):
+    for p, (label, rep) in zip(policies, run_policies(scenario, policies)):
         missed = {t.id for t in rep.per_task if not t.deadline_met}
+        if not runs:
+            base, base_missed = rep, missed
         runs.append(
             PolicyOutcome(
                 policy=p,
-                label=policy_label(p),
+                label=label,
                 report=rep,
                 delta_energy_j=rep.energy.total_j - base.energy.total_j,
                 delta_lifetime_s=_lifetime_delta(rep.projected_lifetime, base.projected_lifetime),

@@ -10,33 +10,33 @@ exponential-integral difference (Abramowitz & Stegun 5.1.10)
 
     rate_ss * tau * [Ei(a) - Ei(a*u)] = rate_ss * (s + tau * sum_k a^k (1 - u^k) / (k * k!)).
 
-``SteadyState(params, power)`` is the one thermal record: what every interval
-at one power shares, so a run builds one per power. Its ``step(temp0, s)``, the
-interval query, gives the temperature, this wear and the temperature integral
-s seconds into an interval entered at temp0; its ``trace``, the span trace
-query, gives the same temperature and wear, bit for bit, at each point of a
-run of trace grid times, working out the interval's constants once. The wear
-is evaluated in closed form: over a short interval (``|a| * (1 - u) <= 1``,
-and ``1 - u <= 1/16`` unless ``a < -2``) by an expansion in ``1 - u``;
-otherwise for ``a >= -2`` by the series above, in Horner form; otherwise,
-heating by more than about 29 degC, where the series' alternating terms would
-cancel, as ``E1(|a|*u) - E1(|a|)`` (A&S 5.1.11, and the continued fraction
-5.1.22 from its tail). Against a decimal evaluation of the exact integral for
-the float temperatures and duration given (the tests' grid, which reaches
-|a| = 709 and both sides of each route boundary, and 22,500 random points, |a|
-up to 709, s/tau from 1e-6 to 50, 7,500 on E1), the wear read within 4 + 2|a|
-ulp on the short-swing and E1 routes. The series is held to 40 + 2|a|, a
-measured bound: heating with a from -2 to -0.5, its alternating terms cancel
-and the roundings of its Horner steps add up by chance, most just past the
-short-swing route; 4,200,000 seeded points there read up to 32.1 + 2|a| ulp (36
-ulp at a = -1.94, s/tau = 0.074), each further 5 ulp holding about a tenth as
-many points as the 5 before. The part that grows with |a| comes from rounding
-a, s/tau and the exponents, each of which moves exp(a*u) by |a| times its
-relative error. The tests hold every route to 8 + 2|a| ulp on their grid, and
-the series to 40 + 2|a| on 4,000 seeded points of that kind. ``step`` is the
-one place the swing is checked and the E1 route is taken; ``trace`` repeats the
-other two routes, bit for bit, with their constants hoisted, and calls ``step``
-for E1 and for any failure.
+``SteadyState(params, power)`` is the one thermal record: what every interval at
+one power shares, so a run builds one per power. Its ``step(temp0, s)``, the
+interval query, gives the temperature, this wear and the temperature integral s
+seconds into an interval entered at temp0; its ``trace``, the span trace query,
+gives the same temperature and wear, bit for bit, at each point of a run of
+trace grid times, working out the interval's constants once. The wear is
+evaluated in closed form: over a short interval (``|a| * (1 - u) <= 1``, and
+``1 - u <= 1/16`` unless ``a < -2``) by an expansion in ``1 - u``; otherwise for
+``a >= -2`` by the series above, in Horner form; otherwise, heating by more than
+about 29 degC, where the series' alternating terms would cancel, as
+``E1(|a|*u) - E1(|a|)`` (A&S 5.1.11, and the continued fraction 5.1.22 from its
+tail). Against a decimal evaluation of the exact integral for the float inputs
+given, the wear reads within 8 + 2|a| + 3|E| ulp on the short-swing and E1
+routes, E being the exponent of the rate the route scales by (exponent_ss + a;
+on the series exponent_ss; on E1 exponent_ss + a - a*g): rounding a and s/tau
+moves exp(a*u) by |a| times their relative error, and exp turns E's absolute
+error, about |E| * 2^-53 per rounding, into the same relative error of the wear.
+Measured on the tests' grid (|a| up to 709, both sides of each route boundary)
+and 850,000 seeded points, t_ref from -200 to 200 degC and |E| up to 49; the
+worst of 397,598 on E1 read 70 ulp at a = -4.16, E = 18.8. The series is held to
+40 + 2|a| + 3|E|, also measured: heating with a from -2 to -0.5, just past the
+short-swing route, its alternating terms cancel and its Horner roundings add up
+by chance; 4,200,000 seeded points there, at E = 0, read up to 32.1 + 2|a| ulp
+(36 at a = -1.94, s/tau = 0.074). The tests hold these bounds on their grid and
+on random points. ``step`` alone checks the swing and takes the E1 route;
+``trace`` repeats the other two routes, bit for bit, with their constants
+hoisted, and calls ``step`` for E1 and any failure.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .errors import DomainError, Violation, _finite
 
 _LN2_OVER_10 = math.log(2.0) / 10.0
 _EULER_GAMMA = 0.5772156649015329
-_EPS = 2.0**-56  # relative truncation of every series
+_EPS = 2.0**-56  # relative truncation of the short swing and the series
 _SERIES_MIN_A = -2.0  # below this the plain series loses digits to cancellation
 _SHORT_G = 1.0 / 16.0  # up to this rise the short-swing expansion needs few terms
 _MAX_A = 709.0  # the series' terms reach e^a / sqrt(2*pi*a), which overflows beyond this
@@ -231,8 +231,11 @@ def _scale(exponent: float, wear_scale: float) -> float:
 def _series_tail_sums(a: float) -> tuple[float, ...]:
     """Suffix sums T_j = sum_{k>j} a^k/(k*k!), highest j first, for Horner's rule.
 
-    The series stops once a^k/k! falls below 2^-56 of the partial sum of e^a,
-    which bounds the truncation relative to the wear integral.
+    They keep k = 1 .. K, K the first k > |a| where a^k/k! is below 2^-56 of e^a's partial sum. As
+    1 - u^k <= min(1, k*g), the rest of the integral I = x + sum_k a^k (1 - u^k)/(k*k!) is at most
+    min(g, 1/(K+1)) * 2^-56 e^a * |a|/(K+1-|a|), while I >= g*e^a for a <= 0, I >= e^a (1 - e^(-a*g))/a for a > 0,
+    and min(a*g, a/(K+1)) <= e/(e-1) * (1 - e^(-a*g)). So the truncation is at most e/(e-1) * |a|/(K+1-|a|) * 2^-56
+    of I, below 5 * 2^-56 for a up to 709.
     """
     terms = []
     size = abs(a)
@@ -251,24 +254,19 @@ def _series_tail_sums(a: float) -> tuple[float, ...]:
 def _short_swing(a: float, x: float, g: float) -> float:
     """e^-a times the integral of exp(a * e^-t) over [0, x], for |a| * g <= 1 and g = 1 - e^-x.
 
-    Expanding exp(-a * (1 - e^-t)) in powers of g gives
-    x + sum_{m>=2} g^m/m * sum_{n=1}^{m-1} (-a)^n/n!, summed here through
-    Q_m = sum_n g^(m-n) (-a*g)^n/n!, which stays below e whatever the size of a.
-    On heating (a < 0) the terms are all positive and fall at least as fast as
-    g + 1/m, and for 0 <= a <= 1 the partial sums of e^-a - 1 lie between -a and
-    -a + a^2/2, at least a/2 from 0, so the sum ends at the first term below the
-    tolerance. Beyond, the terms' magnitudes sum to at most e^(2*|a|*g) <= e^2
-    times the total, but a partial sum that cancels to near 0 by chance makes
-    one term tiny and the next not (at a = 2, Q_3 is 0), so the sum ends at the
-    second such term in a row; a term below the tolerance is below a quarter ulp
-    of the total and leaves it as it is.
+    Expanding exp(-a * (1 - e^-t)) in powers of g gives x + sum_{m>=2} Q_m/m, with Q_m = g^m S_(m-1) and
+    S_n = sum_{k=1}^{n} (-a)^k/k!, summed through r_m = (-a*g)^(m-1)/(m-1)! and Q_m = g * (Q_(m-1) + r_m). The sum
+    stops once |Q_m| <= m*T and g*|r_m| <= m*T, T = 2^-56 * total. Both then hold at m + 1: |r_(m+1)| <= |r_m|/m as
+    |a|*g <= 1, so g*|r_(m+1)| <= T, and |Q_(m+1)| <= g*m*T + T <= (m + 1)*T as g < 1. So every later term is below
+    T, under a quarter ulp of the total, and leaves it as it is. For a <= 1 the first bound gives the second:
+    g*|r_m| is g^m times S_(m-1)'s last term, no larger than |S_(m-1)| (for a < 0 all the terms are positive; for
+    0 < a <= 1, S_n lies in [-a, -a + a^2/2] and the terms past the first are at most a^2/2). For finite x >= 0 the
+    terms fall to 0 and the total does not, so the loop ends.
     """
     ag = -a * g
-    r = 1.0  # (-a*g)^(m-1) / (m-1)!
-    q = 0.0
+    r = 1.0  # r_m
+    q = 0.0  # Q_m
     total = x
-    single = a <= 1.0  # one small term ends the sum
-    prev = math.inf  # the term before this one
     m = 1
     while True:
         m += 1
@@ -277,23 +275,21 @@ def _short_swing(a: float, x: float, g: float) -> float:
         term = q / m
         total += term
         tol = _EPS * total
-        if -tol <= term <= tol and (single or -tol <= prev <= tol):
+        if -tol <= term <= tol and (a <= 1.0 or -m * tol <= g * r <= m * tol):
             return total
-        prev = term
 
 
 def _scaled_e1(z: float, log_z: float) -> float:
     """e^z * E1(z) for z > 0; ``log_z`` stays exact if z underflows."""
-    if z <= 1.0:  # A&S 5.1.11
+    if z <= 1.0:
+        # A&S 5.1.11 through k = 17: the sum of (-z)^k/(k*k!) is at least 3z/4 in size and its k-th term at most
+        # z/(k*k!), so from k = 18 on, as 18*18! > 2^56 * 4/3, each term is below 2^-56 of it and leaves it as it is
         t = 1.0
         total = 0.0
-        k = 0
-        while True:
-            k += 1
+        for k in range(1, 18):
             t *= -z / k
             total += t / k
-            if abs(t) <= _EPS * abs(total):
-                return math.exp(z) * (-_EULER_GAMMA - log_z - total)
+        return math.exp(z) * (-_EULER_GAMMA - log_z - total)
     # A&S 5.1.22, 1/(z + 1 - 1/(z + 3 - 4/(z + 5 - ...))), evaluated from its tail 16 + ceil(128/z) levels deep:
     # there the truncation is below 2^-64 of e^z E1(z) on (1, 709], least at the float after 1 (2^-64.8; 141
     # levels are the fewest that reach 2^-64 there). That depth gave the float 300 levels give on 14,000 z, and

@@ -3,11 +3,12 @@ import random
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from dvfsim import DomainError, SteadyState, ThermalParams, WearLedger, validate_spec
-from dvfsim.thermal import _scaled_e1, _short_swing, project_lifetime, steady_state_temp, validate_thermal
+from dvfsim.thermal import (
+    _scaled_e1, _series_tail_sums, _short_swing, project_lifetime, steady_state_temp, validate_thermal)
 
 from helpers import make_spec, make_wear, steady_wear_factors
 
@@ -43,10 +44,14 @@ def decimal_wear(params, temp0, power, dt):
                 return float(rate_ss * (Decimal(dt) + tau * total))
 
 
-def wear_bound(a: float, base: float = 8.0) -> float:
-    """The wear's bound in ulps of the exact wear, base + 2|a| (the module notes): 8 on every route on the tests'
-    grid, SERIES_BASE on the series route wherever it is taken."""
-    return base + 2.0 * abs(a)
+def wear_bound(steady: SteadyState, temp0: float, x: float, base: float = 8.0) -> float:
+    """The wear's bound in ulps of the exact wear, base + 2|a| + 3|E| (the module notes), for the interval entered at
+    ``temp0``, x = s/tau into it: a is its swing and E the exponent of the rate its route scales by. ``base`` is 8 on
+    every route, SERIES_BASE on the series route wherever it is taken."""
+    a = swing(steady, temp0)
+    g = -math.expm1(-x)
+    exponent = steady.exponent_ss + {"short": a, "series": 0.0, "e1": a - a * g}[route_of(a, x)]
+    return base + 2.0 * abs(a) + 3.0 * abs(exponent)
 
 
 SERIES_BASE = 40.0
@@ -170,21 +175,42 @@ class TestStepWear:
             x = math.exp(rng.uniform(math.log(0.065), math.log(50.0)))  # g > 1/16 from x = 0.0646
             assert self.assert_within_bound(steady, params, temp0, x * params.tau, SERIES_BASE) == "series"
 
+    def test_the_series_truncation_is_within_its_stated_bound(self):
+        # the series keeps K terms; the rest, sum_{k>K} a^k (1 - u^k)/(k*k!), is at most e/(e-1) * |a|/(K+1-|a|) *
+        # 2^-56 of the integral x + sum_k a^k (1 - u^k)/(k*k!) (its notes), and that factor is below 5 up to a = 709
+        for a in (-2.0, -1.999999999, -1.0, -1e-3, 0.5, 1.0, 2.0, 5.545, 16.0, 45.0, 100.0, 300.0, 708.99):
+            size = abs(a)
+            tails = _series_tail_sums(a)
+            factor = math.e / (math.e - 1.0) * size / (len(tails) + 1 - size)
+            assert factor < 5.0, a
+            for x in (0.05, 0.2, 1.0, 3.0, 50.0, 2.0 / size if size > 2.0 else 0.0):
+                if route_of(a, x) != "series":
+                    continue
+                with localcontext() as ctx:
+                    ctx.prec = 50
+                    u = (-Decimal(x)).exp()
+                    c, uk, integral, rest = Decimal(1), Decimal(1), Decimal(x), Decimal(0)
+                    for k in range(1, 2 * len(tails) + 40):
+                        c = c * Decimal(a) / k
+                        uk *= u
+                        term = c * (1 - uk) / k
+                        integral += term
+                        if k > len(tails):
+                            rest += term
+                    assert abs(rest) <= Decimal(factor) * Decimal(2) ** -56 * integral, (a, x)
+
     @staticmethod
     def assert_within_bound(steady, params, temp0, dt, base=8.0):
-        """Assert that ``steady.step(temp0, dt)``'s wear is within ``wear_bound(a, base)`` of ``decimal_wear``'s.
+        """Assert that ``steady.step(temp0, dt)``'s wear is within ``wear_bound`` of ``decimal_wear``'s.
 
         Returns the route the wear took."""
         a = swing(steady, temp0)
-        route = route_of(a, dt / steady.tau)
+        x = dt / steady.tau
+        route = route_of(a, x)
         _, wear, _ = steady.step(temp0, dt)
         reference = decimal_wear(params, temp0, (steady.t_ss - params.t_amb) / params.r_th, dt)
-        assert abs(wear - reference) <= wear_bound(a, base) * math.ulp(reference), (a, dt / steady.tau, route)
+        assert abs(wear - reference) <= wear_bound(steady, temp0, x, base) * math.ulp(reference), (a, x, route)
         return route
-
-    def test_large_swing_at_40_w_matches_oracle(self):
-        params = ThermalParams(2.0, 2.5, 25.0, 45.0, 3.6e7)
-        assert self.assert_within_bound(SteadyState(params, 40.0), params, 25.0, 2.0) == "e1"
 
     def test_steady_tail_is_integrated_analytically(self):
         # far beyond the transient the rate is constant; a huge dt must stay cheap and exact
@@ -276,9 +302,10 @@ class TestSteadyStateRecord:
         st.floats(0.5, 4.0),
         st.floats(0.1, 10.0),
         st.floats(0.5, 2.0),
-        st.floats(-20.0, 60.0),
+        st.floats(-200.0, 200.0),
         st.floats(1e3, 1e9),
     )
+    @example("e1", 1.9821177476365865, 0.1015625, 0.5, 1.9821177476365865, 1000.0)  # 18 ulp, past 8 + 2|a|
     @settings(max_examples=150)
     def test_the_record_steps_an_interval_from_its_fields(self, route, r_th, c_th, scale, t_ref, l_base):
         temp0, power, s = self.ROUTES[route]
@@ -294,7 +321,7 @@ class TestSteadyStateRecord:
         d0 = temp0 - t_ss
         assert (temp, integral) == (temp0 - d0 * g, t_ss * duration + d0 * steady.tau * g)
         reference = decimal_wear(params, temp0, power, duration)
-        assert abs(wear - reference) <= wear_bound(swing(steady, temp0)) * math.ulp(reference)
+        assert abs(wear - reference) <= wear_bound(steady, temp0, duration / steady.tau) * math.ulp(reference)
         assert steady.step(temp0, 0.0) == (temp0, 0.0, 0.0)
 
     def test_the_step_fails_with_the_message_of_its_cause(self):
@@ -413,6 +440,15 @@ def ulps_off(z: float, reference: Decimal) -> float:
     return float((Decimal(_scaled_e1(z, math.log(z))) - reference) / Decimal(math.ulp(float(reference))))
 
 
+def scaled_e1_by_series(z: float, log_z: float, depth: int) -> float:
+    """e^z E1(z) from A&S 5.1.11 through ``depth`` terms, in floats as ``_scaled_e1`` does for z <= 1."""
+    t, total = 1.0, 0.0
+    for k in range(1, depth + 1):
+        t *= -z / k
+        total += t / k
+    return math.exp(z) * (-0.5772156649015329 - log_z - total)
+
+
 class TestScaledE1:
     """``_scaled_e1`` reads within the ulp bounds its comment states."""
 
@@ -432,6 +468,15 @@ class TestScaledE1:
     def test_the_fraction_beyond_two(self, z):
         assert abs(ulps_off(z, scaled_e1_by_fraction(z))) <= 3.0
 
+    def test_the_series_gives_the_float_of_sixty_terms(self):
+        # z <= 1 sums 17 terms (its comment): at 1, the float below it, subnormals, 2^-30 and 40,000 seeded z
+        rng = random.Random(1)
+        zs = (1.0, math.nextafter(1.0, 0.0), 5e-324, 2.0**-1022, 2.0**-30, *(1.0 - rng.random() for _ in range(20_000)),
+              *(math.exp(rng.uniform(-744.0, 0.0)) for _ in range(20_000)))
+        for z in zs:
+            log_z = math.log(z)
+            assert _scaled_e1(z, log_z) == scaled_e1_by_series(z, log_z, 60), z
+
     def test_the_fraction_settles_within_its_step_bound(self):
         # the fraction's depth, 16 + ceil(128/z), gives the float 300 levels give: at the float after 1, at
         # 1.0000001666959315, where the forward evaluation took the most steps (104), at 1.0006305444336965, where
@@ -446,7 +491,7 @@ class TestScaledE1:
 
 
 class TestShortSwing:
-    """The claims of ``_short_swing``'s notes, on the route's edges and inside them, in 60-digit decimals."""
+    """``_short_swing``'s stop rule (its notes) in 60-digit decimals, and its result against a deeper evaluation."""
 
     @staticmethod
     def points():
@@ -456,31 +501,50 @@ class TestShortSwing:
             for g in (edge, edge / 2.0, edge * 1e-3):
                 yield a, g
 
-    @staticmethod
-    def q_terms(a: float, g: float) -> list[Decimal]:
-        """Q_m = sum_{n=1}^{m-1} g^(m-n) (-a*g)^n/n! for m = 2 .. 61, from that sum."""
+    def test_the_stop_bounds_carry_to_every_later_term(self):
+        # (Q_m, r_m) by the notes' recurrence for m = 2 .. 61; at each m, the least T with |Q_m| <= m*T and
+        # g*|r_m| <= m*T bounds Q_(m+1) and r_(m+1) the same way, and for a <= 1, g*|r_m| <= |Q_m|
         with localcontext() as ctx:
             ctx.prec = 60
-            a, g = Decimal(a), Decimal(g)
-            return [sum(g ** (m - n) * (-a * g) ** n / math.factorial(n) for n in range(1, m)) for m in range(2, 62)]
+            for a, g in self.points():
+                ag, g, r, q, prev = -Decimal(a) * Decimal(g), Decimal(g), Decimal(1), Decimal(0), None
+                for m in range(2, 62):
+                    r *= ag / (m - 1)
+                    q = g * (q + r)
+                    if prev is not None:
+                        t = max(abs(prev[0]), g * abs(prev[1])) / (m - 1)
+                        assert abs(q) <= m * t and g * abs(r) <= m * t, (a, g, m)
+                    assert a > 1.0 or g * abs(r) <= abs(q), (a, g, m)
+                    prev = q, r
 
-    def test_q_stays_below_e(self):
-        for a, g in self.points():
-            assert max(abs(q) for q in self.q_terms(a, g)) < Decimal(math.e), (a, g)
+    @staticmethod
+    def fixed_depth(a: float, x: float, g: float, depth: int = 120) -> float:
+        """The notes' recurrence in floats through m = depth + 1, with no stop test."""
+        ag, r, q, total = -a * g, 1.0, 0.0, x
+        for m in range(2, depth + 2):
+            r *= ag / (m - 1)
+            q = g * (q + r)
+            total += q / m
+        return total
 
-    def test_on_cooling_the_terms_sum_to_at_most_e_to_the_2_a_g_times_the_total(self):
-        # the integrand, exp(-a * (1 - e^-t)), lies between e^(-|a|g) and 1, while the terms' magnitudes are the
-        # terms of the integral of exp(|a| * (1 - e^-t)), which lies between 1 and e^(|a|g)
+    def test_the_stop_gives_the_float_of_a_fixed_depth(self):
+        # one point in four at a near 2 with g just under 1/16, where Q_3 is 0 at a = 2 and a sum that stopped at
+        # its first tiny term read 4e11 ulp off; the rest over the route, |a| from 1e-8 to 709
+        rng = random.Random(1)
+        g16 = -math.log1p(-1.0 / 16.0)  # x where g = 1/16
         seen = 0
-        for a, g in self.points():
-            if a > 1.0:
-                x = Decimal(-math.log1p(-g))
-                terms = [q / m for m, q in enumerate(self.q_terms(a, g), 2)]
-                total = x + sum(terms)
-                assert x + sum(map(abs, terms)) <= Decimal(2.0 * a * g).exp() * total, (a, g)
-                assert float(total) == pytest.approx(_short_swing(a, float(x), g), rel=1e-15)
+        while seen < 100_000:
+            if seen % 4 == 0:
+                a = 2.0 if seen % 8 == 0 else rng.uniform(1.9, 2.1)
+                x = g16 * (1.0 - 10.0 ** rng.uniform(-15.0, -1.0))
+            else:
+                a = math.copysign(math.exp(rng.uniform(math.log(1e-8), math.log(709.0))), rng.random() - 0.5)
+                edge = 1.0 / abs(a) if a < -2.0 else min(1.0 / 16.0, 1.0 / abs(a))
+                x = -math.log1p(-edge * 10.0 ** rng.uniform(-12.0, 0.0))
+            if route_of(a, x) == "short":
+                g = -math.expm1(-x)
+                assert _short_swing(a, x, g) == self.fixed_depth(a, x, g), (a, x)
                 seen += 1
-        assert seen == 15
 
 
 class TestValidateThermal:

@@ -10,10 +10,9 @@ from dvfsim import (
     ScenarioError,
     TransitionPolicy,
     UnknownLevelError,
-    WearParams,
     plan_transition,
 )
-from dvfsim.transitions import full_span, shock_wear
+from dvfsim.transitions import shock_wear
 
 from helpers import make_scenario, make_spec, make_wear
 from strategies import specs
@@ -143,35 +142,7 @@ class TestShockWear:
 
 
 class TestPlanWear:
-    def test_stepping_divides_full_span_wear_by_hop_count(self):
-        spec = make_spec()
-        params = make_wear(k_shock=1e-4, alpha=2.0, f_span=1e9)
-        direct = sum(
-            shock_wear(params, h.delta_f) for h in plan_transition(spec, spec.levels[0], spec.levels[5], DIRECT)
-        )
-        stepped = sum(
-            shock_wear(params, h.delta_f) for h in plan_transition(spec, spec.levels[0], spec.levels[5], STEPPED)
-        )
-        assert direct == pytest.approx(1e-4, rel=1e-12)
-        assert stepped == pytest.approx(2e-5, rel=1e-12)
-
     def test_empty_plan_has_no_wear(self):
         spec = make_spec()
         hops = plan_transition(spec, spec.levels[1], spec.levels[1], DIRECT)
         assert sum(shock_wear(make_wear(), h.delta_f) for h in hops) == 0.0
-
-    @given(specs(min_levels=3), st.data(), st.floats(1.01, 4.0))
-    @settings(max_examples=100)
-    def test_stepping_strictly_helps_for_convex_exponent(self, spec, data, alpha):
-        a = data.draw(st.integers(0, len(spec.levels) - 3))
-        b = data.draw(st.integers(a + 2, len(spec.levels) - 1))
-        if data.draw(st.booleans()):
-            a, b = b, a
-        params = WearParams(k_shock=1e-4, alpha=alpha, f_span=full_span(spec.levels))
-        direct = sum(
-            shock_wear(params, h.delta_f) for h in plan_transition(spec, spec.levels[a], spec.levels[b], DIRECT)
-        )
-        stepped = sum(
-            shock_wear(params, h.delta_f) for h in plan_transition(spec, spec.levels[a], spec.levels[b], STEPPED)
-        )
-        assert stepped < direct
