@@ -1,5 +1,7 @@
 """Command-line front end: validate, simulate, compare, and sweep subcommands;
-``sweep --policies`` runs each value under each policy, as ``compare`` does.
+``sweep --policies`` runs each value under each policy, as ``compare`` does. A
+sweep over a ``wear.*`` key runs each policy once, on the first value, and
+re-prices that run's shock wear for each later value (``engine.reprice``).
 
 Exit codes: 0 success, 1 runtime failure (I/O, a model or report value
 overflowing a float, or a run carried past the trace cap of
@@ -23,7 +25,7 @@ import os
 import sys
 
 from .config import load_scenario, parse_scenario, read_document, set_sweep_param, sweep_kind
-from .engine import compare_policies, run_policies, run_scenario
+from .engine import compare_policies, reprice, run_policies, run_scenario
 from .errors import DomainError, PolicyRunError, ScenarioError
 from .reporting import (
     format_comparison_table,
@@ -143,16 +145,27 @@ def cmd_sweep(args) -> int:
     if policies and args.param.startswith("policy."):
         raise _UsageError(f"--policies sets the policy, so --param {args.param} would have no effect")
     doc = read_document(args.scenario)
+    shock_only = args.param.partition(".")[0] == "wear"  # these keys reach a run only through its hops' shock
 
     def runs():
+        first = None  # (label, report) of each policy's run on the first value, when later values re-price it
         for value in values:
             set_sweep_param(doc, args.param, value)  # each value overwrites the same key
-            scenario = parse_scenario(doc)
-            if policies:
-                for label, report in run_policies(scenario, policies):
-                    yield value, label, report
+            scenario = parse_scenario(doc)  # every value is validated, as its own run would be
+            if first is None:
+                done = run_policies(scenario, policies) if policies else [(None, run_scenario(scenario))]
+                first = done if shock_only else None
             else:
-                yield value, None, run_scenario(scenario)
+                done = []
+                for label, report in first:
+                    try:
+                        done.append((label, reprice(report, scenario.spec.wear)))
+                    except DomainError as exc:  # tagged with its policy, as run_policies tags a run's failure
+                        if label is None:
+                            raise
+                        raise PolicyRunError(label, exc) from exc
+            for label, report in done:
+                yield value, label, report
 
     if args.out:
         write_sweep(runs(), args.out, bool(policies))

@@ -10,9 +10,15 @@ record's span trace query, ``SteadyState.trace``, then gives the trace points
 that fall in the interval; they go to the sink as lists of at most TRACE_CHUNK
 points of one span, so sampling is purely observational.
 ``simulate`` collects them. A run resolves its governor's rule, each power's
-thermal SteadyState and each level pair's hops with their shock once, and
-makes no span of zero length. Validation takes the governor's and the policy's
-rules from ``workload.validate_governor`` and ``transitions.validate_policy``.
+thermal SteadyState and each level pair's hops once, prices each hop's shock
+when it is first executed, and makes no span of zero length. Validation takes
+the governor's and the policy's rules from ``workload.validate_governor`` and
+``transitions.validate_policy``.
+
+The wear params reach a run only through the shock of its logged hops, a left
+fold in log order, so ``reprice`` gives the report of the same run under other
+wear params from the report alone; a ``wear.*`` sweep runs each policy once and
+re-prices it for each value.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .power import (
     validate_spec,
 )
 from .thermal import SteadyState, TracePoint, WearLedger, project_lifetime
-from .transitions import Hop, TransitionPolicy, plan_transition, shock_wear, validate_policy
+from .transitions import Hop, TransitionPolicy, WearParams, plan_transition, shock_wear, validate_policy
 from .workload import GovernorPolicy, Task, governor_rule, validate_governor
 
 MAX_TRACE_POINTS = 10**6  # bounds run time and trace size, sampled or not; a run past it is refused, not truncated
@@ -175,6 +181,7 @@ class _Timeline:
     """
 
     def __init__(self, spec: ProcessorSpec, trace_dt: float, sink):
+        self.price = _pricer(spec.wear)
         self.active = [(power, SteadyState(spec.thermal, power)) for power in spec.active_w]  # by ladder index
         self.idle = (spec.p_idle, SteadyState(spec.thermal, spec.p_idle))
         self.trace_dt = trace_dt
@@ -237,7 +244,8 @@ class _Timeline:
             self.sink(steady.trace(temp0, t0, length, dt, c, min(c + TRACE_CHUNK, m), freq, power, wear0))
         self.samples = m
 
-    def hop(self, hop: Hop, wear: float) -> None:
+    def hop(self, hop: Hop) -> None:
+        wear = self.price(hop.delta_f)
         self.shock_acc += wear
         event = (self.now, hop.from_level.freq, hop.to_level.freq, hop.delta_f, wear)
         self.log.append(tuple.__new__(TransitionEvent, event))
@@ -252,8 +260,8 @@ def run_scenario(scenario: Scenario, sink=None) -> SimReport:
     the same either way.
 
     Raises DomainError if a missed deadline carries the run past the trace cap,
-    or if a report total (energy, cost, average temperature, wear, frequency
-    span) overflows a float.
+    or if a hop's shock wear or a report total (energy, cost, average
+    temperature, wear, frequency span) overflows a float.
 
     Timeline semantics:
       * the processor starts at the lowest level, ambient temperature, no wear;
@@ -285,12 +293,12 @@ def _run(scenario: Scenario, policy: TransitionPolicy, sink) -> SimReport:
     tasks = scenario.tasks
     rule = governor_rule(spec, scenario.governor)
     new = tuple.__new__  # builds a TaskOutcome without the Python-level call of TaskOutcome(...)
-    plans: dict[tuple[int, int], tuple] = {}  # (from, to) index -> its (hop, shock wear) pairs, planned once a run
+    plans: dict[tuple[int, int], tuple[Hop, ...]] = {}  # (from, to) index -> its hops, planned once a run
 
-    def plan(a: FrequencyLevel, b: FrequencyLevel) -> tuple[tuple[Hop, float], ...]:
+    def plan(a: FrequencyLevel, b: FrequencyLevel) -> tuple[Hop, ...]:
         key = (a.index, b.index)
         if key not in plans:
-            plans[key] = tuple((hop, shock_wear(spec.wear, hop.delta_f)) for hop in plan_transition(spec, a, b, policy))
+            plans[key] = plan_transition(spec, a, b, policy)
         return plans[key]
 
     # a zero-length span changes nothing, so the idle gap before a queued task and a zero dwell are skipped here
@@ -302,8 +310,8 @@ def _run(scenario: Scenario, policy: TransitionPolicy, sink) -> SimReport:
         if target is None:  # no level meets the deadline: run at the top and flag it
             target, infeasible = spec.levels[-1], True
         cycles_left = task.cycles
-        for hop, wear in plan(level, target):
-            tl.hop(hop, wear)
+        for hop in plan(level, target):
+            tl.hop(hop)
             level = hop.to_level
             dwell = hop.dwell_after
             if dwell <= 0.0:  # a direct hop, a stepped climb's last, or any hop of a policy without dwell
@@ -322,8 +330,8 @@ def _run(scenario: Scenario, policy: TransitionPolicy, sink) -> SimReport:
 
         if i + 1 == len(tasks) or tasks[i + 1].arrival > tl.now:
             # Idle gap ahead: pace back down to the bottom of the ladder.
-            for hop, wear in plan(level, spec.levels[0]):
-                tl.hop(hop, wear)
+            for hop in plan(level, spec.levels[0]):
+                tl.hop(hop)
                 level = hop.to_level
                 if hop.dwell_after > 0.0:
                     tl.run(hop.dwell_after, level, active=False)
@@ -348,17 +356,45 @@ def _run(scenario: Scenario, policy: TransitionPolicy, sink) -> SimReport:
         projected_lifetime=project_lifetime(ledger),
         transition_log=tuple(tl.log),
     )
-    totals = {
-        "energy_total_j": energy.total_j,
-        "cost_usd": cost,
-        "avg_temp_c": report.avg_temp,
-        "wear_total": ledger.total,
-        "total_delta_f_hz": report.total_delta_f_hz,
-    }
+    _require_finite(energy_total_j=energy.total_j, cost_usd=cost, avg_temp_c=report.avg_temp,
+                    wear_total=ledger.total, total_delta_f_hz=report.total_delta_f_hz)
+    return report
+
+
+def _require_finite(**totals: float) -> None:
     for name, value in totals.items():
         if not math.isfinite(value):  # a report is strict JSON: no Infinity or NaN
             raise DomainError(f"{name} is {value!r}: a model value overflows a float")
-    return report
+
+
+def _pricer(params: WearParams):
+    """``shock_wear`` under ``params`` as a function of delta_f, each delta_f priced once."""
+    prices: dict[float, float] = {}
+
+    def price(delta_f: float) -> float:
+        wear = prices.get(delta_f)
+        if wear is None:
+            wear = prices[delta_f] = shock_wear(params, delta_f)
+        return wear
+
+    return price
+
+
+def reprice(report: SimReport, wear: WearParams) -> SimReport:
+    """The report that the same run under ``wear`` returns: its schedule, energy, temperatures and thermal wear
+    read no wear param, so only each logged hop's shock, the ledger's shock wear (their left fold in log order, as
+    the run adds them) and the projected lifetime change, bit for bit. Raises the run's DomainError where a hop's
+    shock or the wear total overflows a float."""
+    price = _pricer(wear)
+    shock = 0.0
+    log = []
+    for event in report.transition_log:
+        event = event._replace(wear=price(event.delta_f))
+        shock += event.wear
+        log.append(event)
+    ledger = report.ledger._replace(shock_wear=shock)
+    _require_finite(wear_total=ledger.total)
+    return report._replace(ledger=ledger, projected_lifetime=project_lifetime(ledger), transition_log=tuple(log))
 
 
 def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:

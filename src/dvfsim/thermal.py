@@ -261,8 +261,11 @@ def _short_swing(a: float, x: float, g: float) -> float:
     T, under a quarter ulp of the total, and leaves it as it is. For a <= 1 the first bound gives the second:
     g*|r_m| is g^m times S_(m-1)'s last term, no larger than |S_(m-1)| (for a < 0 all the terms are positive; for
     0 < a <= 1, S_n lies in [-a, -a + a^2/2] and the terms past the first are at most a^2/2). For finite x >= 0 the
-    terms fall to 0 and the total does not, so the loop ends.
+    terms fall to 0 and the total does not, so the loop ends; a negative or NaN x would make the stop test fail
+    forever, so it raises DomainError before the loop.
     """
+    if not x >= 0.0:
+        raise DomainError(f"the short swing needs x >= 0 (got {x!r})")
     ag = -a * g
     r = 1.0  # r_m
     q = 0.0  # Q_m

@@ -90,5 +90,9 @@ def plan_transition(
 
 
 def shock_wear(params: WearParams, delta_f: float) -> float:
-    """Wear fraction of a single frequency jump of magnitude delta_f >= 0 (Hz), as a Hop's ``delta_f`` is."""
-    return params.k_shock * (delta_f / params.f_span) ** params.alpha
+    """Wear fraction of a single frequency jump of magnitude delta_f >= 0 (Hz), as a Hop's ``delta_f`` is.
+    Raises DomainError if the power of the jump overflows a float."""
+    try:
+        return params.k_shock * (delta_f / params.f_span) ** params.alpha
+    except OverflowError:
+        raise DomainError(f"the shock wear of a {delta_f:g} Hz hop overflows a float") from None

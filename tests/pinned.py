@@ -2,7 +2,8 @@
 
 On each shipped scenario the calls are ``validate``, ``simulate --report
 --trace``, ``compare --report`` with three policies, and ``sweep`` over
-``wear.alpha`` with and without ``--policies``. On three copies of
+``wear.alpha``, ``wear.k_shock`` and ``wear.f_span_hz`` with and without
+``--policies``. On three copies of
 ``turion6.json`` (one under a ``fixed`` governor, one under ``stepped:0.05``
 with ``dwell_stalls``, and one on a hotter, faster part whose spans heat by
 more than about 29 degC, so that its wear takes the E1 route) and on
@@ -50,6 +51,9 @@ VARIANTS = {  # a copy of turion6.json with these sections replaced
 }
 GENERATED = {"sparse_stepped_seed1": ("sparse_stepped", 1, True), "dense_direct_seed1": ("dense_direct", 1, False)}
 FAILURES = ("usage_error", "schema_error")
+# (name tag, key, values) of each pinned sweep on the shipped scenarios
+SWEEPS = (("", "wear.alpha", "1,2,3"), ("_k_shock", "wear.k_shock", "1e-5,1e-4,2e-3"),
+          ("_f_span", "wear.f_span_hz", "2.5e8,1e9,4e9"))
 
 
 def _cli(*args: str, status: int = 0) -> tuple[bytes, bytes]:
@@ -113,9 +117,10 @@ def produce(work: Path) -> dict[str, bytes]:
         policies = "direct,stepped,stepped:0.05"
         out[f"{name}.compare.stdout"] = _cli("compare", "--scenario", scenario, "--policies", policies, "--report", str(compared))[0]
         out[compared.name] = compared.read_bytes()
-        sweep = ("sweep", "--scenario", scenario, "--param", "wear.alpha", "--values", "1,2,3")
-        out[f"{name}.sweep.stdout"] = _cli(*sweep)[0]
-        out[f"{name}.sweep_policies.stdout"] = _cli(*sweep, "--policies", "direct,stepped")[0]
+        for tag, param, values in SWEEPS:
+            sweep = ("sweep", "--scenario", scenario, "--param", param, "--values", values)
+            out[f"{name}.sweep{tag}.stdout"] = _cli(*sweep)[0]
+            out[f"{name}.sweep{tag}_policies.stdout"] = _cli(*sweep, "--policies", "direct,stepped")[0]
     for name in VARIANTS:
         _simulate(out, work, name, _write(work, name, variant_document(name)))
     for name, (workload, seed, trace) in GENERATED.items():

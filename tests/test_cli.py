@@ -7,13 +7,14 @@ import subprocess
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from dvfsim import TransitionPolicy, cli, engine, load_scenario, simulate, thermal
 from dvfsim.reporting import TRACE_HEADER
 from helpers import SCENARIO_DIR, TRACE_ROW, call_cli, load_json, run_cli, source_env
 from pinned import REFERENCE, VARIANTS, variant_document
+from strategies import workloads
 
 TURION = str(SCENARIO_DIR / "turion6.json")
 STEP_DEMO = str(SCENARIO_DIR / "step_demo.json")
@@ -187,11 +188,13 @@ class TestNonFiniteInput:
         hot["thermal"]["r_th_k_per_w"] = 5000.0  # the first task heats toward 65,000 degC ...
         hot["thermal"]["c_th_j_per_k"] = 1e-4  # ... within a millisecond, and 2^6500 overflows
         jolt = json.loads(open(TURION).read())
-        jolt["wear"].update(f_span_hz=1.0, alpha=100.0)  # (2e8 Hz / 1 Hz)^100 overflows
-        for name, doc in (("hot", hot), ("jolt", jolt)):
+        jolt["wear"].update(f_span_hz=1.0, alpha=100.0)  # (1e9 Hz / 1 Hz)^100 overflows
+        cases = (("hot", hot, "error: thermal wear from "),
+                 ("jolt", jolt, "error: the shock wear of a 1e+09 Hz hop overflows a float\n"))
+        for name, doc, text in cases:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(doc))
-            self.assert_one_line(call_cli("simulate", "--scenario", str(path)), 1, "error: ")
+            self.assert_one_line(call_cli("simulate", "--scenario", str(path)), 1, text)
 
 
 class TestNonFiniteReport:
@@ -350,6 +353,63 @@ class TestSweep:
             shocks[policy][float(value)] = float(shock)
         assert math.isclose(shocks["direct"][1.0], shocks["stepped"][1.0], rel_tol=1e-12)
         assert shocks["stepped"][2.0] < shocks["direct"][2.0]
+
+    @st.composite
+    @staticmethod
+    def wear_sweeps(draw):
+        """(document, --param, values, --policies args) of a sweep of hundreds of turion6 tasks over a wear.* key,
+        or over thermal.t_ref_c, which every value runs in full. The first value always runs in full, so it is
+        drawn where no hop's shock overflows; of the later ones, some fail validation, and some overflow a hop's
+        shock, the wear total or the thermal wear."""
+        doc = load_json(TURION)
+        tasks = draw(workloads(load_scenario(TURION).spec, max_tasks=300))
+        doc["tasks"] = [{"id": t.id, "cycles": t.cycles, "arrival_s": t.arrival, "deadline_s": t.deadline} for t in tasks]
+        horizon = max(t.deadline for t in tasks)
+        doc["sim"].update(duration_s=horizon, trace_dt_s=horizon)
+        doc["policy"] = draw(st.sampled_from([{"kind": "direct"}, {"kind": "stepped", "dwell_s": 0.05}]))
+        # f_span_hz at most turion6's smallest jump, so that alpha 1e4 overflows the shock of any hop
+        doc["wear"] = {"k_shock": draw(st.floats(0.0, 1e3)), "alpha": draw(st.floats(1.0, 30.0)),
+                       "f_span_hz": draw(st.floats(1e2, 2e8))}
+        param, first, later, edges = draw(st.sampled_from([  # the first edge of each wear key fails validation
+            ("wear.k_shock", st.floats(0.0, 1e3), st.floats(0.0, 1e305), (-1.0, 1e308)),
+            ("wear.alpha", st.floats(1.0, 10.0), st.floats(1.0, 80.0), (0.5, 1e4)),
+            ("wear.f_span_hz", st.floats(1e2, 1e10), st.floats(1e-3, 1e10), (0.0, 1e-200)),
+            ("thermal.t_ref_c", st.floats(0.0, 100.0), st.floats(-50.0, 150.0), (-1e4,)),
+        ]))
+        values = [draw(first), *draw(st.lists(later | st.sampled_from(edges), max_size=3))]
+        policies = draw(st.sampled_from([(), ("--policies", "direct,stepped:0.05")]))
+        return doc, param, values, policies
+
+    @given(wear_sweeps())
+    @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_sweep_prints_what_one_run_per_value_prints(self, tmp_path, sweep):
+        doc, param, values, policies = sweep
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        args = ("sweep", "--scenario", str(path), "--param", param, *policies)
+        header, rows = None, []
+        for value in values:  # a sweep of one value runs in full
+            code, stdout, stderr = call_cli(*args, f"--values={value!r}")
+            if code:
+                break
+            header, *value_rows = stdout.splitlines(keepends=True)
+            rows += value_rows
+        stdout = header + "".join(rows) if not code else ""
+        text = f"--values={','.join(map(repr, values))}"
+        assert call_cli(*args, text) == (code, stdout, stderr)
+        out = tmp_path / "sweep.csv"
+        out.unlink(missing_ok=True)
+        assert call_cli(*args, text, "--out", str(out)) == (code, "", stderr)
+        assert (out.read_text() if out.exists() else "") == stdout
+
+    @pytest.mark.parametrize("param, runs", [("wear.alpha", 2), ("wear.k_shock", 2), ("thermal.t_ref_c", 6)])
+    def test_only_a_wear_sweep_runs_each_policy_once(self, monkeypatch, param, runs):
+        calls = []
+        monkeypatch.setattr(engine, "_run", lambda *args, run=engine._run: calls.append(args) or run(*args))
+        result = call_cli("sweep", "--scenario", TURION, "--param", param, "--values", "1,2,3", "--policies",
+                          "direct,stepped")
+        assert result.returncode == 0, result.stderr
+        assert len(calls) == runs
 
     def test_unknown_parameter_exits_2(self):
         result = call_cli("sweep", "--scenario", STEP_DEMO, "--param", "wear.bogus", "--values", "1")

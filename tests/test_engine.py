@@ -296,6 +296,19 @@ class TestTimelineMechanics:
         assert report.transition_log[1].from_hz == 1000e6
         assert report.transition_log[1].to_hz == 800e6
 
+    def test_a_hop_the_task_abandons_is_never_priced(self):
+        # the climb to 5 GHz is planned as 0.8 -> 1 -> 5 GHz, but the task ends in its dwell at 1 GHz; at alpha 50
+        # the 4 GHz hop's shock would overflow a float, and the run prices only the hops it takes
+        levels = (FrequencyLevel(0, 800e6, 0.9), FrequencyLevel(1, 1e9, 0.96), FrequencyLevel(2, 5e9, 1.2))
+        wear = make_wear(k_shock=1e-4, alpha=50.0, f_span=1e3)
+        sc = make_scenario(spec=make_spec(levels=levels, wear=wear), tasks=(make_task(cycles=1e8, deadline=0.03),),
+                           policy=TransitionPolicy("stepped", 0.5))
+        report = run_scenario(sc)
+        assert [(e.from_hz, e.to_hz) for e in report.transition_log] == [(800e6, 1e9), (1e9, 800e6)]
+        assert report.ledger.shock_wear == 2 * shock_wear(wear, 2e8)
+        with pytest.raises(DomainError, match=r"^the shock wear of a 4e\+09 Hz hop overflows a float$"):
+            shock_wear(wear, 4e9)
+
     def test_stalled_dwells_do_no_work(self):
         task = make_task(cycles=3.6e9, deadline=20.0)
         base = make_scenario(
@@ -354,6 +367,24 @@ class TestWearAccounting:
         for event in run_scenario(sc).transition_log:
             assert event.wear == shock_wear(spec.wear, event.delta_f)
             assert event.delta_f == abs(event.to_hz - event.from_hz)
+
+    @given(specs(), st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_a_repriced_report_is_the_run_under_its_wear(self, spec, data):
+        sc, _ = draw_many_task_scenario(spec, data.draw)
+        base = run_scenario(sc)
+        drawn = data.draw(st.builds(WearParams, st.floats(0.0, 1e3), st.floats(1.0, 80.0), st.floats(1e2, 1e10)))
+        # besides the drawn params: a power of a jump that overflows, and finite powers that k_shock takes past the
+        # float range
+        for wear in (drawn, WearParams(1.0, 1e3, 1.0), WearParams(1e308, 1.0, 1.0)):
+            try:
+                want = run_scenario(replace(sc, spec=spec._replace(wear=wear)))
+            except DomainError as exc:
+                with pytest.raises(DomainError) as got:
+                    engine.reprice(base, wear)
+                assert str(got.value) == str(exc)
+            else:
+                assert engine.reprice(base, wear) == want
 
 
 class TestTrace:

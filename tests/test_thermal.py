@@ -1,5 +1,7 @@
 import math
 import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
@@ -10,7 +12,7 @@ from dvfsim import DomainError, SteadyState, ThermalParams, WearLedger, validate
 from dvfsim.thermal import (
     _scaled_e1, _series_tail_sums, _short_swing, project_lifetime, steady_state_temp, validate_thermal)
 
-from helpers import make_spec, make_wear, steady_wear_factors
+from helpers import make_spec, make_wear, source_env, steady_wear_factors
 
 # the documented transient: tau = 5 s, 20 W from ambient, one time constant
 TRANSIENT = ThermalParams(r_th=0.5, c_th=10.0, t_amb=25.0, t_ref=25.0, l_base=1000.0)
@@ -545,6 +547,22 @@ class TestShortSwing:
                 g = -math.expm1(-x)
                 assert _short_swing(a, x, g) == self.fixed_depth(a, x, g), (a, x)
                 seen += 1
+
+    def test_a_negative_or_nan_x_ends(self):
+        # a negative x made the total, and so the stop test's bound, negative, and the loop never ended; a hang
+        # is caught by running the calls in a process with a time limit
+        code = """if True:
+            import math
+            from dvfsim.errors import DomainError
+            from dvfsim.thermal import _short_swing
+            for x, g in ((-0.01, -math.expm1(0.01)), (math.nan, math.nan), (math.nan, 0.01)):
+                try:
+                    _short_swing(0.5, x, g)
+                except DomainError:
+                    pass
+        """
+        done = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, timeout=30)
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestValidateThermal:
