@@ -5,11 +5,12 @@ piecewise-constant-power intervals delimited by arrivals, hops, dwell ends, and
 completions; temperature advances by the exact closed form on each interval, so
 there is no global timestep. The run is one pass, and each interval is one
 thermal step, its power's ``SteadyState.step``, traced or not.
-``run_scenario`` samples the trace only when it is given a sink: the same
-record's span trace query, ``SteadyState.trace``, then gives the trace points
-that fall in the interval; they go to the sink as lists of at most TRACE_CHUNK
-points of one span, so sampling is purely observational.
-``simulate`` collects them. A run resolves its governor's rule, each power's
+``run_scenario`` samples the trace only when it is given a sink: for each chunk
+of at most TRACE_CHUNK grid times that fall in the interval, the same record's
+span trace query, ``SteadyState.trace``, gives the temperatures and cumulative
+wears, and the sink gets the span's freq and power with the three columns, so
+sampling is purely observational. ``simulate`` is the one place that zips the
+columns into TracePoints. A run resolves its governor's rule, each power's
 thermal SteadyState and each level pair's hops once, prices each hop's shock
 when it is first executed, and makes no span of zero length. Validation takes
 the governor's and the policy's rules from ``workload.validate_governor`` and
@@ -26,6 +27,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 
 from .errors import DomainError, PolicyRunError, ScenarioError, Violation, _finite, _real
 from .power import (
@@ -36,7 +39,7 @@ from .power import (
     energy_cost,
     validate_spec,
 )
-from .thermal import SteadyState, TracePoint, WearLedger, project_lifetime
+from .thermal import SteadyState, WearLedger, project_lifetime
 from .transitions import Hop, TransitionPolicy, WearParams, plan_transition, shock_wear, validate_policy
 from .workload import GovernorPolicy, Task, governor_rule, validate_governor
 
@@ -70,6 +73,7 @@ class Scenario:
             raise ScenarioError("validation", [str(v) for v in violations])
 
 
+TracePoint = namedtuple("TracePoint", "time freq power temp cum_wear")  # a span's operating point and thermal state
 TaskOutcome = namedtuple("TaskOutcome", "id level_index start finish deadline_met infeasible", defaults=(False,))
 
 
@@ -175,9 +179,10 @@ class _Timeline:
 
     A span's power follows from its level and whether the processor is busy,
     and that power's ``SteadyState.step`` gives the ledger the span's end state.
-    Given a ``sink``, the same record's ``trace`` gives the trace points that
-    fall in the span, from its entry temperature, handed over as lists of at
-    most TRACE_CHUNK consecutive points that share the span's freq and power.
+    Given a ``sink``, the same record's ``trace`` gives the temperatures and
+    wears at the trace grid times that fall in the span, from its entry
+    temperature, handed over TRACE_CHUNK points at most at a time as columns,
+    with the span's freq and power.
     """
 
     def __init__(self, spec: ProcessorSpec, trace_dt: float, sink):
@@ -229,7 +234,8 @@ class _Timeline:
     def sample(self, until: float) -> None:
         """Trace the latest span at each k * trace_dt before ``until``, so a sample on an
         event time reports the span that starts there; the points go to the sink
-        TRACE_CHUNK at a time, the last call holding the rest."""
+        TRACE_CHUNK at a time, the last call holding the rest, as
+        ``sink(freq, power, times, temps, wears)``."""
         t0, length, freq, power, steady, temp0, thermal0 = self.span
         # hops fall only between spans, so the closing sample on the run's end also counts those logged there
         wear0 = thermal0 + self.shock_acc
@@ -241,7 +247,8 @@ class _Timeline:
         while m * dt < until:
             m += 1
         for c in range(k, m, TRACE_CHUNK):
-            self.sink(steady.trace(temp0, t0, length, dt, c, min(c + TRACE_CHUNK, m), freq, power, wear0))
+            times = [i * dt for i in range(c, min(c + TRACE_CHUNK, m))]
+            self.sink(freq, power, times, *steady.trace(temp0, t0, length, times, wear0))
         self.samples = m
 
     def hop(self, hop: Hop) -> None:
@@ -254,10 +261,12 @@ class _Timeline:
 def run_scenario(scenario: Scenario, sink=None) -> SimReport:
     """Run one scenario to completion and report energy, heat, wear, and deadlines.
 
-    The trace is sampled only if ``sink`` is given: it is called with lists of
-    TracePoints in time order, each list non-empty, at most TRACE_CHUNK long and
-    from one span, so its points share one freq and one power. The report is
-    the same either way.
+    The trace is sampled only if ``sink`` is given: it is called as
+    ``sink(freq, power, times, temps, wears)`` once per chunk of trace points,
+    in time order, with the freq and power of the chunk's one span and three
+    equal-length lists of floats, non-empty and at most TRACE_CHUNK long: the
+    times, the temperatures and the cumulative wears. The report is the same
+    either way.
 
     Raises DomainError if a missed deadline carries the run past the trace cap,
     or if a hop's shock wear or a report total (energy, cost, average
@@ -398,9 +407,14 @@ def reprice(report: SimReport, wear: WearParams) -> SimReport:
 
 
 def simulate(scenario: Scenario) -> tuple[SimReport, tuple[TracePoint, ...]]:
-    """``run_scenario`` with the trace kept in memory: returns (report, trace)."""
+    """``run_scenario`` with the trace kept in memory: returns (report, trace), one TracePoint per point."""
     trace: list[TracePoint] = []
-    report = run_scenario(scenario, trace.extend)
+    point = partial(tuple.__new__, TracePoint)  # builds a TracePoint without the Python-level call of TracePoint(...)
+
+    def keep(freq, power, times, temps, wears) -> None:
+        trace.extend(map(point, zip(times, repeat(freq), repeat(power), temps, wears)))
+
+    report = run_scenario(scenario, keep)
     return report, tuple(trace)
 
 

@@ -91,11 +91,15 @@ def validate_spec(spec: ProcessorSpec) -> tuple[Violation, ...]:
 
     # Strictly rising active power is what makes "slower is cheaper" meaningful.
     if not v:
-        powers = spec.active_w
-        for i in range(1, len(powers)):
-            if powers[i] <= powers[i - 1]:
-                v.append(Violation("levels", "active power not strictly increasing across levels"))
-                break
+        try:
+            powers = spec.active_w
+        except OverflowError:  # a level's vdd**2 is beyond float range
+            v.append(Violation("levels", "active power overflows a float"))
+        else:
+            for i in range(1, len(powers)):
+                if powers[i] <= powers[i - 1]:
+                    v.append(Violation("levels", "active power not strictly increasing across levels"))
+                    break
 
     v.extend(validate_thermal(spec.thermal))
 

@@ -150,23 +150,23 @@ def write_comparison(comparison: ComparisonReport, path) -> None:
 
 @contextmanager
 def trace_writer(path):
-    """Open the trace CSV at ``path`` and yield a function that writes a span's TracePoints as rows.
+    """Open the trace CSV at ``path`` and yield a sink that writes a chunk of a span's trace points as rows.
 
-    The function takes a non-empty sequence of points that share one freq and
-    one power, as ``engine.run_scenario`` hands its sink, and writes their rows,
-    one per point, with one write: freq and power are rendered once. Each float
-    is its repr, the columns are in TRACE_HEADER's order, the header is written
-    first and every row ends in a newline. Pass the function to ``run_scenario``
-    as its sink to stream a run's trace: only the chunk at hand is in memory,
-    and a run that fails leaves no file behind.
+    The sink takes ``(freq, power, times, temps, wears)``, as ``engine.run_scenario``
+    calls it: one span's freq and power and three equal-length columns. It
+    writes one row per point with one write: freq and power are rendered once.
+    Each float is its repr, the columns are in TRACE_HEADER's order, the header
+    is written first and every row ends in a newline. Pass it to ``run_scenario``
+    to stream a run's trace: only the chunk at hand is in memory, and a run that
+    fails leaves no file behind.
     """
     with _opened(path) as f:
         write = f.write
         write(TRACE_HEADER + "\n")
 
-        def write_span(points) -> None:
-            shared = f",{points[0][1]!r},{points[0][2]!r},"  # the freq and power columns between their commas
-            write("".join([f"{p[0]!r}{shared}{p[3]!r},{p[4]!r}\n" for p in points]))
+        def write_span(freq, power, times, temps, wears) -> None:
+            shared = f",{freq!r},{power!r},"  # the freq and power columns between their commas
+            write("".join([f"{time!r}{shared}{temp!r},{wear!r}\n" for time, temp, wear in zip(times, temps, wears)]))
 
         yield write_span
 

@@ -14,10 +14,12 @@ exponential-integral difference (Abramowitz & Stegun 5.1.10)
 one power shares, so a run builds one per power. Its ``step(temp0, s)``, the
 interval query, gives the temperature, this wear and the temperature integral s
 seconds into an interval entered at temp0; its ``trace``, the span trace query,
-gives the same temperature and wear, bit for bit, at each point of a run of
-trace grid times, working out the interval's constants once. The wear is
-evaluated in closed form: over a short interval (``|a| * (1 - u) <= 1``, and
-``1 - u <= 1/16`` unless ``a < -2``) by an expansion in ``1 - u``; otherwise for
+gives the same temperature and wear, bit for bit, at each of a list of trace
+grid times, as two columns (temperatures and cumulative wears), working out the
+interval's constants once; it builds no record, as the times, freq and power of
+the trace points are the caller's. The wear is evaluated in closed form: over a
+short interval (``|a| * (1 - u) <= 1``, and ``1 - u <= 1/16`` unless
+``a < -2``) by an expansion in ``1 - u``; otherwise for
 ``a >= -2`` by the series above, in Horner form; otherwise, heating by more than
 about 29 degC, where the series' alternating terms would cancel, as
 ``E1(|a|*u) - E1(|a|)`` (A&S 5.1.11, and the continued fraction 5.1.22 from its
@@ -101,16 +103,13 @@ def steady_state_temp(params: ThermalParams, power: float) -> float:
     return params.t_amb + power * params.r_th
 
 
-TracePoint = namedtuple("TracePoint", "time freq power temp cum_wear")  # a span's operating point and thermal state
-
-
 class SteadyState(namedtuple("_SteadyStateFields", "t_ss tau exponent_ss wear_scale")):
     """The thermal record of every interval at one power, built from (params, power): the steady state,
     ``tau``, the steady-state wear rate's exponent and ``tau / l_base``. Immutable. The rate is kept as its
     exponent, ``exp(exponent_ss) / l_base``, so that only rates a trajectory actually reaches are formed.
 
-    ``step(temp0, s)`` is the interval query and ``trace(...)`` the span trace query; both take the
-    interval's entry temperature, so one record serves every interval at its power.
+    ``step(temp0, s)`` is the interval query and ``trace(temp0, t0, length, times, wear0)`` the span trace
+    query; both take the interval's entry temperature, so one record serves every interval at its power.
     """
 
     __slots__ = ()
@@ -166,18 +165,17 @@ class SteadyState(namedtuple("_SteadyStateFields", "t_ss tau exponent_ss wear_sc
             raise DomainError(f"thermal wear from {temp0:g} degC toward {t_ss:g} degC overflows")
         return temp0 - d0 * g, wear, t_ss * s + d0 * tau * g
 
-    def trace(self, temp0: float, t0: float, length: float, dt: float, k: int, m: int, freq, power,
-              wear0: float) -> list[TracePoint]:
-        """The span trace query: ``TracePoint(i * dt, freq, power, temp, wear0 + wear)`` for each ``k <= i < m``,
-        where the interval was entered at ``temp0`` at time ``t0 <= k * dt``, lasts ``length`` seconds, and
-        (temp, wear) is ``step(temp0, min(i * dt - t0, length))[:2]`` bit for bit.
+    def trace(self, temp0: float, t0: float, length: float, times, wear0: float) -> tuple[list[float], list[float]]:
+        """The span trace query: (temps, wears), one of each per time in ``times``, a non-empty ascending list,
+        where the interval was entered at ``temp0`` at time ``t0 <= times[0]`` and lasts ``length`` seconds, and
+        each (temp, wear - wear0) is ``step(temp0, min(time - t0, length))[:2]`` bit for bit.
 
         The route flags, the series' sums and each route's scale, ``exp(exponent) * wear_scale``, are worked
         out once per call, a route's scale only when a point first takes that route; the E1 route and every
         non-finite swing or wear go through ``step``'s own routing, so a failure is the DomainError it raises.
         """
-        if k * dt < t0:
-            raise DomainError(f"trace time {k * dt:g} s precedes the interval's start {t0:g} s")
+        if times[0] < t0:
+            raise DomainError(f"trace time {times[0]:g} s precedes the interval's start {t0:g} s")
         t_ss, tau, exponent_ss, wear_scale = self
         d0 = temp0 - t_ss
         a = _LN2_OVER_10 * d0
@@ -187,12 +185,12 @@ class SteadyState(namedtuple("_SteadyStateFields", "t_ss tau exponent_ss wear_sc
         short_g = _SHORT_G
         expm1 = math.expm1
         inf = math.inf
-        new = tuple.__new__  # builds a TracePoint without the Python-level call of TracePoint(...)
         short_scale = series_scale = tails = None
-        points = []
-        append = points.append
-        for i in range(k, m):
-            time = i * dt
+        temps = []
+        wears = []
+        temp_append = temps.append
+        wear_append = wears.append
+        for time in times:
             s = time - t0
             if s > length:  # only where the clock rounded the span's end up
                 s = length
@@ -215,8 +213,9 @@ class SteadyState(namedtuple("_SteadyStateFields", "t_ss tau exponent_ss wear_sc
                 wear = inf  # the E1 route, which only the step takes
             if not wear < inf:  # E1, or a wear that is not finite: the step's routing, or its DomainError
                 wear = self.step(temp0, s)[1]
-            append(new(TracePoint, (time, freq, power, temp0 - d0 * g, wear0 + wear)))
-        return points
+            temp_append(temp0 - d0 * g)
+            wear_append(wear0 + wear)
+        return temps, wears
 
 
 def _scale(exponent: float, wear_scale: float) -> float:
@@ -261,12 +260,12 @@ def _short_swing(a: float, x: float, g: float) -> float:
     T, under a quarter ulp of the total, and leaves it as it is. For a <= 1 the first bound gives the second:
     g*|r_m| is g^m times S_(m-1)'s last term, no larger than |S_(m-1)| (for a < 0 all the terms are positive; for
     0 < a <= 1, S_n lies in [-a, -a + a^2/2] and the terms past the first are at most a^2/2). For finite x >= 0 the
-    terms fall to 0 and the total does not, so the loop ends; a negative or NaN x would make the stop test fail
-    forever, so it raises DomainError before the loop.
+    terms fall to 0 and the total does not, so the loop ends. A negative or NaN x, or a NaN a or g, would make the
+    stop test fail forever, so one comparison before the loop raises DomainError unless x >= 0 and a * g is finite.
     """
-    if not x >= 0.0:
-        raise DomainError(f"the short swing needs x >= 0 (got {x!r})")
     ag = -a * g
+    if not x >= 0.0 * ag:  # 0.0 * ag is +-0.0, or NaN where a * g is not finite, and NaN compares false
+        raise DomainError(f"the short swing needs x >= 0 and a finite a * g (got a={a!r}, x={x!r}, g={g!r})")
     r = 1.0  # r_m
     q = 0.0  # Q_m
     total = x

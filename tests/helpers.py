@@ -21,6 +21,7 @@ from dvfsim import (
     SteadyState,
     Task,
     ThermalParams,
+    TracePoint,
     TransitionPolicy,
     WearParams,
 )
@@ -30,6 +31,15 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 TRACE_ROW = "%r,%r,%r,%r,%r\n"  # the reference for one trace row: TRACE_ROW % point
+
+
+def joined_points(chunks) -> tuple[TracePoint, ...]:
+    """The TracePoints of sink calls' arguments ``(freq, power, times, temps, wears)``, in call order."""
+    return tuple(
+        TracePoint(time, freq, power, temp, wear)
+        for freq, power, times, temps, wears in chunks
+        for time, temp, wear in zip(times, temps, wears)
+    )
 
 TURION_FREQS = (800e6, 1000e6, 1200e6, 1400e6, 1600e6, 1800e6)
 TURION_VDDS = (0.90, 0.96, 1.02, 1.08, 1.14, 1.20)

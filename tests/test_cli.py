@@ -136,7 +136,8 @@ class TestSimulate:
 
 
 class TestNonFiniteInput:
-    """NaN, Infinity and out-of-range numbers exit 2, an overflowing wear rate exits 1: one line each."""
+    """NaN, Infinity, out-of-range numbers and an overflowing active power exit 2, an overflowing wear rate exits 1:
+    one line each."""
 
     def write_with_cycles(self, tmp_path, literal):
         doc = json.loads(open(TURION).read())
@@ -182,6 +183,16 @@ class TestNonFiniteInput:
         result = call_cli(verb, "--scenario", str(path), *args)
         self.assert_one_line(result, 2, f"invalid scenario (parse): {path}: ")
         assert text in result.stderr
+
+    def test_an_overflowing_active_power_is_a_validation_error(self, tmp_path):
+        doc = json.loads(open(TURION).read())
+        doc["processor"]["levels"][-1]["vdd_v"] = 1e200  # a finite voltage whose square overflows
+        path = tmp_path / "vdd.json"
+        path.write_text(json.dumps(doc))
+        for verb in ("validate", "simulate"):
+            result = call_cli(verb, "--scenario", str(path))
+            assert (result.returncode, result.stdout, result.stderr) == (
+                2, "", "invalid scenario (validation): levels: active power overflows a float\n")
 
     def test_overflowing_model_values_exit_1(self, tmp_path):
         hot = json.loads(open(TURION).read())

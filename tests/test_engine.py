@@ -40,12 +40,15 @@ from dvfsim import (
 )
 from dvfsim import engine, thermal
 from dvfsim.engine import MAX_TRACE_POINTS, TRACE_CHUNK
+from dvfsim.reporting import TRACE_HEADER, trace_writer
 from dvfsim.transitions import shock_wear
 
 from helpers import (
     SCENARIO_DIR,
+    TRACE_ROW,
     TURION_FREQS,
     active_power,
+    joined_points,
     left_sum,
     make_scenario,
     make_spec,
@@ -696,11 +699,11 @@ class TestManyTaskInvariants:
     @example(hot_scenario())
     @settings(max_examples=10, deadline=None)
     def test_the_run_does_not_depend_on_its_sink(self, sc):
-        points = []
-        sunk = run_scenario(sc, points.extend)
+        calls = []
+        sunk = run_scenario(sc, lambda *chunk: calls.append(chunk))
         report, trace = simulate(sc)
         assert repr(run_scenario(sc)) == repr(sunk) == repr(report)
-        assert tuple(points) == trace
+        assert joined_points(calls) == trace
 
     def test_the_hot_example_takes_every_wear_route_unsampled(self):
         with (
@@ -712,8 +715,19 @@ class TestManyTaskInvariants:
         assert short.called and series.called and e1.called
 
 
+@st.composite
+def traced_scenarios(draw):
+    """A many-task scenario sampled 7, 64 or 1,000 times; on a hot part (r_th = 10 K/W, tau = 5 s) in half of
+    them, where a long task heats by more than 29 degC in one span and its trace points take the E1 route."""
+    spec = draw(specs())
+    if draw(st.booleans()):
+        spec = spec._replace(thermal=make_thermal(r_th=10.0, c_th=0.5))
+    sc, _ = draw_many_task_scenario(spec, draw)
+    return replace(sc, trace_dt=sc.duration / draw(st.sampled_from([7, 64, 1000])))
+
+
 class TestSinkContract:
-    """The sink gets the trace as lists of at most TRACE_CHUNK consecutive points of one span."""
+    """The sink gets the trace as columns of at most TRACE_CHUNK consecutive points of one span."""
 
     @given(specs(), st.data())
     @settings(max_examples=15, deadline=None)
@@ -721,21 +735,35 @@ class TestSinkContract:
         sc, _ = draw_many_task_scenario(spec, data.draw)
         sc = replace(sc, trace_dt=sc.duration / data.draw(st.sampled_from([1, 7, 64, 1000])))
         cap = data.draw(st.sampled_from([1, 2, 3, 17, TRACE_CHUNK]))
+        operating_points = {(lv.freq, p) for lv, p in zip(spec.levels, spec.active_w)}
+        operating_points |= {(lv.freq, spec.p_idle) for lv in spec.levels}
         calls = []
         with mock.patch.object(engine, "TRACE_CHUNK", cap):
-            run_scenario(sc, calls.append)
-        for points in calls:
-            assert 0 < len(points) <= cap
-            assert all(a.time < b.time for a, b in zip(points, points[1:]))
-            assert len({(p.freq, p.power) for p in points}) == 1
-        joined = [p for points in calls for p in points]
-        assert tuple(joined) == simulate(sc)[1]
+            run_scenario(sc, lambda *chunk: calls.append(chunk))
+        for freq, power, times, temps, wears in calls:
+            assert (freq, power) in operating_points  # one span's: a level's clock, busy or idle
+            assert 0 < len(times) == len(temps) == len(wears) <= cap
+            assert all(a < b for a, b in zip(times, times[1:]))
+        joined = joined_points(calls)
+        assert joined == simulate(sc)[1]
         assert all(a.time < b.time for a, b in zip(joined, joined[1:]))
 
     def test_a_long_span_is_cut_at_the_cap(self):
         sc = make_scenario(duration=(3 * TRACE_CHUNK + 1) * 0.5, trace_dt=0.5)  # no task: one idle span
         calls = []
-        run_scenario(sc, calls.append)
+        run_scenario(sc, lambda *chunk: calls.append(chunk))
         # the span serves every point before its end, and the closing sample on the end comes on its own
-        assert [len(points) for points in calls] == [TRACE_CHUNK] * 3 + [1, 1]
-        assert calls[-1][-1].time == sc.duration
+        assert [len(times) for _, _, times, _, _ in calls] == [TRACE_CHUNK] * 3 + [1, 1]
+        assert calls[-1][2][-1] == sc.duration
+
+    @given(traced_scenarios(), st.sampled_from([1, 2, 3, 17]))
+    # every 0.01 s: the stepped descents' idle dwells give chunks of one power at different clocks in a row
+    @example(replace(hot_scenario(), trace_dt=0.01), 3)
+    @settings(max_examples=15, deadline=None)
+    def test_the_streamed_csv_is_the_rows_of_the_simulated_trace(self, tmp_path_factory, sc, cap):
+        path = tmp_path_factory.mktemp("trace") / "t.csv"
+        with mock.patch.object(engine, "TRACE_CHUNK", cap):  # spans split into several chunks
+            with trace_writer(path) as write_span:
+                run_scenario(sc, write_span)
+            _, trace = simulate(sc)
+        assert path.read_bytes() == (TRACE_HEADER + "\n" + "".join(TRACE_ROW % p for p in trace)).encode()

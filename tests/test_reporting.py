@@ -18,13 +18,13 @@ from dvfsim import (
     simulate,
     write_report,
 )
-from dvfsim.engine import TracePoint
 from dvfsim import reporting
 from dvfsim.reporting import TASK_BLOCK, TRACE_HEADER, format_comparison_table, trace_writer
 from dvfsim import compare_policies, write_comparison, GovernorPolicy, TransitionPolicy
 
 from helpers import (
     TRACE_ROW,
+    joined_points,
     load_json,
     make_scenario,
     make_spec,
@@ -171,31 +171,29 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_fr
 
 @st.composite
 def chunked_traces(draw):
-    """TracePoints cut into chunks whose points share one freq and one power, as a run's sink gets them."""
+    """Spans' trace points cut into chunks of (freq, power, times, temps, wears), as a run's sink gets them."""
     chunks = []
     for _ in range(draw(st.integers(0, 6))):
         freq, power = draw(finite_floats), draw(finite_floats)
         n = draw(st.integers(1, 12))
-        points = [TracePoint(draw(finite_floats), freq, power, draw(finite_floats), draw(finite_floats)) for _ in range(n)]
+        columns = [[draw(finite_floats) for _ in range(n)] for _ in range(3)]
         cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
-        chunks += [points[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        chunks += [(freq, power, *(column[a:b] for column in columns)) for a, b in zip([0, *cuts], [*cuts, n])]
     return chunks
 
 
 class TestTraceWriter:
     @given(chunked_traces())
     # equal freqs that render apart, in adjacent spans: one span's must not be rendered for the other's
-    @example([[TracePoint(0.0, 0.0, 1.0, 2.0, 3.0)], [TracePoint(0.5, -0.0, 1.0, 2.0, 3.0)],
-              [TracePoint(1.0, 0, 1.0, 2.0, 3.0)]])
+    @example([(0.0, 1.0, [0.0], [2.0], [3.0]), (-0.0, 1.0, [0.5], [2.0], [3.0]), (0, 1.0, [1.0], [2.0], [3.0])])
     @example([])
     @settings(max_examples=300, deadline=None)
     def test_chunks_give_the_bytes_of_one_row_per_point(self, tmp_path_factory, chunks):
         path = tmp_path_factory.mktemp("trace") / "t.csv"
         with trace_writer(path) as write_span:
             for chunk in chunks:
-                write_span(chunk)
-        points = [p for chunk in chunks for p in chunk]
-        want = (TRACE_HEADER + "\n" + "".join(TRACE_ROW % p for p in points)).encode()
+                write_span(*chunk)
+        want = (TRACE_HEADER + "\n" + "".join(TRACE_ROW % p for p in joined_points(chunks))).encode()
         assert path.read_bytes() == want
 
 

@@ -356,11 +356,12 @@ class TestSteadyStateRecord:
         k = math.ceil(t0 / dt)
         while k * dt < t0:
             k += 1
-        points = steady.trace(temp0, t0, length, dt, k, k + n + 1, 8e8, power, 0.25)
-        assert [p[:3] for p in points] == [(i * dt, 8e8, power) for i in range(k, k + n + 1)]
-        for p in points:
-            temp, wear = steady.step(temp0, min(p.time - t0, length))[:2]
-            assert (p.temp, p.cum_wear) == (temp, 0.25 + wear)
+        times = [i * dt for i in range(k, k + n + 1)]
+        temps, wears = steady.trace(temp0, t0, length, times, 0.25)
+        assert len(temps) == len(wears) == len(times)
+        for time, temp, wear in zip(times, temps, wears):
+            want_temp, want_wear = steady.step(temp0, min(time - t0, length))[:2]
+            assert (temp, wear) == (want_temp, 0.25 + want_wear)
 
     def test_the_span_trace_query_fails_as_the_step_does(self):
         hot = ThermalParams(r_th=2000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1.0)
@@ -378,20 +379,22 @@ class TestSteadyStateRecord:
             with pytest.raises(DomainError) as want:
                 steady.step(temp0, s)
             with pytest.raises(DomainError) as got:
-                steady.trace(temp0, 0.0, s, s, k, 2, 8e8, 0.0, 0.0)
+                steady.trace(temp0, 0.0, s, [i * s for i in range(k, 2)], 0.0)
             assert str(got.value) == str(want.value)
         slow = ThermalParams(r_th=5000.0, c_th=1.0, t_amb=25.0, t_ref=45.0, l_base=1000.0)
         steady = SteadyState(slow, 20.0)  # a hot steady state that the span does not reach: no overflow
-        assert steady.trace(25.0, 0.0, 1e-3, 1e-3, 1, 2, 8e8, 20.0, 0.0)[0][3:] == steady.step(25.0, 1e-3)[:2]
+        temp, wear = steady.step(25.0, 1e-3)[:2]
+        assert steady.trace(25.0, 0.0, 1e-3, [1e-3], 0.0) == ([temp], [wear])
         with pytest.raises(DomainError, match="precedes"):
-            steady.trace(25.0, 1.0, 1e-3, 0.5, 1, 2, 8e8, 20.0, 0.0)
+            steady.trace(25.0, 1.0, 1e-3, [0.5], 0.0)
 
     def test_one_record_serves_many_entry_temperatures(self):
         steady = SteadyState(TRANSIENT, 20.0)
         for temp0 in (25.0, 35.0, 80.0, 400.0, 25.0):
             assert steady.step(temp0, 3.0) == SteadyState(TRANSIENT, 20.0).step(temp0, 3.0)
-            assert steady.trace(temp0, 0.0, 3.0, 1.0, 0, 4, 8e8, 20.0, 0.0) == SteadyState(TRANSIENT, 20.0).trace(
-                temp0, 0.0, 3.0, 1.0, 0, 4, 8e8, 20.0, 0.0)
+            times = [0.0, 1.0, 2.0, 3.0]
+            assert steady.trace(temp0, 0.0, 3.0, times, 0.0) == SteadyState(TRANSIENT, 20.0).trace(
+                temp0, 0.0, 3.0, times, 0.0)
         with pytest.raises(DomainError, match="not finite"):
             steady.step(math.inf, 3.0)
 
@@ -549,17 +552,21 @@ class TestShortSwing:
                 seen += 1
 
     def test_a_negative_or_nan_x_ends(self):
-        # a negative x made the total, and so the stop test's bound, negative, and the loop never ended; a hang
-        # is caught by running the calls in a process with a time limit
+        # a negative x made the total, and so the stop test's bound, negative, and a NaN a or g made it NaN: the
+        # loop never ended. Each call must raise DomainError; a hang is caught by running the calls in a process
+        # with a time limit
         code = """if True:
             import math
             from dvfsim.errors import DomainError
             from dvfsim.thermal import _short_swing
-            for x, g in ((-0.01, -math.expm1(0.01)), (math.nan, math.nan), (math.nan, 0.01)):
+            calls = ((0.5, -0.01, -math.expm1(0.01)), (0.5, math.nan, math.nan), (0.5, math.nan, 0.01),
+                     (math.nan, 0.01, -math.expm1(-0.01)), (0.5, 0.01, math.nan))
+            for a, x, g in calls:
                 try:
-                    _short_swing(0.5, x, g)
+                    _short_swing(a, x, g)
                 except DomainError:
-                    pass
+                    continue
+                raise SystemExit(f"no DomainError for {(a, x, g)}")
         """
         done = subprocess.run([sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, timeout=30)
         assert (done.returncode, done.stderr) == (0, "")
