@@ -12,6 +12,12 @@ usage error (including an empty path and simulate's --report and --trace naming
 one file). Output is plain text. ``main`` returns the exit code on every path,
 ``-h``/``--help`` (0) included, and never raises SystemExit.
 
+``simulate --trace`` writes the rows as the run samples them. Past
+engine.TRACE_CHUNK rows, with ``os.fork``, two usable CPUs and no other thread,
+one forked child renders the rest beside the run (``reporting.trace_writer``);
+the bytes, errors and exit codes are those of the in-process path, and the
+child is reaped before ``main`` returns, on every path.
+
 ``main`` builds the parser of the subcommand its first argument names, and no
 other; any other first argument (none, ``-h``, an unknown word) gets all four,
 so the top-level help and the list of choices stay whole.

@@ -9,9 +9,10 @@ active power per level; idle power is a single level-independent constant.
 from __future__ import annotations
 
 from collections import namedtuple
+from contextlib import suppress
 
 from .errors import UnknownLevelError, Violation, _finite, _real
-from .thermal import validate_thermal
+from .thermal import steady_state_temp, validate_thermal
 
 DEFAULT_COST_RATE = 100.0  # $/MWh
 
@@ -90,18 +91,20 @@ def validate_spec(spec: ProcessorSpec) -> tuple[Violation, ...]:
             v.append(Violation(name, "negative coefficient"))
 
     # Strictly rising active power is what makes "slower is cheaper" meaningful.
+    powers = None
     if not v:
-        try:
+        with suppress(OverflowError):  # a level's vdd**2 is beyond float range
             powers = spec.active_w
-        except OverflowError:  # a level's vdd**2 is beyond float range
+        if powers is None or not all(map(_finite, powers)):  # or a level's sum rounds to inf
             v.append(Violation("levels", "active power overflows a float"))
-        else:
-            for i in range(1, len(powers)):
-                if powers[i] <= powers[i - 1]:
-                    v.append(Violation("levels", "active power not strictly increasing across levels"))
-                    break
+            powers = None
+        elif any(hi <= lo for lo, hi in zip(powers, powers[1:])):
+            v.append(Violation("levels", "active power not strictly increasing across levels"))
 
-    v.extend(validate_thermal(spec.thermal))
+    thermal = validate_thermal(spec.thermal)
+    v.extend(thermal)
+    if powers and not thermal and not _finite(steady_state_temp(spec.thermal, max(*powers, spec.p_idle))):
+        v.append(Violation("thermal.r_th", "steady state t_amb + P * r_th overflows a float"))
 
     w = spec.wear
     if not _finite(w.k_shock) or w.k_shock < 0:

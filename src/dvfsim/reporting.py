@@ -10,12 +10,15 @@ Task rows (TASK_BLOCK at a time) and trace rows are streamed, not held whole.
 from __future__ import annotations
 
 import json
+import marshal
 import math
 import os
 import stat
+import sys
 from contextlib import contextmanager, suppress
 from json.encoder import encode_basestring_ascii
 
+from . import engine
 from .engine import ComparisonReport, SimReport
 
 SCHEMA_VERSION = 1
@@ -154,11 +157,22 @@ def trace_writer(path):
 
     The sink takes ``(freq, power, times, temps, wears)``, as ``engine.run_scenario``
     calls it: one span's freq and power and three equal-length columns. It
-    writes one row per point with one write: freq and power are rendered once.
+    renders one row per point with one write: freq and power are rendered once.
     Each float is its repr, the columns are in TRACE_HEADER's order, the header
     is written first and every row ends in a newline. Pass it to ``run_scenario``
-    to stream a run's trace: only the chunk at hand is in memory, and a run that
+    to stream a run's trace: only the chunks at hand are in memory, and a run that
     fails leaves no file behind.
+
+    The rows are rendered in this process until they reach ``engine.TRACE_CHUNK``.
+    Past that, if ``os.fork`` exists, at least two CPUs are usable and no other
+    thread runs, one forked child renders every later row while the run keeps
+    sampling: the sink ships the chunks to it over a pipe, batched to at least
+    TRACE_CHUNK points, and the writer reaps the child before it returns or
+    raises, on every path. The bytes, the errors and their text are those of the
+    in-process path. A write error wins: if a row sampled before the run failed
+    cannot be written, the writer raises that OSError, whether or not the run
+    also failed, with the run's exception as its context. This holds on both
+    paths, since closing the file flushes the rows the run sampled.
     """
     with _opened(path) as f:
         write = f.write
@@ -168,7 +182,127 @@ def trace_writer(path):
             shared = f",{freq!r},{power!r},"  # the freq and power columns between their commas
             write("".join([f"{time!r}{shared}{temp!r},{wear!r}\n" for time, temp, wear in zip(times, temps, wears)]))
 
-        yield write_span
+        rows, child = 0, None
+        switch = engine.TRACE_CHUNK
+
+        def sink(freq, power, times, temps, wears) -> None:
+            nonlocal rows, child
+            if child is not None:  # copied, as the caller may reuse its lists before they are shipped
+                child.send((freq, power, list(times), list(temps), list(wears)))
+                return
+            write_span(freq, power, times, temps, wears)
+            if rows < switch:
+                rows += len(times)
+                if rows >= switch and _may_fork():
+                    f.flush()  # the child writes after the rows already written
+                    with suppress(OSError):  # no pipe or process to be had: the rows stay in this process
+                        child = _RowChild(write_span, f.flush, switch)
+
+        failed = True
+        try:
+            yield sink
+            failed = False
+        finally:
+            if child is not None:
+                child.finish(failed)
+
+
+def _may_fork() -> bool:
+    """Whether one child may render rows beside the run: fork exists, two CPUs are usable and no other thread runs,
+    since a fork copies only the calling thread."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus >= 2
+
+
+class _RowChild:
+    """One forked child that renders shipped chunks with the parent's ``write_span``, in order.
+
+    The parent ships lists of chunks as ``marshal`` frames, each after its length
+    as 8 little-endian bytes, over one pipe. The child reports a write error as
+    its OSError's arguments, ``(errno, strerror)``, on a second pipe, and always
+    ends with ``os._exit``, so it never flushes the parent's buffers or runs its
+    exit handlers.
+    """
+
+    def __init__(self, write_span, flush, batch: int):
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        data_r, data_w, error_r, error_w = fds
+        if pid == 0:
+            _render_shipped(fds, write_span, flush)  # never returns
+        os.close(data_r)
+        os.close(error_w)
+        self.pid, self.errors, self.out = pid, error_r, open(data_w, "wb")
+        self.batch, self.pending, self.points = batch, [], 0
+
+    def send(self, chunk) -> None:
+        self.pending.append(chunk)
+        self.points += len(chunk[2])
+        if self.points >= self.batch:
+            try:
+                self._ship()
+            except BrokenPipeError:  # the child has stopped: finish raises its reason
+                self.finish(False)
+                raise
+
+    def _ship(self) -> None:
+        data = marshal.dumps(self.pending)
+        self.pending, self.points = [], 0
+        self.out.write(len(data).to_bytes(8, "little"))
+        self.out.write(data)
+        self.out.flush()
+
+    def finish(self, failed: bool) -> None:
+        """Ship the chunks left, close the pipe and reap the child, once. Raise the write error the child reported;
+        unless the run ``failed``, also raise an OSError if the child ended otherwise than by the end of its rows."""
+        if self.pid is None:
+            return
+        try:
+            if self.pending:
+                self._ship()
+        except BrokenPipeError:
+            pass  # the child has stopped, and its status or report says why
+        finally:
+            with suppress(OSError):
+                self.out.close()
+            status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self.pid = None
+            with open(self.errors, "rb") as errors:
+                report = errors.read()
+        if report:
+            raise OSError(*marshal.loads(report))
+        if status and not failed:
+            raise OSError(f"the process rendering the rows ended with status {status}")
+
+
+def _render_shipped(fds, write_span, flush) -> None:
+    """The forked child's whole run, on the pipes ``(data_r, data_w, error_r, error_w)``: render each shipped
+    chunk in order, flush, and exit."""
+    data_r, data_w, error_r, error_w = fds
+    status = 1
+    try:
+        os.close(data_w)  # else the data pipe would never reach its end
+        os.close(error_r)
+        with open(data_r, "rb") as frames:
+            while head := frames.read(8):
+                for chunk in marshal.loads(frames.read(int.from_bytes(head, "little"))):
+                    write_span(*chunk)
+        flush()
+        status = 0
+    except OSError as exc:
+        os.write(error_w, marshal.dumps(exc.args))
+    finally:
+        os._exit(status)
 
 
 def format_sweep(runs, by_policy: bool = False) -> str:

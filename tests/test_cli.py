@@ -194,6 +194,25 @@ class TestNonFiniteInput:
             assert (result.returncode, result.stdout, result.stderr) == (
                 2, "", "invalid scenario (validation): levels: active power overflows a float\n")
 
+    @pytest.mark.parametrize(
+        "section, key, value, line",
+        [
+            ("processor", "coeff_a", 7.5e298, "levels: active power overflows a float"),  # the top level's is inf
+            ("thermal", "r_th_k_per_w", 1e308, "thermal.r_th: steady state t_amb + P * r_th overflows a float"),
+        ],
+        ids=["active-power", "steady-state"],
+    )
+    def test_a_power_or_steady_state_that_rounds_to_inf_is_a_validation_error(self, tmp_path, section, key, value,
+                                                                               line):
+        doc = json.loads(open(TURION).read())
+        doc[section][key] = value
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))
+        for verb in ("validate", "simulate"):
+            result = call_cli(verb, "--scenario", str(path))
+            want = (2, "", f"invalid scenario (validation): {line}\n")
+            assert (result.returncode, result.stdout, result.stderr) == want
+
     def test_overflowing_model_values_exit_1(self, tmp_path):
         hot = json.loads(open(TURION).read())
         hot["thermal"]["r_th_k_per_w"] = 5000.0  # the first task heats toward 65,000 degC ...
@@ -510,6 +529,33 @@ class TestUnwritableOutput:
         assert result.returncode == 1
         assert result.stderr.splitlines() == [f"error: cannot write {trace}: [Errno 27] File too large"]
         assert not trace.exists()
+
+
+    def long_trace(self, tmp_path):
+        """turion6.json sampled every 0.01 s: 12,001 rows, so the rows past TRACE_CHUNK are rendered by a child."""
+        doc = json.loads(open(TURION).read())
+        doc["sim"]["trace_dt_s"] = 0.01
+        path = tmp_path / "long_trace.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_a_failed_row_write_past_the_switch_removes_the_partial_trace(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+
+        def limit_file_size():  # the first 4,096 rows are about 270 kB and the full trace about 790 kB
+            resource.setrlimit(resource.RLIMIT_FSIZE, (500_000, 500_000))
+
+        result = run_cli("simulate", "--scenario", self.long_trace(tmp_path), "--trace", str(trace),
+                         preexec_fn=limit_file_size)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.splitlines() == [f"error: cannot write {trace}: [Errno 27] File too large"]
+        assert not trace.exists()
+
+    def test_a_trace_past_the_switch_prints_the_summary_once(self, tmp_path):
+        scenario = self.long_trace(tmp_path)
+        result = run_cli("simulate", "--scenario", scenario, "--trace", str(tmp_path / "trace.csv"))
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == call_cli("simulate", "--scenario", scenario).stdout
 
 
 class TestLazyTrace:

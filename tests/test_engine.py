@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 import types
 from dataclasses import replace
@@ -38,7 +39,7 @@ from dvfsim import (
     run_scenario,
     simulate,
 )
-from dvfsim import engine, thermal
+from dvfsim import engine, reporting, thermal
 from dvfsim.engine import MAX_TRACE_POINTS, TRACE_CHUNK
 from dvfsim.reporting import TRACE_HEADER, trace_writer
 from dvfsim.transitions import shock_wear
@@ -759,11 +760,14 @@ class TestSinkContract:
     @given(traced_scenarios(), st.sampled_from([1, 2, 3, 17]))
     # every 0.01 s: the stepped descents' idle dwells give chunks of one power at different clocks in a row
     @example(replace(hot_scenario(), trace_dt=0.01), 3)
+    @example(make_scenario(duration=5.0, trace_dt=0.5), 3)  # one idle span: the switch falls after its first chunk
     @settings(max_examples=15, deadline=None)
     def test_the_streamed_csv_is_the_rows_of_the_simulated_trace(self, tmp_path_factory, sc, cap):
         path = tmp_path_factory.mktemp("trace") / "t.csv"
-        with mock.patch.object(engine, "TRACE_CHUNK", cap):  # spans split into several chunks
+        # the writer reads the patched cap too, so a draw's rows past it are rendered by a forked child
+        with mock.patch.object(engine, "TRACE_CHUNK", cap), mock.patch.object(os, "fork", wraps=os.fork) as fork:
             with trace_writer(path) as write_span:
                 run_scenario(sc, write_span)
             _, trace = simulate(sc)
+        assert fork.call_count == (len(trace) >= cap and reporting._may_fork())
         assert path.read_bytes() == (TRACE_HEADER + "\n" + "".join(TRACE_ROW % p for p in trace)).encode()

@@ -3,26 +3,35 @@ import io
 import json
 import math
 import os
+import resource
+import threading
 import tracemalloc
+from contextlib import contextmanager
+from dataclasses import replace
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
 from dvfsim import (
+    DomainError,
     EnergyBreakdown,
     SimReport,
     TaskOutcome,
     TransitionEvent,
     WearLedger,
+    load_scenario,
+    run_scenario,
     simulate,
     write_report,
 )
-from dvfsim import reporting
+from dvfsim import engine, reporting
 from dvfsim.reporting import TASK_BLOCK, TRACE_HEADER, format_comparison_table, trace_writer
 from dvfsim import compare_policies, write_comparison, GovernorPolicy, TransitionPolicy
 
 from helpers import (
+    SCENARIO_DIR,
     TRACE_ROW,
     joined_points,
     load_json,
@@ -183,18 +192,159 @@ def chunked_traces(draw):
 
 
 class TestTraceWriter:
-    @given(chunked_traces())
-    # equal freqs that render apart, in adjacent spans: one span's must not be rendered for the other's
-    @example([(0.0, 1.0, [0.0], [2.0], [3.0]), (-0.0, 1.0, [0.5], [2.0], [3.0]), (0, 1.0, [1.0], [2.0], [3.0])])
-    @example([])
+    @given(chunked_traces(), st.sampled_from([1, 5, engine.TRACE_CHUNK]))
+    # equal freqs that render apart, in adjacent spans: one span's must not be rendered for the other's; with a
+    # switch after one row, the child renders the last two from what the pipe carried
+    @example([(0.0, 1.0, [0.0], [2.0], [3.0]), (-0.0, 1.0, [0.5], [2.0], [3.0]), (0, 1.0, [1.0], [2.0], [3.0])], 1)
+    @example([], 1)
     @settings(max_examples=300, deadline=None)
-    def test_chunks_give_the_bytes_of_one_row_per_point(self, tmp_path_factory, chunks):
+    def test_chunks_give_the_bytes_of_one_row_per_point(self, tmp_path_factory, chunks, switch):
         path = tmp_path_factory.mktemp("trace") / "t.csv"
-        with trace_writer(path) as write_span:
+        with mock.patch.object(engine, "TRACE_CHUNK", switch), trace_writer(path) as write_span:
             for chunk in chunks:
                 write_span(*chunk)
         want = (TRACE_HEADER + "\n" + "".join(TRACE_ROW % p for p in joined_points(chunks))).encode()
         assert path.read_bytes() == want
+
+
+LONG = replace(load_scenario(SCENARIO_DIR / "turion6.json"), trace_dt=0.01)  # 12,001 rows, past TRACE_CHUNK
+
+
+def long_chunks():
+    chunks = []
+    run_scenario(LONG, lambda *chunk: chunks.append(chunk))
+    return chunks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def file_size_limit(limit):
+    """A function that limits the files the calling process writes to ``limit`` bytes."""
+    hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+    return lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+
+
+@contextmanager
+def counted_forks(in_child=None):
+    """``os.fork`` counted, as a mock; a child it makes first calls ``in_child``."""
+    fork = os.fork
+
+    def forked():
+        pid = fork()
+        if pid == 0 and in_child is not None:
+            try:
+                in_child()
+            except BaseException:
+                os._exit(1)  # the child must never run on into the test
+        return pid
+
+    with mock.patch.object(os, "fork", side_effect=forked) as spy:
+        yield spy
+
+
+needs_fork = pytest.mark.skipif(not reporting._may_fork(), reason="needs os.fork and two usable CPUs")
+
+
+class TestForkedRows:
+    """Past TRACE_CHUNK rows one forked child renders the rest: the same bytes and the same errors, and no child is
+    left running on any path."""
+
+    @pytest.mark.parametrize("host", ["forked", "no-fork", "one-cpu", "threaded", "fork-fails"])
+    def test_every_path_writes_the_bytes_of_the_simulated_trace(self, tmp_path, monkeypatch, host):
+        if host in ("forked", "fork-fails") and not reporting._may_fork():
+            pytest.skip("needs os.fork and two usable CPUs")
+        if host == "one-cpu":
+            if not hasattr(os, "sched_setaffinity"):
+                pytest.skip("needs os.sched_setaffinity")
+            cpus = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {min(cpus)})
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        if host == "threaded":
+            other.start()
+        path = tmp_path / "t.csv"
+        try:
+            with counted_forks() as fork:
+                if host == "no-fork":
+                    monkeypatch.delattr(os, "fork")
+                elif host == "fork-fails":
+                    fork.side_effect = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                with trace_writer(path) as write_span:
+                    run_scenario(LONG, write_span)
+        finally:
+            stop.set()
+            if host == "threaded":
+                other.join(timeout=10)
+            if host == "one-cpu":
+                os.sched_setaffinity(0, cpus)
+        assert fork.call_count == (host in ("forked", "fork-fails"))
+        _, trace = simulate(LONG)
+        assert path.read_bytes() == (TRACE_HEADER + "\n" + "".join(TRACE_ROW % p for p in trace)).encode()
+        assert_no_child_left()
+
+    @needs_fork
+    def test_a_run_failure_after_the_switch_removes_the_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with counted_forks() as fork, pytest.raises(DomainError, match="^late$"):
+            with trace_writer(path) as write_span:
+                for chunk in long_chunks():
+                    write_span(*chunk)
+                raise DomainError("late")
+        assert fork.call_count == 1
+        assert not path.exists()
+        assert_no_child_left()
+
+    @needs_fork
+    def test_a_write_error_in_the_child_is_the_in_process_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with counted_forks(file_size_limit(1)) as fork, pytest.raises(OSError) as failed:
+            with trace_writer(path) as write_span:
+                run_scenario(LONG, write_span)
+        assert fork.call_count == 1
+        assert str(failed.value) == f"cannot write {path}: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+        assert not path.exists()
+        assert_no_child_left()
+
+    @needs_fork
+    def test_a_child_that_ends_before_its_rows_fails_the_write(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with counted_forks(lambda: os._exit(3)), pytest.raises(OSError) as failed:
+            with trace_writer(path) as write_span:
+                run_scenario(LONG, write_span)
+        assert str(failed.value) == f"cannot write {path}: the process rendering the rows ended with status 3"
+        assert not path.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("host", ["forked", "in-process"])
+    def test_a_write_error_wins_over_a_run_failure(self, tmp_path, host):
+        """A row sampled before the run failed that cannot be written makes the writer raise the write error, with
+        the run's exception as its context, on both paths: in-process the one row is still buffered when the run
+        fails, and closing the file writes it."""
+        if host == "forked":
+            if not reporting._may_fork():
+                pytest.skip("needs os.fork and two usable CPUs")
+            path, chunks, code, limit = tmp_path / "t.csv", long_chunks(), errno.EFBIG, file_size_limit(1)
+        else:
+            if not os.path.exists("/dev/full"):
+                pytest.skip("needs the /dev/full device")
+            path, chunks, code, limit = "/dev/full", [(8e8, 10.0, [0.0], [25.0], [0.0])], errno.ENOSPC, None
+        with counted_forks(limit) as fork, pytest.raises(OSError) as failed:
+            with trace_writer(path) as write_span:
+                for chunk in chunks:
+                    write_span(*chunk)
+                raise DomainError("late")
+        assert fork.call_count == (host == "forked")
+        assert str(failed.value) == f"cannot write {path}: [Errno {code}] {os.strerror(code)}"
+        chain, exc = [], failed.value
+        while exc is not None:
+            chain.append(type(exc))
+            exc = exc.__cause__ or exc.__context__
+        assert DomainError in chain
+        assert not os.path.isfile(path)
+        assert_no_child_left()
 
 
 class TestComparisonTable:
